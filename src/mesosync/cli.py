@@ -1,6 +1,7 @@
 """Command-line front end: run, sweep and falselock subcommands.
 
-Exit codes: 0 all assertions passed, 2 non-convergence, 3 timing violation.
+Exit codes: 0 all assertions passed, 2 non-convergence or scenario error,
+3 timing violation.
 """
 
 from __future__ import annotations

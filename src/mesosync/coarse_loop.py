@@ -1,4 +1,4 @@
-"""Window comparator, coarse control FSM, one-hot ring counter, snapshots.
+"""Window comparator, coarse control FSM and one-hot ring counter.
 
 Direction convention: the ring's ``up`` direction advances the hot index by
 one, which selects the next-later DLL phase.  A control voltage above the
@@ -80,25 +80,6 @@ def ring_step(r: RingCounter, direction: str) -> RingCounter:
     else:
         raise ValueError(f"unknown ring direction: {direction!r}")
     return RingCounter(r.n, 1 << idx)
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    q: int
-    n: int
-    v_c: float | None = None
-
-    def __post_init__(self):
-        _check_one_hot(self.q, self.n)
-
-
-def snapshot_save(r: RingCounter, v_c: float | None = None) -> Snapshot:
-    return Snapshot(q=r.q, n=r.n, v_c=v_c)
-
-
-def snapshot_restore(s: Snapshot) -> RingCounter:
-    """Preset the counter from a saved lock state (rejects non-one-hot)."""
-    return RingCounter(s.n, s.q)
 
 
 @dataclass(frozen=True)

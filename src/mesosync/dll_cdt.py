@@ -1,4 +1,4 @@
-"""DLL phase generation, sampling-clock composition and clock-domain transfer.
+"""DLL phase generation and clock-domain transfer.
 
 The DLL is behavioral: N evenly spaced phases of the receiver reference,
 optionally reproducing the reference's phase modulation through a
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fine_loop import VcdlCurve, vcdl_delay
 from .timebase import ClockGen, SimTime
 
 IDEAL = "ideal"
@@ -81,24 +80,6 @@ class DllPhases:
         while self.edge(i, k) <= t:
             k += 1
         return self.edge(i, k)
-
-
-def dll_edge(i: int, k: int, phases: DllPhases) -> SimTime:
-    return phases.edge(i, k)
-
-
-@dataclass(frozen=True)
-class PhaseSelect:
-    """Selected source phase index; equals the ring counter's hot bit."""
-
-    n: int
-
-
-def sampling_clock_edge(
-    k: int, sel: PhaseSelect, v_c: float, curve: VcdlCurve, phases: DllPhases
-) -> SimTime:
-    """k-th active edge of the sampling clock: selected phase plus VCDL."""
-    return phases.edge(sel.n, k) + vcdl_delay(v_c, curve)
 
 
 def intermediate_phase(n: int, n_phases: int) -> int:

@@ -35,15 +35,27 @@ class PumpConfig:
     def weak_slope_v_per_fs(self) -> float:
         return self.i_weak / self.c_filter / FS_PER_SECOND
 
-    def window(self) -> tuple[float, float]:
-        """Window comparator thresholds (v_dd/4, 3*v_dd/4)."""
-        return self.v_dd / 4.0, 3.0 * self.v_dd / 4.0
-
 
 @dataclass
 class FineLoopState:
     v_c: float
-    weak_gated_off: bool = False
+    clamped: bool = False  # the last integration ran into a supply rail
+
+
+def pump_current(
+    cfg: PumpConfig, up: int, dn: int, up_strong: int, dn_strong: int
+) -> float:
+    """Net current into the loop filter in amperes.
+
+    The weak pump is gated off whenever either strong signal is asserted.
+    """
+    i = 0.0
+    if not (up_strong or dn_strong):
+        i += cfg.i_weak * ((1 if up else 0) - (1 if dn else 0))
+    i += cfg.strong_ratio * cfg.i_weak * (
+        (1 if up_strong else 0) - (1 if dn_strong else 0)
+    )
+    return i
 
 
 def pump_integrate(
@@ -57,7 +69,6 @@ def pump_integrate(
 ) -> FineLoopState:
     """Advance Vc over ``dt`` ticks of constant pump drive, then clamp.
 
-    The weak pump is gated off whenever either strong signal is asserted.
     Exact over any segmentation of the interval: integrating dt1 then dt2
     equals integrating dt1+dt2 while Vc stays off the rails.
     """
@@ -65,18 +76,10 @@ def pump_integrate(
         raise ValueError("dt must be >= 0")
     if up_strong and dn_strong:
         raise ValueError("up_strong and dn_strong may not be asserted together")
-    strong_on = bool(up_strong or dn_strong)
-    i = 0.0
-    if not strong_on:
-        i += cfg.i_weak * ((1 if up else 0) - (1 if dn else 0))
-    i += cfg.strong_ratio * cfg.i_weak * (
-        (1 if up_strong else 0) - (1 if dn_strong else 0)
-    )
+    i = pump_current(cfg, up, dn, up_strong, dn_strong)
     v = state.v_c + i * dt / FS_PER_SECOND / cfg.c_filter
-    return FineLoopState(clamp_voltage(v, cfg.v_dd), strong_on)
+    return FineLoopState(clamp_voltage(v, cfg.v_dd), not 0.0 <= v <= cfg.v_dd)
 
-
-CORNERS = ("SS", "TT", "FF", "FNSP", "SNFP")
 
 # Range multipliers in DLL phase steps: designed so the fastest corner spans
 # exactly one step, typical spans two, slow corners up to 2.6.

@@ -25,20 +25,13 @@ from .coarse_loop import (
     WITHIN,
     CoarseFsm,
     RingCounter,
-    WindowComparator,
     fsm_step,
     ring_step,
     window_classify,
 )
-from .dll_cdt import CdtChain, DllPhases, cdt_transfer
-from .fine_loop import (
-    FineLoopState,
-    PumpConfig,
-    VcdlCurve,
-    pump_integrate,
-    vcdl_delay,
-)
-from .link import BitSource, ChannelConfig, RxWaveform
+from .dll_cdt import CdtChain, cdt_transfer
+from .fine_loop import FineLoopState, pump_current, pump_integrate, vcdl_delay
+from .link import BitSource, RxWaveform
 from .phase_detector import (
     HOLD,
     PD_PIPELINE_CYCLES,
@@ -49,17 +42,10 @@ from .phase_detector import (
     alexander_step,
 )
 from .scenario import Scenario
-from .timebase import (
-    FS_PER_NS,
-    FS_PER_PS,
-    ClockGen,
-    JitterSpec,
-    Rng,
-    SimTime,
-    derive_seed,
-)
+from .timebase import ClockGen, Rng, SimTime, clamp_voltage, derive_seed
 
-# Fixed tiebreak order for simultaneous events (low value runs first).
+# Fixed tiebreak order for simultaneous events (low value runs first); each
+# value also indexes the event's handler in Simulation.run.
 PRIO_CROSSING = 0
 PRIO_PUBLISH = 1
 PRIO_STRONG_END = 2
@@ -145,60 +131,19 @@ class Simulation:
         rng_rx = Rng(derive_seed(scn.seed, 2))
         self.bits = BitSource(scn.pattern, derive_seed(scn.seed, 3))
 
-        tx_jit = JitterSpec(
-            scn.tx_sin_amp_ui,
-            scn.tx_sin_freq_hz,
-            scn.tx_sin_phase_rad,
-            scn.tx_gauss_sigma_ui,
-        )
+        tx_jit, rx_jit = scn.jitter()
         self.tx_clock = ClockGen(self.T, 0.0, tx_jit, rng_tx, name="tx")
         if scn.correlated:
             # Receiver reference shares the transmitter's edge offsets.
             self.rx_clock = self.tx_clock
         else:
-            rx_jit = JitterSpec(
-                scn.rx_sin_amp_ui,
-                scn.rx_sin_freq_hz,
-                scn.rx_sin_phase_rad,
-                scn.rx_gauss_sigma_ui,
-            )
             self.rx_clock = ClockGen(self.T, 0.0, rx_jit, rng_rx, name="rx")
 
-        chan = ChannelConfig(
-            n=scn.n,
-            alpha=scn.alpha,
-            bit_period=self.T,
-            transition_time=round(scn.transition_time_ui * self.T),
-            swing=scn.swing_v,
-        )
-        self.waveform = RxWaveform(self.bits, chan, tx_clock=self.tx_clock)
-
-        v_low, v_high = scn.window()
-        self.window = WindowComparator(
-            v_low, v_high, round(scn.trip_delay_ns * FS_PER_NS)
-        )
-        self.pump = PumpConfig(
-            i_weak=scn.i_weak_uA * 1e-6,
-            strong_ratio=scn.strong_ratio,
-            c_filter=scn.c_filter_fF * 1e-15,
-            v_dd=scn.v_dd,
-        )
-        self.curve = VcdlCurve(
-            d_min=round(scn.d_min_ui * self.T),
-            phase_step=round(self.T / self.N),
-            v_low=v_low,
-            v_high=v_high,
-            corner=scn.corner,
-            shape=scn.vcdl_shape,
-            corner_mult={
-                "FF": scn.mult_ff,
-                "TT": scn.mult_tt,
-                "SS": scn.mult_ss,
-                "FNSP": scn.mult_fnsp,
-                "SNFP": scn.mult_snfp,
-            },
-        )
-        self.dll = DllPhases(self.rx_clock, self.N, scn.dll_mode, scn.loop_bw_hz)
+        self.waveform = RxWaveform(self.bits, scn.channel_config(), self.tx_clock)
+        self.window = scn.window_comparator()
+        self.pump = scn.pump_config()
+        self.curve = scn.vcdl_curve()
+        self.dll = scn.dll_phases(self.rx_clock)
 
         preset = scn.snapshot_hot if scn.snapshot_hot >= 0 else 0
         self.ring = RingCounter(self.N, 1 << preset)
@@ -210,12 +155,9 @@ class Simulation:
         self.gen = 0
         self.strong_gen = 0
 
-        meta = MetastabilityModel(
-            time_window_tw=round(scn.tw_ps * FS_PER_PS),
-            resolution_mode=HOLD if (
-                scn.resolution == "hold" or hold_until_fs is not None
-            ) else STOCHASTIC,
-        )
+        meta = scn.metastability_model()
+        if hold_until_fs is not None:
+            meta = replace(meta, resolution_mode=HOLD)
         self.center_sampler = Sampler(meta)
         self.edge_sampler = Sampler(meta)
         self.alex = AlexanderState()
@@ -249,27 +191,19 @@ class Simulation:
 
     # -- scheduling ------------------------------------------------------
 
-    def _push(self, t: SimTime, prio: int, payload: tuple):
-        heapq.heappush(self.heap, (t, prio, self.seq, payload))
+    def _push(self, t: SimTime, prio: int, args: tuple):
+        heapq.heappush(self.heap, (t, prio, self.seq, args))
         self.seq += 1
 
     # -- control voltage segments ----------------------------------------
 
     def _slope_per_fs(self) -> float:
-        i = 0.0
-        strong = self.s_up or self.s_dn
-        if not strong:
-            i = self.pump.i_weak * (self.w_up - self.w_dn)
-        i += self.pump.strong_ratio * self.pump.i_weak * (self.s_up - self.s_dn)
+        i = pump_current(self.pump, self.w_up, self.w_dn, self.s_up, self.s_dn)
         return i / self.pump.c_filter / 1e15
 
     def _vc_at(self, t: SimTime) -> float:
         v = self.vc + self._slope_per_fs() * (t - self.t_vc)
-        if v < 0.0:
-            return 0.0
-        if v > self.pump.v_dd:
-            return self.pump.v_dd
-        return v
+        return clamp_voltage(v, self.pump.v_dd)
 
     def _advance_vc(self, t: SimTime):
         state = pump_integrate(
@@ -282,7 +216,7 @@ class Simulation:
             self.pump,
         )
         self.vc = state.v_c
-        if not 0.0 <= self.vc <= self.pump.v_dd:
+        if state.clamped:
             self.vc_bound_violations += 1
         self.t_vc = t
 
@@ -314,7 +248,7 @@ class Simulation:
             return
         dt = (target - v) / slope
         t_cross = self.t_vc + max(1, math.ceil(dt))
-        self._push(t_cross, PRIO_CROSSING, ("cross", self.gen, after))
+        self._push(t_cross, PRIO_CROSSING, (self.gen, after))
 
     # -- event handlers ---------------------------------------------------
 
@@ -332,7 +266,7 @@ class Simulation:
             if self.excursions and self.excursions[-1][1] is None:
                 self.excursions[-1] = (self.excursions[-1][0], self.now)
             self.last_nonwithin = self.now
-        self._push(self.now + self.window.trip_delay, PRIO_PUBLISH, ("pub", after))
+        self._push(self.now + self.window.trip_delay, PRIO_PUBLISH, (after,))
         self._predict_crossing()
 
     def _on_publish(self, region: str):
@@ -370,13 +304,11 @@ class Simulation:
             self._set_levels(strong=(s_up, s_dn))
             if s_up or s_dn:
                 self._push(
-                    self.now + self.K * self.T,
-                    PRIO_STRONG_END,
-                    ("strong_end", self.strong_gen),
+                    self.now + self.K * self.T, PRIO_STRONG_END, (self.strong_gen,)
                 )
         self._trace_counter()
         nxt = self.rx_clock.edge((m + 1) * self.K)
-        self._push(nxt, PRIO_DIVIDED, ("div", m + 1))
+        self._push(nxt, PRIO_DIVIDED, (m + 1,))
 
     def _trace_counter(self):
         self.counter_trace.append(
@@ -421,16 +353,14 @@ class Simulation:
         # Late clock (UP) discharges, early clock (DN) charges: more control
         # voltage means more delay.  Applied one bit period per evaluation,
         # two cycles after the mid-eye sample.
-        self._push(
-            t_center + PD_PIPELINE_CYCLES * self.T, PRIO_PUMP, ("pump", dn, up)
-        )
+        self._push(t_center + PD_PIPELINE_CYCLES * self.T, PRIO_PUMP, (dn, up))
 
         self._update_lock(t_center, up, dn)
 
         n_next = self.ring.hot_index
         es = self.dll.edge(n_next, k + 1)
-        self._push(es - self.T // 2, PRIO_OPP, ("opp", k + 1, n_next))
-        self._push(es, PRIO_CYCLE, ("cycle", k + 1, n_next))
+        self._push(es - self.T // 2, PRIO_OPP, (k + 1, n_next))
+        self._push(es, PRIO_CYCLE, (k + 1, n_next))
 
     def _on_pump(self, drive_up: int, drive_dn: int):
         self._set_levels(weak=(drive_up, drive_dn))
@@ -498,37 +428,34 @@ class Simulation:
         start_cycle = 2
         n0 = self.ring.hot_index
         es = self.dll.edge(n0, start_cycle)
-        self._push(es - self.T // 2, PRIO_OPP, ("opp", start_cycle, n0))
-        self._push(es, PRIO_CYCLE, ("cycle", start_cycle, n0))
-        self._push(self.rx_clock.edge(self.K), PRIO_DIVIDED, ("div", 1))
+        self._push(es - self.T // 2, PRIO_OPP, (start_cycle, n0))
+        self._push(es, PRIO_CYCLE, (start_cycle, n0))
+        self._push(self.rx_clock.edge(self.K), PRIO_DIVIDED, (1,))
         self._predict_crossing()
 
+        # Indexed by priority: the one table mapping event kinds to handlers.
+        handlers = (
+            self._on_crossing,     # PRIO_CROSSING
+            self._on_publish,      # PRIO_PUBLISH
+            self._on_strong_end,   # PRIO_STRONG_END
+            self._on_divided,      # PRIO_DIVIDED
+            self._on_pump,         # PRIO_PUMP
+            self._on_opp,          # PRIO_OPP
+            self._on_cycle,        # PRIO_CYCLE
+        )
         while self.heap:
-            t, prio, _, payload = self.heap[0]
+            t, prio, _, args = self.heap[0]
             if t > end:
                 break
             heapq.heappop(self.heap)
             self.now = t
-            kind = payload[0]
-            if kind == "cycle":
-                self._on_cycle(payload[1], payload[2])
-                if (
-                    self.lock_time is not None
-                    and self.stop_after_lock_fs is not None
-                ):
-                    end = min(end, self.lock_time + self.stop_after_lock_fs)
-            elif kind == "opp":
-                self._on_opp(payload[1], payload[2])
-            elif kind == "pump":
-                self._on_pump(payload[1], payload[2])
-            elif kind == "cross":
-                self._on_crossing(payload[1], payload[2])
-            elif kind == "pub":
-                self._on_publish(payload[1])
-            elif kind == "div":
-                self._on_divided(payload[1])
-            elif kind == "strong_end":
-                self._on_strong_end(payload[1])
+            handlers[prio](*args)
+            if (
+                prio == PRIO_CYCLE
+                and self.lock_time is not None
+                and self.stop_after_lock_fs is not None
+            ):
+                end = min(end, self.lock_time + self.stop_after_lock_fs)
 
         self.now = end
         self._advance_vc(end)
@@ -634,11 +561,6 @@ class Simulation:
         return sorted((p, v, c) for (p, v), c in counts.items())
 
 
-def _wrap_half(x: float) -> float:
-    w = x % 1.0
-    return w - 1.0 if w > 0.5 else w
-
-
 def _is_monotone(path: list[int], n: int) -> bool:
     if len(path) < 2:
         return True
@@ -727,23 +649,7 @@ class FalseLockReport:
 
 def false_lock_alpha(scn: Scenario) -> float:
     """Channel alpha that parks the cold-start sampling edge on transitions."""
-    v_low, v_high = scn.window()
-    curve = VcdlCurve(
-        d_min=round(scn.d_min_ui * scn.period),
-        phase_step=round(scn.period / scn.n_phases),
-        v_low=v_low,
-        v_high=v_high,
-        corner=scn.corner,
-        shape=scn.vcdl_shape,
-        corner_mult={
-            "FF": scn.mult_ff,
-            "TT": scn.mult_tt,
-            "SS": scn.mult_ss,
-            "FNSP": scn.mult_fnsp,
-            "SNFP": scn.mult_snfp,
-        },
-    )
-    d = vcdl_delay(scn.vc_start(), curve)
+    d = vcdl_delay(scn.vc_start(), scn.vcdl_curve())
     return (d % scn.period) / scn.period
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .timebase import ClockGen, JitterSpec, NO_JITTER, Rng, SimTime
+from .timebase import ClockGen, SimTime
 
 PRBS15_MASK = 0x7FFF
 PRBS15_PERIOD = 32767
@@ -104,29 +104,16 @@ class RxWaveform:
     """
 
     def __init__(
-        self,
-        bits: BitSource,
-        cfg: ChannelConfig,
-        jitter_tx: JitterSpec = NO_JITTER,
-        rng: Rng | None = None,
-        tx_clock: ClockGen | None = None,
+        self, bits: BitSource, cfg: ChannelConfig, tx_clock: ClockGen | None = None
     ):
         self.bits = bits
         self.cfg = cfg
-        self._tx = tx_clock or ClockGen(cfg.bit_period, 0.0, jitter_tx, rng, name="tx")
+        self._tx = tx_clock or ClockGen(cfg.bit_period, name="tx")
         self._delay = cfg.delay_fs
-
-    @property
-    def tx_clock(self) -> ClockGen:
-        return self._tx
 
     def boundary(self, k: int) -> SimTime:
         """Receiver-side start instant of bit k."""
         return self._tx.edge(k) + self._delay
-
-    def tx_launch(self, k: int) -> SimTime:
-        """Transmitter-side launch edge of bit k."""
-        return self._tx.edge(k)
 
     def bit_at(self, t: SimTime) -> int:
         """Index of the bit whose interval contains t (t >= boundary(0))."""

@@ -114,8 +114,3 @@ def alexander_step(
 # Latency of the detector's retimed outputs, in clock cycles: one cycle for
 # the comparator to regenerate plus one retiming flip-flop on the same clock.
 PD_PIPELINE_CYCLES = 2
-
-
-def pd_output_valid_time(center_sample_time: SimTime, period: SimTime) -> SimTime:
-    """Instant the decision for a given mid-eye sample is valid downstream."""
-    return center_sample_time + PD_PIPELINE_CYCLES * period

@@ -9,7 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .timebase import SimTime, period_fs
+from .coarse_loop import WindowComparator
+from .dll_cdt import DllPhases
+from .fine_loop import PumpConfig, VcdlCurve, vcdl_delay
+from .link import BitSource, ChannelConfig
+from .phase_detector import MetastabilityModel
+from .timebase import FS_PER_NS, FS_PER_PS, ClockGen, JitterSpec, SimTime, period_fs
 
 
 class ScenarioError(ValueError):
@@ -72,7 +77,6 @@ class Scenario:
     vc_init_v: float = -1.0      # negative selects the window center
     # snapshot.*
     snapshot_hot: int = -1       # negative = cold start from Q0
-    snapshot_restore_vc: bool = True
     # lock.*  (drift_frac bounds the windowed Vc excursion as a fraction of
     # the activity-driven maximum; see the lock detector)
     lock_window_divided: int = 2
@@ -98,6 +102,63 @@ class Scenario:
         lo, hi = self.window()
         return (lo + hi) / 2.0
 
+    # Component configurations, built in one place for the simulation and
+    # for validation.
+
+    def jitter(self) -> tuple[JitterSpec, JitterSpec]:
+        """Transmitter and receiver clock jitter."""
+        return (
+            JitterSpec(self.tx_sin_amp_ui, self.tx_sin_freq_hz,
+                       self.tx_sin_phase_rad, self.tx_gauss_sigma_ui),
+            JitterSpec(self.rx_sin_amp_ui, self.rx_sin_freq_hz,
+                       self.rx_sin_phase_rad, self.rx_gauss_sigma_ui),
+        )
+
+    def channel_config(self) -> ChannelConfig:
+        return ChannelConfig(
+            n=self.n,
+            alpha=self.alpha,
+            bit_period=self.period,
+            transition_time=round(self.transition_time_ui * self.period),
+            swing=self.swing_v,
+        )
+
+    def window_comparator(self) -> WindowComparator:
+        v_low, v_high = self.window()
+        return WindowComparator(v_low, v_high, round(self.trip_delay_ns * FS_PER_NS))
+
+    def pump_config(self) -> PumpConfig:
+        return PumpConfig(
+            i_weak=self.i_weak_uA * 1e-6,
+            strong_ratio=self.strong_ratio,
+            c_filter=self.c_filter_fF * 1e-15,
+            v_dd=self.v_dd,
+        )
+
+    def vcdl_curve(self) -> VcdlCurve:
+        v_low, v_high = self.window()
+        return VcdlCurve(
+            d_min=round(self.d_min_ui * self.period),
+            phase_step=round(self.period / self.n_phases),
+            v_low=v_low,
+            v_high=v_high,
+            corner=self.corner,
+            shape=self.vcdl_shape,
+            corner_mult={
+                "FF": self.mult_ff,
+                "TT": self.mult_tt,
+                "SS": self.mult_ss,
+                "FNSP": self.mult_fnsp,
+                "SNFP": self.mult_snfp,
+            },
+        )
+
+    def metastability_model(self) -> MetastabilityModel:
+        return MetastabilityModel(round(self.tw_ps * FS_PER_PS), self.resolution)
+
+    def dll_phases(self, reference: ClockGen) -> DllPhases:
+        return DllPhases(reference, self.n_phases, self.dll_mode, self.loop_bw_hz)
+
     def validate(self) -> "Scenario":
         if self.bit_rate_hz <= 0:
             raise ScenarioError("sim.bit_rate_hz must be positive")
@@ -115,6 +176,22 @@ class Scenario:
             raise ScenarioError(f"unknown experiment kind: {self.experiment!r}")
         if self.snapshot_hot >= self.n_phases:
             raise ScenarioError("snapshot.hot_index out of range")
+        if self.vc_init_v > self.v_dd:
+            raise ScenarioError("loop.vc_init_v must not exceed supply.v_dd")
+        # The components check their own values; building each one turns a
+        # bad value into a ScenarioError here instead of a crash mid-run.
+        try:
+            self.jitter()
+            self.channel_config()
+            self.window_comparator()
+            self.pump_config()
+            self.dll_phases(ClockGen(self.period))
+            # The curve checks its shape only when evaluated.
+            vcdl_delay(self.vc_start(), self.vcdl_curve())
+            self.metastability_model()
+            BitSource(self.pattern)
+        except ValueError as e:
+            raise ScenarioError(str(e)) from None
         return self
 
 
@@ -161,7 +238,6 @@ _KEYMAP = {
     "cdt.t_hold_ui": "t_hold_ui",
     "loop.vc_init_v": "vc_init_v",
     "snapshot.hot_index": "snapshot_hot",
-    "snapshot.restore_vc": "snapshot_restore_vc",
     "lock.window_divided": "lock_window_divided",
     "lock.drift_frac": "lock_drift_frac",
     "lock.vc_margin_frac": "lock_vc_margin_frac",

@@ -27,10 +27,6 @@ def period_fs(rate_hz: float) -> SimTime:
     return round(FS_PER_SECOND / rate_hz)
 
 
-def fs_to_seconds(t: SimTime) -> float:
-    return t / FS_PER_SECOND
-
-
 class NonMonotonicEdgeError(RuntimeError):
     """Raised when jitter pushes a generated clock edge behind its predecessor."""
 
@@ -84,17 +80,12 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class JitterSpec:
-    """Phase-modulation recipe for a clock: sinusoidal and/or white gaussian.
-
-    ``correlated`` marks the receiver spec as sharing the transmitter's
-    offsets edge-for-edge instead of evaluating its own components.
-    """
+    """Phase-modulation recipe for a clock: sinusoidal and/or white gaussian."""
 
     sin_amp_ui: float = 0.0
     sin_freq_hz: float = 0.0
     sin_phase_rad: float = 0.0
     gauss_sigma_ui: float = 0.0
-    correlated: bool = False
 
     def __post_init__(self):
         if self.sin_amp_ui < 0:

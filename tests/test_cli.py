@@ -1,8 +1,18 @@
+import hashlib
 from pathlib import Path
 
 from mesosync.cli import main
 
 SCN = str(Path(__file__).resolve().parent.parent / "scenarios" / "defaults-130nm.scn")
+
+# Golden output of the run below.  A refactor must keep every byte; change a
+# hash only together with a deliberate change of the simulated behaviour.
+GOLDEN_SHA256 = {
+    "vc_trace.csv": "0d592b5bce8e891242f74eac9abebb4b535379ab2ea37e6c460df71a1a3fc787",
+    "counter_trace.csv": "38eb71bc141c072c9ea6c9484a5777dfc11f265868429f4b7152f52f4de18d82",
+    "eye_hist.csv": "e58b72849c06a8628e1d2df8b24cf5e8494804577a3061af99c841f1c5f5c593",
+    "metrics.txt": "e5e62875505736891e8e04b6e29d5d54db948ef86dc119e662033ea0bbdeb626",
+}
 
 
 def test_run_subcommand(tmp_path, capsys):
@@ -13,16 +23,40 @@ def test_run_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "locked = true" in out
-    assert (tmp_path / "vc_trace.csv").exists()
-    assert (tmp_path / "counter_trace.csv").exists()
-    assert (tmp_path / "eye_hist.csv").exists()
-    assert (tmp_path / "metrics.txt").exists()
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# Each bad value must end as a scenario error, never as a traceback or a run.
+BAD_SETTINGS = [
+    "nope.key=1",
+    "snapshot.restore_vc=true",
+    "vcdl.corner=XX",
+    "vcdl.shape=wavy",
+    "dll.n_phases=2",
+    "dll.mode=foo",
+    "data.pattern=foo",
+    "supply.v_dd=-1",
+    "channel.transition_time_ui=1.5",
+    "channel.swing_v=0",
+    "sim.bit_rate_hz=1e20",
+    "pump.i_weak_uA=0",
+    "pd.tw_ps=-1",
+    "pd.resolution=maybe",
+    "window.trip_delay_ns=-1",
+    "loop.vc_init_v=5",
+    "jitter.tx.sin_amp_ui=-1",
+    "jitter.rx.gauss_sigma_ui=-1",
+]
 
 
 def test_run_unknown_key_exits_2(capsys):
-    code = main(["run", SCN, "--set", "nope.key=1"])
-    assert code == 2
-    assert "scenario error" in capsys.readouterr().err
+    for setting in BAD_SETTINGS:
+        code = main(["run", SCN, "--duration", "0.1", "--set", setting])
+        out = capsys.readouterr()
+        assert code == 2, setting
+        assert out.err.startswith("scenario error:"), setting
+        assert out.out == "", setting
 
 
 def test_run_nonconvergent_exits_2(capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,14 +12,13 @@ from mesosync.coarse_loop import (
     WITHIN,
     CoarseFsm,
     RingCounter,
-    Snapshot,
     WindowComparator,
     fsm_step,
     ring_step,
-    snapshot_restore,
-    snapshot_save,
     window_classify,
 )
+from mesosync.harness import Simulation
+from mesosync.scenario import defaults_130nm
 
 W = WindowComparator(v_low=0.3, v_high=0.9)
 
@@ -128,19 +129,8 @@ def test_fsm_async_path_arms_without_stepping():
     assert (su, sd) == (0, 0)
 
 
-def test_snapshot_round_trip():
-    r = RingCounter(10, 1 << 7)
-    s = snapshot_save(r, v_c=0.6)
-    assert snapshot_restore(s) == r
-    assert s.v_c == 0.6
-
-
-def test_snapshot_rejects_bad_word():
-    with pytest.raises(ValueError):
-        Snapshot(q=0b101, n=10)
-
-
 def test_restore_window_center():
-    # Restoring with the voltage option presets Vc to the window midpoint.
-    lo, hi = 0.3, 0.9
-    assert (lo + hi) / 2 == pytest.approx(0.6)
+    # A snapshot restore presets the counter; Vc starts at the window midpoint.
+    sim = Simulation(replace(defaults_130nm(), snapshot_hot=7))
+    assert sim.ring.hot_index == 7
+    assert sim.vc == pytest.approx(0.6)

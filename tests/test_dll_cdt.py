@@ -2,16 +2,7 @@ import math
 
 import pytest
 
-from mesosync.dll_cdt import (
-    CdtChain,
-    DllPhases,
-    PhaseSelect,
-    cdt_transfer,
-    dll_edge,
-    intermediate_phase,
-    sampling_clock_edge,
-)
-from mesosync.fine_loop import VcdlCurve, vcdl_delay
+from mesosync.dll_cdt import CdtChain, DllPhases, cdt_transfer, intermediate_phase
 from mesosync.timebase import ClockGen, JitterSpec, Rng, period_fs
 
 T = period_fs(1.3e9)
@@ -25,12 +16,12 @@ def _phases(mode="ideal", jitter=None, bw=20e6, n=10):
 def test_phase_zero_matches_reference():
     p = _phases()
     for k in (0, 1, 17):
-        assert dll_edge(0, k, p) == k * T
+        assert p.edge(0, k) == k * T
 
 
 def test_phase_five_is_half_period():
     p = _phases()
-    assert dll_edge(5, 3, p) == 3 * T + round(5 * T / 10)
+    assert p.edge(5, 3) == 3 * T + round(5 * T / 10)
 
 
 def test_phase_index_range_checked():
@@ -97,35 +88,6 @@ def test_complement_identity_arithmetic():
             assert abs(off_m - off_inv) == pytest.approx(
                 abs(m - half) * T / n_phases, abs=1.0
             )
-
-
-def _curve(d_min=0):
-    return VcdlCurve(
-        d_min=d_min, phase_step=round(T / 10), v_low=0.3, v_high=0.9
-    )
-
-
-def test_sampling_clock_edge_minima():
-    p = _phases()
-    curve = _curve(d_min=4000)
-    assert sampling_clock_edge(2, PhaseSelect(0), 0.3, curve, p) == 2 * T + 4000
-
-
-def test_sampling_clock_edge_composition():
-    p = _phases()
-    curve = _curve()
-    edge = sampling_clock_edge(0, PhaseSelect(3), 0.6, curve, p)
-    assert edge == round(3 * T / 10) + round(2 * round(T / 10) / 2)
-
-
-def test_sampling_clock_edge_monotone_in_vc():
-    p = _phases()
-    curve = _curve()
-    edges = [
-        sampling_clock_edge(1, PhaseSelect(2), v / 100, curve, p)
-        for v in range(30, 91, 2)
-    ]
-    assert all(b > a for a, b in zip(edges, edges[1:]))
 
 
 def _run_chain(n_sel, d_fs, n_bits=40, n_phases=10):

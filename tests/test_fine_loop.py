@@ -10,6 +10,7 @@ from mesosync.fine_loop import (
     pump_integrate,
     vcdl_delay,
 )
+from mesosync.scenario import Scenario
 from mesosync.timebase import FS_PER_NS, period_fs
 
 CFG = PumpConfig()  # 1 uA, x16, 200 fF, 1.2 V
@@ -29,7 +30,6 @@ def test_strong_down_gates_weak():
     # Weak up is gated off while the strong sink discharges at 16x.
     s = pump_integrate(FineLoopState(0.5), 1, 0, 0, 1, FS_PER_NS, CFG)
     assert s.v_c == pytest.approx(0.5 - 0.080, abs=1e-12)
-    assert s.weak_gated_off
 
 
 def test_simultaneous_strong_rejected():
@@ -44,9 +44,11 @@ def test_negative_dt_rejected():
 
 def test_clamps_to_rails():
     s = pump_integrate(FineLoopState(1.19), 0, 0, 1, 0, 1000 * FS_PER_NS, CFG)
-    assert s.v_c == CFG.v_dd
+    assert s.v_c == CFG.v_dd and s.clamped
     s = pump_integrate(FineLoopState(0.01), 0, 0, 0, 1, 1000 * FS_PER_NS, CFG)
-    assert s.v_c == 0.0
+    assert s.v_c == 0.0 and s.clamped
+    s = pump_integrate(FineLoopState(0.6), 1, 0, 0, 0, FS_PER_NS, CFG)
+    assert not s.clamped
 
 
 @settings(max_examples=100, deadline=None)
@@ -150,6 +152,6 @@ def test_vcdl_rejects_unknown_corner_and_shape():
 
 
 def test_window_thresholds_quarter_points():
-    lo, hi = CFG.window()
+    lo, hi = Scenario(v_dd=CFG.v_dd).window()
     assert lo == pytest.approx(0.3)
     assert hi == pytest.approx(0.9)

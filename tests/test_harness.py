@@ -48,6 +48,14 @@ def test_invariant_counters_clean(locked_run):
     assert locked_run.vc_bound_violations == 0
 
 
+def test_vc_bound_counter_fires_on_rail_clamp():
+    # Starting on the upper rail with an early sampling clock, the weak pump
+    # drives Vc into the rail and the clamp engages before the coarse loop
+    # pulls it back into the window.
+    m = run(replace(BASE, vc_init_v=BASE.v_dd, alpha=0.0, duration_us=0.2))
+    assert m.vc_bound_violations > 0
+
+
 def test_zero_duration_is_empty():
     m = run(replace(BASE, duration_us=0.0))
     assert not m.locked
