@@ -1,6 +1,7 @@
 """Command-line front end: run, sweep and falselock subcommands.
 
-Exit codes: 0 all assertions passed, 2 non-convergence or scenario error,
+Exit codes: 0 all assertions passed, 2 non-convergence, scenario error or
+jitter error (a jittered clock edge generated behind its predecessor),
 3 timing violation.
 """
 
@@ -14,6 +15,7 @@ from pathlib import Path
 from .harness import false_lock_experiment, run, sweep
 from .reports import summary_items, write_outputs
 from .scenario import ScenarioError, apply_settings, load_scenario
+from .timebase import NonMonotonicEdgeError
 
 
 def _parse_sets(pairs: list[str]) -> dict[str, str]:
@@ -138,6 +140,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ScenarioError as e:
         print(f"scenario error: {e}", file=sys.stderr)
+        return 2
+    except NonMonotonicEdgeError as e:
+        print(f"jitter error: {e}", file=sys.stderr)
         return 2
 
 

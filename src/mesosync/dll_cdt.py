@@ -73,10 +73,10 @@ class DllPhases:
         """k-th active edge of DLL phase i."""
         return self._ref_edge(k) + self.phase_offset(i)
 
-    def first_edge_after(self, i: int, t: SimTime, hint: int = 0) -> SimTime:
+    def first_edge_after(self, i: int, t: SimTime) -> SimTime:
         """Earliest edge of phase i strictly after t."""
         off = self.phase_offset(i)
-        k = max(hint, int((t - off) // self.period) - 2, 0)
+        k = max(int((t - off) // self.period) - 2, 0)
         while self.edge(i, k) <= t:
             k += 1
         return self.edge(i, k)

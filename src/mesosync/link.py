@@ -55,6 +55,8 @@ class BitSource:
             raise ValueError(f"unknown data pattern: {pattern!r}")
 
     def bit(self, index: int) -> int:
+        if 0 <= index < len(self._bits):
+            return self._bits[index]
         if index < 0:
             raise IndexError("bit index must be >= 0")
         if self.pattern == "alternating":
@@ -94,6 +96,12 @@ class ChannelConfig:
         return self.n * self.bit_period + round(self.alpha * self.bit_period)
 
 
+# A query more than this many bit periods from the cursor restarts the walk
+# from the nominal grid.
+_SEEK_PERIODS = 4
+_NO_TRANSITION = 1 << 62
+
+
 class RxWaveform:
     """Differential voltage at the receiver as a pure function of time.
 
@@ -101,6 +109,13 @@ class RxWaveform:
     ``boundary(k) = tx_edge(k) + (n + alpha) * T``.  Where adjacent bits
     differ, the waveform ramps linearly over ``transition_time`` centered on
     the boundary, crossing 0 V exactly at the boundary instant.
+
+    Queries are answered from a cursor: the bit index of the previous
+    answer, its two boundaries, its neighbours' values and the nearest data
+    transitions around it.  A new query walks from there, or from the
+    nominal grid when it lands more than a few periods away, so every answer
+    is exact for any time and any query order.  Samplers move forward about
+    one bit per cycle, so the walk is usually zero or one step.
     """
 
     def __init__(
@@ -110,40 +125,76 @@ class RxWaveform:
         self.cfg = cfg
         self._tx = tx_clock or ClockGen(cfg.bit_period, name="tx")
         self._delay = cfg.delay_fs
+        self._place(0, self.boundary(0), self.boundary(1))
 
     def boundary(self, k: int) -> SimTime:
         """Receiver-side start instant of bit k."""
         return self._tx.edge(k) + self._delay
 
-    def bit_at(self, t: SimTime) -> int:
-        """Index of the bit whose interval contains t (t >= boundary(0))."""
-        k = max(0, (t - self._delay) // self.cfg.bit_period - 2)
-        k = int(k)
-        while self.boundary(k + 1) <= t:
+    def _seek(self, t: SimTime) -> None:
+        """Move the cursor to the bit containing t (bit 0 before it)."""
+        k, lo, hi = self._k, self._lo, self._hi
+        edge = self._tx.edge
+        delay = self._delay
+        reach = _SEEK_PERIODS * self.cfg.bit_period
+        if not -reach < t - lo < reach:
+            k = max(0, int((t - delay) // self.cfg.bit_period) - 2)
+            lo = edge(k) + delay
+            hi = edge(k + 1) + delay
+        while hi <= t:
             k += 1
-        while k > 0 and self.boundary(k) > t:
+            lo = hi
+            hi = edge(k + 1) + delay
+        while k > 0 and lo > t:
             k -= 1
-        return k
+            hi = lo
+            lo = edge(k) + delay
+        if k != self._k:
+            self._place(k, lo, hi)
+
+    def _place(self, k: int, lo: SimTime, hi: SimTime) -> None:
+        """Set the cursor to bit k, which spans [lo, hi)."""
+        bit = self.bits.bit
+        b = bit(k)
+        prev = bit(k - 1) if k else b
+        nxt = bit(k + 1)
+        self._k, self._lo, self._hi = k, lo, hi
+        self._bit, self._prev, self._next = b, prev, nxt
+        # Nearest transitions among boundaries k-1..k+2 on either side of
+        # the bit; the outer boundary counts only without the inner one.
+        if prev != b:
+            self._left = lo
+        elif k >= 2 and bit(k - 2) != prev:
+            self._left = self.boundary(k - 1)
+        else:
+            self._left = None
+        if nxt != b:
+            self._right = hi
+        elif bit(k + 2) != nxt:
+            self._right = self.boundary(k + 2)
+        else:
+            self._right = None
+
+    def bit_at(self, t: SimTime) -> int:
+        """Index of the bit whose interval contains t; 0 for t < boundary(0)."""
+        if not self._lo <= t < self._hi:
+            self._seek(t)
+        return self._k
 
     def value_at(self, t: SimTime) -> float:
-        if t < self.boundary(0):
+        if not self._lo <= t < self._hi:
+            self._seek(t)
+        b = self._bit
+        if t < self._lo:
             # Before the first bit arrives the line idles at bit 0's level.
-            return self._level(self.bits.bit(0))
-        k = self.bit_at(t)
+            return self._level(b)
         half = self.cfg.transition_time // 2
-        b = self.bits.bit(k)
         # Ramp around the leading boundary of bit k.
-        t0 = self.boundary(k)
-        if k > 0 and t - t0 < half:
-            prev = self.bits.bit(k - 1)
-            if prev != b:
-                return self._ramp(prev, b, t - t0)
+        if t - self._lo < half and self._prev != b:
+            return self._ramp(self._prev, b, t - self._lo)
         # Ramp around the trailing boundary (leading edge of bit k+1).
-        t1 = self.boundary(k + 1)
-        if t1 - t <= half:
-            nxt = self.bits.bit(k + 1)
-            if nxt != b:
-                return self._ramp(b, nxt, t - t1)
+        if self._hi - t <= half and self._next != b:
+            return self._ramp(b, self._next, t - self._hi)
         return self._level(b)
 
     def _level(self, bit: int) -> float:
@@ -157,16 +208,17 @@ class RxWaveform:
         return lo + (hi - lo) * frac
 
     def nearest_transition_distance(self, t: SimTime) -> SimTime:
-        """Distance from t to the closest actual data transition midpoint.
+        """Distance from t to the closest data transition midpoint.
 
-        Returns a large sentinel when no transition exists nearby (runs of
-        identical bits).
+        Only the boundaries k-1..k+2 around t's bit k are considered; a
+        large sentinel is returned when none of them carries a transition
+        (runs of identical bits).
         """
-        k = self.bit_at(max(t, self.boundary(0)))
-        best: SimTime | None = None
-        for j in range(max(1, k - 1), k + 3):
-            if self.bits.bit(j) != self.bits.bit(j - 1):
-                d = abs(t - self.boundary(j))
-                if best is None or d < best:
-                    best = d
-        return best if best is not None else 1 << 62
+        if not self._lo <= t < self._hi:
+            self._seek(t)
+        left, right = self._left, self._right
+        if left is None:
+            return _NO_TRANSITION if right is None else right - t
+        if right is not None and right - t < t - left:
+            return right - t
+        return t - left

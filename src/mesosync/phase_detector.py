@@ -40,10 +40,9 @@ class Sampler:
         self.last_was_metastable = False
 
     def sample(self, waveform: RxWaveform, t: SimTime, rng: Rng) -> int:
-        bit = sample_comparator(waveform, t, self.model, rng, self.last)
-        self.last_was_metastable = (
-            waveform.nearest_transition_distance(t) <= self.model.time_window_tw
-        )
+        distance = waveform.nearest_transition_distance(t)
+        bit = sample_comparator(waveform, t, self.model, rng, self.last, distance)
+        self.last_was_metastable = distance <= self.model.time_window_tw
         self.last = bit
         return bit
 
@@ -54,13 +53,18 @@ def sample_comparator(
     m: MetastabilityModel,
     rng: Rng,
     previous: int = 0,
+    distance: SimTime | None = None,
 ) -> int:
     """Resolved comparator output for a sample at ``t_sample``.
 
     Outside the metastability window the output is the sign of the
     differential input; inside it the resolution mode decides.
+    ``distance`` is ``waveform.nearest_transition_distance(t_sample)``,
+    looked up here unless the caller already has it.
     """
-    if waveform.nearest_transition_distance(t_sample) <= m.time_window_tw:
+    if distance is None:
+        distance = waveform.nearest_transition_distance(t_sample)
+    if distance <= m.time_window_tw:
         if m.resolution_mode == STOCHASTIC:
             return rng.coin()
         return previous

@@ -6,6 +6,7 @@ unknown keys are errors so that typos never silently fall back to defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -160,6 +161,9 @@ class Scenario:
         return DllPhases(reference, self.n_phases, self.dll_mode, self.loop_bw_hz)
 
     def validate(self) -> "Scenario":
+        for key, name in _FLOAT_KEYS:
+            if not math.isfinite(getattr(self, name)):
+                raise ScenarioError(f"{key} must be finite")
         if self.bit_rate_hz <= 0:
             raise ScenarioError("sim.bit_rate_hz must be positive")
         if self.duration_us < 0:
@@ -245,6 +249,7 @@ _KEYMAP = {
 }
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
+_FLOAT_KEYS = [(k, f) for k, f in _KEYMAP.items() if _FIELD_TYPES[f] == "float"]
 
 
 def _coerce(field_name: str, raw: str):

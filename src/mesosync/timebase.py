@@ -183,12 +183,11 @@ class ClockGen:
             self._edges.append(t)
         return self._edges[index]
 
-    def first_edge_at_or_after(self, t: SimTime, hint: int = 0) -> tuple[int, SimTime]:
+    def first_edge_at_or_after(self, t: SimTime) -> tuple[int, SimTime]:
         """(index, time) of the earliest edge with time >= t."""
-        k = max(hint, 0)
         # Jump close using the nominal grid, then correct locally.
         approx = (t - round(self.static_phase_ui * self.period)) // self.period
-        k = max(k, int(approx) - 2, 0)
+        k = max(int(approx) - 2, 0)
         while self.edge(k) >= t and k > 0 and self.edge(k - 1) >= t:
             k -= 1
         while self.edge(k) < t:

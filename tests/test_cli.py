@@ -3,7 +3,9 @@ from pathlib import Path
 
 from mesosync.cli import main
 
-SCN = str(Path(__file__).resolve().parent.parent / "scenarios" / "defaults-130nm.scn")
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SCN = str(SCENARIOS / "defaults-130nm.scn")
+SCN_65 = str(SCENARIOS / "defaults-65nm.scn")
 
 # Golden output of the run below.  A refactor must keep every byte; change a
 # hash only together with a deliberate change of the simulated behaviour.
@@ -15,6 +17,22 @@ GOLDEN_SHA256 = {
 }
 
 
+# Golden output of a 65 nm run whose transmitter clock carries 0.4 UI of
+# sinusoidal jitter that the receiver does not share, so every bit boundary
+# is off the nominal grid.
+GOLDEN_JITTER_SHA256 = {
+    "vc_trace.csv": "cafa0b6ad06226451ba1f6f07729bd3e7f2199383777f1fb52aa3eb4e684b5e7",
+    "counter_trace.csv": "1912b9202f2a9cc34f73d726f7d0e4212bf1b2230d92d86e75368f19ead59811",
+    "eye_hist.csv": "322d816a8c0fd2894fdd2229cd72950dba479a9e25fd1459825dd80146d49337",
+    "metrics.txt": "a4e639a0f94fa2bc4fa2741eaa38b1878aafaf1ae1a2e0b0193bae94d81680da",
+}
+
+
+def _assert_golden(out_dir, golden):
+    for name, digest in golden.items():
+        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_run_subcommand(tmp_path, capsys):
     code = main([
         "run", SCN, "--duration", "3", "--set", "channel.alpha=0.3",
@@ -23,8 +41,22 @@ def test_run_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "locked = true" in out
-    for name, digest in GOLDEN_SHA256.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    _assert_golden(tmp_path, GOLDEN_SHA256)
+
+
+def test_run_jittered_golden(tmp_path, capsys):
+    code = main([
+        "run", SCN_65, "--duration", "2",
+        "--set", "jitter.correlated=false",
+        "--set", "jitter.tx.sin_amp_ui=0.4",
+        "--set", "jitter.tx.sin_freq_hz=200e6",
+        "--set", "channel.alpha=0.62",
+        "--out", str(tmp_path),
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "locked = true" in out
+    _assert_golden(tmp_path, GOLDEN_JITTER_SHA256)
 
 
 # Each bad value must end as a scenario error, never as a traceback or a run.
@@ -47,6 +79,8 @@ BAD_SETTINGS = [
     "loop.vc_init_v=5",
     "jitter.tx.sin_amp_ui=-1",
     "jitter.rx.gauss_sigma_ui=-1",
+    "sim.duration_us=nan",
+    "sim.duration_us=inf",
 ]
 
 
@@ -57,6 +91,20 @@ def test_run_unknown_key_exits_2(capsys):
         assert code == 2, setting
         assert out.err.startswith("scenario error:"), setting
         assert out.out == "", setting
+
+
+def test_run_nonmonotonic_jitter_exits_2(capsys):
+    # Uncorrelated gaussian receiver jitter this large pushes some clock edge
+    # behind its predecessor partway through the run.
+    code = main([
+        "run", SCN, "--duration", "2",
+        "--set", "jitter.correlated=false",
+        "--set", "jitter.rx.gauss_sigma_ui=0.3",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("jitter error:")
+    assert len(err.splitlines()) == 1
 
 
 def test_run_nonconvergent_exits_2(capsys):

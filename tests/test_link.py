@@ -11,7 +11,7 @@ from mesosync.link import (
     prbs15_next,
 )
 from mesosync.oracle import eye_center_phase, wrap_ui
-from mesosync.timebase import period_fs
+from mesosync.timebase import ClockGen, JitterSpec, period_fs
 
 
 def test_prbs15_full_cycle_returns_to_seed():
@@ -129,6 +129,97 @@ def test_nearest_transition_distance():
     assert wf.nearest_transition_distance(b5 + 1000) == 1000
     wf1, _ = _waveform(pattern="ones")
     assert wf1.nearest_transition_distance(5 * T) > 10**15
+
+
+# Reference queries written without a cursor: every call searches again from
+# the nominal grid and scans the four boundaries around the bit.
+
+
+def _ref_bit_at(wf, t):
+    k = max(0, int((t - wf.cfg.delay_fs) // wf.cfg.bit_period - 2))
+    while wf.boundary(k + 1) <= t:
+        k += 1
+    while k > 0 and wf.boundary(k) > t:
+        k -= 1
+    return k
+
+
+def _ref_distance(wf, t):
+    k = _ref_bit_at(wf, max(t, wf.boundary(0)))
+    best = None
+    for j in range(max(1, k - 1), k + 3):
+        if wf.bits.bit(j) != wf.bits.bit(j - 1):
+            d = abs(t - wf.boundary(j))
+            if best is None or d < best:
+                best = d
+    return best if best is not None else 1 << 62
+
+
+def _ref_value_at(wf, t):
+    cfg = wf.cfg
+
+    def level(bit):
+        return cfg.swing / 2.0 if bit else -cfg.swing / 2.0
+
+    def ramp(frm, to, dt):
+        lo, hi = level(frm), level(to)
+        return lo + (hi - lo) * (dt / cfg.transition_time + 0.5)
+
+    bit = wf.bits.bit
+    if t < wf.boundary(0):
+        return level(bit(0))
+    k = _ref_bit_at(wf, t)
+    half = cfg.transition_time // 2
+    t0 = wf.boundary(k)
+    if k > 0 and t - t0 < half and bit(k - 1) != bit(k):
+        return ramp(bit(k - 1), bit(k), t - t0)
+    t1 = wf.boundary(k + 1)
+    if t1 - t <= half and bit(k + 1) != bit(k):
+        return ramp(bit(k), bit(k + 1), t - t1)
+    return level(bit(k))
+
+
+_REFERENCE = {
+    "bit_at": _ref_bit_at,
+    "value_at": _ref_value_at,
+    "nearest_transition_distance": _ref_distance,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pattern=st.sampled_from(["prbs15", "alternating"]),
+    n=st.integers(min_value=0, max_value=3),
+    alpha=st.floats(min_value=0.0, max_value=0.99),
+    amp_ui=st.sampled_from([0.0, 0.2, 0.45]),
+    freq_hz=st.floats(min_value=1e6, max_value=5e8),
+    queries=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(_REFERENCE)),
+            st.integers(min_value=0, max_value=6)
+            | st.integers(min_value=0, max_value=300),
+            # Offsets in fs (T = 400 ps): exact boundaries, ramp edges
+            # (half a transition is 40 ps), mid-bit ties, or anywhere.
+            st.sampled_from([0, 1, -1, 40_000, -40_000, 39_999, -39_999,
+                             200_000, -200_000, -400_000])
+            | st.integers(min_value=-600_000, max_value=600_000),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_cursor_queries_match_reference(pattern, n, alpha, amp_ui, freq_hz, queries):
+    # Each query lands at an offset from some bit boundary, so a sequence
+    # mixes forward steps, backward and far jumps, exact boundary instants
+    # and instants before bit 0 arrives.
+    T = period_fs(2.5e9)
+    cfg = ChannelConfig(n=n, alpha=alpha, bit_period=T,
+                        transition_time=round(0.2 * T), swing=0.2)
+    tx = ClockGen(T, 0.0, JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
+    wf = RxWaveform(BitSource(pattern, 1), cfg, tx)
+    for method, k, offset in queries:
+        t = wf.boundary(k) + offset
+        assert getattr(wf, method)(t) == _REFERENCE[method](wf, t), (method, t)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.13, 0.25, 0.5, 0.77])
