@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .timebase import ClockGen, SimTime
+from .timebase import ClockGen, SimTime, seek_edge
 
 IDEAL = "ideal"
 TRACKING = "tracking"
@@ -29,6 +29,9 @@ class DllPhases:
     ``reference`` is the receiver clock generator.  In tracking mode the
     reference's per-edge phase offsets pass through a one-pole low-pass with
     the given loop bandwidth before the phase offsets are applied.
+
+    ``first_edge_after`` keeps a cursor on the (tracked) reference edges,
+    shared by all phases, and walks from it (see :func:`seek_edge`).
     """
 
     def __init__(
@@ -47,6 +50,7 @@ class DllPhases:
         self.mode = mode
         self.period = reference.period
         self._offsets = [round(i * self.period / n_phases) for i in range(n_phases)]
+        self._cursor: tuple | None = None
         if mode == TRACKING:
             # Discrete one-pole equivalent of a first-order loop at loop_bw_hz.
             tsec = self.period / 1e15
@@ -76,10 +80,8 @@ class DllPhases:
     def first_edge_after(self, i: int, t: SimTime) -> SimTime:
         """Earliest edge of phase i strictly after t."""
         off = self.phase_offset(i)
-        k = max(int((t - off) // self.period) - 2, 0)
-        while self.edge(i, k) <= t:
-            k += 1
-        return self.edge(i, k)
+        self._cursor = seek_edge(self._ref_edge, self._cursor, t - off + 1, self.period)
+        return self._cursor[2] + off
 
 
 def intermediate_phase(n: int, n_phases: int) -> int:
@@ -126,7 +128,7 @@ class CdtChain:
         return self.t_setup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delivery:
     bit_id: int
     value: int
@@ -139,13 +141,16 @@ class Delivery:
 
 
 def _capture(
-    edge_after,
+    u: SimTime,
     transition: SimTime,
     next_transition: SimTime | None,
     chain: CdtChain,
 ) -> tuple[SimTime | None, list[str]]:
-    """First safe capture edge after ``transition``; None if overwritten."""
-    u = edge_after(transition)
+    """Check capture edge ``u``, the first after ``transition``.
+
+    Returns (u, violations), or (None, ...) when the next transition has
+    already overwritten the input by then.
+    """
     viol = []
     if next_transition is not None and u > next_transition:
         return None, [f"missed capture window ending {next_transition}"]
@@ -172,60 +177,46 @@ def cdt_transfer(
     evaluation in time order; ``retime_edges[j]`` is the sampling-clock edge
     that re-times event j (the following active edge).  Returns one
     :class:`Delivery` per event that reaches the receiver domain.
+
+    One pass: the receiver-clock stage of event j needs the next event's
+    intermediate-stage output, so each step captures stage 1 of event j+1
+    before stage 2 of event j.
     """
     out: list[Delivery] = []
     n_ev = len(events)
-    # Data transitions at the retiming stage output.
-    taus = [r + chain.resolve_retime for r in retime_edges]
-    sigmas: list[SimTime | None] = [None] * n_ev
 
-    u1s: list[SimTime | None] = [None] * n_ev
-    viol1s: list[list[str]] = [[] for _ in range(n_ev)]
+    def stage_one(j: int) -> tuple[SimTime | None, list[str]]:
+        # Data transitions at the retiming stage output.
+        tau = retime_edges[j] + chain.resolve_retime
+        nxt = retime_edges[j + 1] + chain.resolve_retime if j + 1 < n_ev else None
+        m = intermediate_phase(events[j][3], phases.n)
+        return _capture(phases.first_edge_after(m, tau), tau, nxt, chain)
+
+    u1, viol1 = stage_one(0) if n_ev else (None, [])
     for j in range(n_ev):
-        bit_id, value, t_center, n_sel = events[j]
-        m = intermediate_phase(n_sel, phases.n)
-        nxt = taus[j + 1] if j + 1 < n_ev else None
-        u1, viol1 = _capture(
-            lambda t, m=m: phases.first_edge_after(m, t), taus[j], nxt, chain
-        )
-        u1s[j] = u1
-        viol1s[j] = viol1
-        if u1 is not None:
-            sigmas[j] = u1 + chain.resolve_stage
-        else:
+        bit_id, value, t_center, _ = events[j]
+        next_u1, next_viol1 = stage_one(j + 1) if j + 1 < n_ev else (None, [])
+        if u1 is None:
             out.append(
                 Delivery(bit_id, value, t_center, retime_edges[j], -1, -1, -1,
                          tuple(viol1))
             )
-
-    def rx_after(t: SimTime) -> SimTime:
-        _, e = rx_clock.first_edge_at_or_after(t + 1)
-        return e
-
-    for j in range(n_ev):
-        if sigmas[j] is None:
-            continue
-        bit_id, value, t_center, n_sel = events[j]
-        nxt = sigmas[j + 1] if j + 1 < n_ev else None
-        u2, viol2 = _capture(rx_after, sigmas[j], nxt, chain)
-        viols = tuple(viol1s[j] + viol2)
-        if u2 is None:
-            out.append(
-                Delivery(bit_id, value, t_center, retime_edges[j], u1s[j], -1, -1,
-                         viols)
-            )
-            continue
-        out.append(
-            Delivery(
-                bit_id,
-                value,
-                t_center,
-                retime_edges[j],
-                u1s[j],
-                u2,
-                u2 - t_center,
-                viols,
-            )
-        )
+        else:
+            sigma = u1 + chain.resolve_stage
+            nxt = None if next_u1 is None else next_u1 + chain.resolve_stage
+            _, rx_edge = rx_clock.first_edge_at_or_after(sigma + 1)
+            u2, viol2 = _capture(rx_edge, sigma, nxt, chain)
+            viols = tuple(viol1 + viol2)
+            if u2 is None:
+                out.append(
+                    Delivery(bit_id, value, t_center, retime_edges[j], u1, -1, -1,
+                             viols)
+                )
+            else:
+                out.append(
+                    Delivery(bit_id, value, t_center, retime_edges[j], u1, u2,
+                             u2 - t_center, viols)
+                )
+        u1, viol1 = next_u1, next_viol1
     out.sort(key=lambda d: (d.t_center, d.bit_id))
     return out

@@ -88,7 +88,6 @@ class RunMetrics:
     counter_trace: list = field(default_factory=list)
     counter_path: list = field(default_factory=list)
     excursions: list = field(default_factory=list)
-    deliveries: list = field(default_factory=list)
     eye_hist: list | None = None
     first_clean_sample_fs: int | None = None
     error: str | None = None
@@ -154,6 +153,7 @@ class Simulation:
         self.s_up = self.s_dn = 0
         self.gen = 0
         self.strong_gen = 0
+        self.slope = self._slope_per_fs()
 
         meta = scn.metastability_model()
         if hold_until_fs is not None:
@@ -198,11 +198,12 @@ class Simulation:
     # -- control voltage segments ----------------------------------------
 
     def _slope_per_fs(self) -> float:
+        """Vc slope of the current pump levels (cached in ``slope``)."""
         i = pump_current(self.pump, self.w_up, self.w_dn, self.s_up, self.s_dn)
         return i / self.pump.c_filter / 1e15
 
     def _vc_at(self, t: SimTime) -> float:
-        v = self.vc + self._slope_per_fs() * (t - self.t_vc)
+        v = self.vc + self.slope * (t - self.t_vc)
         return clamp_voltage(v, self.pump.v_dd)
 
     def _advance_vc(self, t: SimTime):
@@ -226,12 +227,13 @@ class Simulation:
             self.w_up, self.w_dn = weak
         if strong is not None:
             self.s_up, self.s_dn = strong
+        self.slope = self._slope_per_fs()
         self.gen += 1
         self.vc_trace.append((self.now, self.vc))
         self._predict_crossing()
 
     def _predict_crossing(self):
-        slope = self._slope_per_fs()
+        slope = self.slope
         if slope == 0.0:
             return
         v = self.vc
@@ -369,6 +371,8 @@ class Simulation:
 
     def _update_lock(self, t_center: SimTime, up: int, dn: int):
         self._phase_hist.append((t_center % self.T) / self.T)
+        if self.lock_time is not None:
+            return  # the gate histories below are read only before lock
         win = self.scn.lock_window_divided * self.K * self.T
         self._vc_hist.append((self.now, self._vc_at(self.now)))
         self._act_hist.append((self.now, 1 if (up ^ dn) else 0))
@@ -382,8 +386,6 @@ class Simulation:
             self._act_hist.popleft()
         while self._meta_hist and self._meta_hist[0][0] < horizon:
             self._meta_hist.popleft()
-        if self.lock_time is not None:
-            return
         if self.published != WITHIN or self.actual_region != WITHIN:
             return
         if self.now - self.last_ring_change < win:
@@ -514,31 +516,34 @@ class Simulation:
             deliveries = cdt_transfer(
                 self.pd_events[:-1], retime, self.dll, self.rx_clock, chain
             )
-            m.deliveries = deliveries
-            m.total_violations = sum(len(d.violations) for d in deliveries)
-            if self.lock_time is not None:
-                start = self.lock_time
-                if self.measure_from_fs is not None:
-                    start = max(start, self.measure_from_fs)
-                post = [d for d in deliveries if d.t_center >= start]
-                good = [d for d in post if d.t_deliver > 0]
-                m.ber_bits = len(post)
-                m.ber_errors = sum(
-                    1 for d in good if d.value != self.bits.bit(d.bit_id)
-                ) + sum(1 for d in post if d.t_deliver <= 0)
-                m.missed_deliveries_post_lock = sum(
-                    1 for d in post if d.t_deliver <= 0
-                )
-                m.post_lock_violations = sum(len(d.violations) for d in post)
-                if good:
-                    lats = [d.latency / self.T for d in good]
-                    m.latency_max_t = max(lats)
-                    m.latency_mean_t = sum(lats) / len(lats)
-                    hist: dict[float, int] = {}
-                    for x in lats:
-                        b = round(int(x * 10) / 10, 1)
-                        hist[b] = hist.get(b, 0) + 1
-                    m.latency_hist = sorted(hist.items())
+            start = self.lock_time
+            if start is not None and self.measure_from_fs is not None:
+                start = max(start, self.measure_from_fs)
+            # One pass; the deliveries are dropped once counted.
+            bit = self.bits.bit
+            lats = []
+            for d in deliveries:
+                m.total_violations += len(d.violations)
+                if start is None or d.t_center < start:
+                    continue
+                m.ber_bits += 1
+                m.post_lock_violations += len(d.violations)
+                if d.t_deliver <= 0:
+                    m.missed_deliveries_post_lock += 1
+                else:
+                    if d.value != bit(d.bit_id):
+                        m.ber_errors += 1
+                    lats.append(d.latency / self.T)
+            m.ber_errors += m.missed_deliveries_post_lock
+            if lats:
+                m.latency_max_t = max(lats)
+                m.latency_mean_t = sum(lats) / len(lats)
+                hist: dict[float, int] = {}
+                for x in lats:
+                    b = round(int(x * 10) / 10, 1)
+                    hist[b] = hist.get(b, 0) + 1
+                m.latency_hist = sorted(hist.items())
+            if start is not None:
                 vs = [v for t, v in self.vc_trace if t >= start]
                 if vs:
                     m.vc_peak_to_peak_post_lock = max(vs) - min(vs)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .timebase import ClockGen, SimTime
+from .timebase import SEEK_PERIODS, ClockGen, SimTime
 
 PRBS15_MASK = 0x7FFF
 PRBS15_PERIOD = 32767
@@ -96,9 +96,6 @@ class ChannelConfig:
         return self.n * self.bit_period + round(self.alpha * self.bit_period)
 
 
-# A query more than this many bit periods from the cursor restarts the walk
-# from the nominal grid.
-_SEEK_PERIODS = 4
 _NO_TRANSITION = 1 << 62
 
 
@@ -136,7 +133,7 @@ class RxWaveform:
         k, lo, hi = self._k, self._lo, self._hi
         edge = self._tx.edge
         delay = self._delay
-        reach = _SEEK_PERIODS * self.cfg.bit_period
+        reach = SEEK_PERIODS * self.cfg.bit_period
         if not -reach < t - lo < reach:
             k = max(0, int((t - delay) // self.cfg.bit_period) - 2)
             lo = edge(k) + delay

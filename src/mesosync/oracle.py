@@ -34,7 +34,9 @@ def ber_phase_sweep(
     delay = n + alpha
     half_ramp = transition_ui / 2.0
 
-    ks = np.arange(2, n_bits)  # skip slots that could dip before bit 0
+    # Slots n+2 onwards: every sample lands in bit 1 or later, so it has a
+    # predecessor bit, whatever the whole-period delay n.
+    ks = np.arange(2, n_bits) + n
     errors = np.zeros(len(phases), dtype=np.int64)
     for idx, p in enumerate(phases):
         pos = ks + p - delay          # position in units of T from boundary(0)

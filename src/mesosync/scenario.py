@@ -182,6 +182,9 @@ class Scenario:
             raise ScenarioError("snapshot.hot_index out of range")
         if self.vc_init_v > self.v_dd:
             raise ScenarioError("loop.vc_init_v must not exceed supply.v_dd")
+        # The retiming stage settles T/2 - t_setup after its edge.
+        if not 0.0 <= self.t_setup_ui <= 0.5:
+            raise ScenarioError("cdt.t_setup_ui must be in [0, 0.5]")
         # The components check their own values; building each one turns a
         # bad value into a ScenarioError here instead of a crash mid-run.
         try:
@@ -191,11 +194,20 @@ class Scenario:
             self.pump_config()
             self.dll_phases(ClockGen(self.period))
             # The curve checks its shape only when evaluated.
-            vcdl_delay(self.vc_start(), self.vcdl_curve())
+            curve = self.vcdl_curve()
+            vcdl_delay(self.vc_start(), curve)
             self.metastability_model()
             BitSource(self.pattern)
         except ValueError as e:
             raise ScenarioError(str(e)) from None
+        # A negative delay would sample before the clock edge that asks
+        # for the sample; a fine line longer than a period is never needed.
+        if not (curve.d_min >= 0 and curve.range_fs >= 0
+                and curve.d_min + curve.range_fs <= self.period):
+            raise ScenarioError(
+                "VCDL delay (vcdl.d_min_ui plus the corner's range) must "
+                "stay within [0, 1] UI"
+            )
         return self
 
 

@@ -18,6 +18,10 @@ FS_PER_SECOND = 10**15
 FS_PER_NS = 10**6
 FS_PER_PS = 10**3
 
+# A cursor query more than this many periods from the cursor restarts the
+# walk from the nominal grid.
+SEEK_PERIODS = 4
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -151,9 +155,13 @@ def edge_time(
 class ClockGen:
     """Sequential edge generator for one clock with monotonicity checking.
 
-    Owns the gaussian draw order for its jitter spec.  ``edge(k)`` must be
-    called with non-decreasing k; each new index is generated exactly once
-    and cached so repeated queries are stable.
+    Owns the gaussian draw order for its jitter spec: edges are generated
+    in index order, each exactly once, and cached, so ``edge(k)`` may be
+    called with any k in any order and repeated queries are stable.
+
+    ``first_edge_at_or_after`` keeps the index of its previous answer and
+    the edges on either side of it, and walks from there (see
+    :func:`seek_edge`).
     """
 
     def __init__(
@@ -170,6 +178,7 @@ class ClockGen:
         self.rng = rng
         self.name = name
         self._edges: list[SimTime] = []
+        self._cursor: tuple | None = None
 
     def edge(self, index: int) -> SimTime:
         while len(self._edges) <= index:
@@ -185,14 +194,39 @@ class ClockGen:
 
     def first_edge_at_or_after(self, t: SimTime) -> tuple[int, SimTime]:
         """(index, time) of the earliest edge with time >= t."""
-        # Jump close using the nominal grid, then correct locally.
-        approx = (t - round(self.static_phase_ui * self.period)) // self.period
-        k = max(int(approx) - 2, 0)
-        while self.edge(k) >= t and k > 0 and self.edge(k - 1) >= t:
-            k -= 1
-        while self.edge(k) < t:
-            k += 1
-        return k, self.edge(k)
+        self._cursor = seek_edge(
+            self.edge, self._cursor, t, self.period,
+            round(self.static_phase_ui * self.period),
+        )
+        k, _, e = self._cursor
+        return k, e
+
+
+def seek_edge(edge, cursor: tuple | None, t: SimTime, period: SimTime,
+              origin: SimTime = 0) -> tuple:
+    """Cursor ``(k, edge(k - 1), edge(k))`` of the earliest edge at or after t.
+
+    ``edge`` maps index k >= 0 to strictly increasing times near the nominal
+    grid ``origin + k * period``; ``cursor`` is the previous result, or None
+    before the first query.  The walk starts from the cursor, or from the
+    nominal grid when t lands more than ``SEEK_PERIODS`` periods away from
+    it, so the answer is exact for any query order.  A caller asking for
+    about one period later each time walks one step.  ``edge(k - 1)`` is
+    None at k = 0.
+    """
+    reach = SEEK_PERIODS * period
+    if cursor is None or not -reach < t - cursor[2] < reach:
+        k = max(int((t - origin) // period) - 2, 0)
+        lo, hi = (edge(k - 1) if k else None), edge(k)
+    else:
+        k, lo, hi = cursor
+    while hi < t:
+        k += 1
+        lo, hi = hi, edge(k)
+    while k > 0 and lo >= t:
+        k -= 1
+        lo, hi = (edge(k - 1) if k else None), lo
+    return k, lo, hi
 
 
 def clamp_voltage(v: float, v_dd: float) -> float:

@@ -1,7 +1,13 @@
+import contextlib
 import hashlib
+import io
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from mesosync.cli import main
+from mesosync.scenario import _FIELD_TYPES, _KEYMAP
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SCN = str(SCENARIOS / "defaults-130nm.scn")
@@ -81,6 +87,11 @@ BAD_SETTINGS = [
     "jitter.rx.gauss_sigma_ui=-1",
     "sim.duration_us=nan",
     "sim.duration_us=inf",
+    "vcdl.mult_tt=-1e9",
+    "vcdl.mult_tt=1e9",
+    "vcdl.d_min_ui=-0.1",
+    "cdt.t_setup_ui=-0.1",
+    "cdt.t_setup_ui=1e9",
 ]
 
 
@@ -145,3 +156,49 @@ def test_falselock_subcommand(capsys):
     assert code == 0
     assert "ok = true" in out
     assert "hold_dvc_max_mv = 0.000" in out
+
+
+# Raw --set values by field type: in-range, boundary, out-of-range and
+# malformed.  The bit rate stays below 10 GHz so that a 0.3 us run stays
+# short; "falselock" is left out of the strings because the false-lock
+# study is not a run of at most 0.3 us.
+_JUNK = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e400", "-1"])
+_VALUES = {
+    "float": st.floats(min_value=-2.0, max_value=40.0).map(repr)
+    | st.sampled_from(["0", "1", "0.5", "1e9", "-1e9"]) | _JUNK,
+    "int": st.integers(min_value=-3, max_value=40).map(str)
+    | st.sampled_from(["1.5", "99999"]) | _JUNK,
+    "bool": st.sampled_from(["true", "false", "maybe"]),
+    "str": st.sampled_from(["run", "ideal", "tracking", "prbs15", "alternating",
+                            "ones", "zeros", "hold", "stochastic", "TT", "SS",
+                            "FF", "FNSP", "SNFP", "linear", "tanh", "bogus"]),
+}
+
+
+@st.composite
+def _setting(draw):
+    key = draw(st.sampled_from(sorted(_KEYMAP)))
+    if key == "sim.bit_rate_hz":
+        raw = draw(st.floats(min_value=1e3, max_value=1e10).map(repr) | _JUNK)
+    else:
+        raw = draw(_VALUES[_FIELD_TYPES[_KEYMAP[key]]])
+    return f"{key}={raw}"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    sets=st.lists(_setting(), min_size=1, max_size=4),
+    duration=st.sampled_from(["0", "0.05", "0.3"]),
+)
+def test_run_any_setting_ends_cleanly(sets, duration):
+    # Every combination of settings ends as a scenario error or a run with
+    # a defined exit code; none escapes as a traceback.
+    argv = ["run", SCN, "--duration", duration]
+    for setting in sets:
+        argv += ["--set", setting]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), argv
+    if err.getvalue():
+        assert err.getvalue().startswith(("scenario error:", "jitter error:")), argv

@@ -1,9 +1,18 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mesosync.dll_cdt import CdtChain, DllPhases, cdt_transfer, intermediate_phase
+from mesosync.dll_cdt import (
+    CdtChain,
+    Delivery,
+    DllPhases,
+    cdt_transfer,
+    intermediate_phase,
+)
 from mesosync.timebase import ClockGen, JitterSpec, Rng, period_fs
+from test_timebase import _ref_first_edge_at_or_after
 
 T = period_fs(1.3e9)
 
@@ -163,3 +172,136 @@ def test_cdt_capture_miss_is_reported():
     events = [(k, 1, t, 0) for k, t in enumerate(times)]
     deliveries = cdt_transfer(events[:-1], [e[2] for e in events[1:]], phases, clk, chain)
     assert any(d.violations or d.t_deliver <= 0 for d in deliveries)
+
+
+def _ref_first_edge_after(phases, i, t):
+    # The nominal-grid search: jump close, then walk forward.
+    off = phases.phase_offset(i)
+    k = max(int((t - off) // phases.period) - 2, 0)
+    while phases.edge(i, k) <= t:
+        k += 1
+    return phases.edge(i, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mode=st.sampled_from(["ideal", "tracking"]),
+    amp_ui=st.sampled_from([0.0, 0.3, 0.45]),
+    freq_hz=st.floats(min_value=1e6, max_value=5e8),
+    queries=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=9),
+            st.integers(min_value=0, max_value=6)
+            | st.integers(min_value=0, max_value=300),
+            # Offsets in fs from edge k of phase 0: on it, either side of
+            # it, half a period, or anywhere within about 1.3 periods.
+            st.sampled_from([0, 1, -1, T // 2, -(T // 2)])
+            | st.integers(min_value=-1_000_000, max_value=1_000_000),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_first_edge_after_cursor_matches_reference(mode, amp_ui, freq_hz, queries):
+    # Mixed forward steps, backward and far jumps, over all phases, on a
+    # quiet or sinusoidally jittered reference, ideal or tracking.
+    p = _phases(mode=mode, jitter=JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
+    for i, k, offset in queries:
+        t = p.edge(0, k) + offset
+        assert p.first_edge_after(i, t) == _ref_first_edge_after(p, i, t), (i, t)
+
+
+def _ref_capture(u, transition, next_transition, chain):
+    viol = []
+    if next_transition is not None and u > next_transition:
+        return None, [f"missed capture window ending {next_transition}"]
+    for tr in (transition, next_transition):
+        if tr is None:
+            continue
+        if u - chain.t_setup < tr < u:
+            viol.append(f"setup violation: edge {u} vs transition {tr}")
+        elif chain.t_hold > 0 and u <= tr < u + chain.t_hold:
+            viol.append(f"hold violation: edge {u} vs transition {tr}")
+    return u, viol
+
+
+def _ref_cdt_transfer(events, retime_edges, phases, rx_clock, chain):
+    # Two passes over parallel per-event lists, with nominal-grid searches:
+    # every intermediate-stage capture first, then every receiver capture.
+    out = []
+    n_ev = len(events)
+    taus = [r + chain.resolve_retime for r in retime_edges]
+    sigmas = [None] * n_ev
+    u1s = [None] * n_ev
+    viol1s = [[] for _ in range(n_ev)]
+    for j in range(n_ev):
+        bit_id, value, t_center, n_sel = events[j]
+        m = intermediate_phase(n_sel, phases.n)
+        nxt = taus[j + 1] if j + 1 < n_ev else None
+        u1, viol1 = _ref_capture(
+            _ref_first_edge_after(phases, m, taus[j]), taus[j], nxt, chain
+        )
+        u1s[j] = u1
+        viol1s[j] = viol1
+        if u1 is not None:
+            sigmas[j] = u1 + chain.resolve_stage
+        else:
+            out.append(Delivery(bit_id, value, t_center, retime_edges[j],
+                                -1, -1, -1, tuple(viol1)))
+    for j in range(n_ev):
+        if sigmas[j] is None:
+            continue
+        bit_id, value, t_center, _ = events[j]
+        nxt = sigmas[j + 1] if j + 1 < n_ev else None
+        _, rx_edge = _ref_first_edge_at_or_after(rx_clock, sigmas[j] + 1)
+        u2, viol2 = _ref_capture(rx_edge, sigmas[j], nxt, chain)
+        viols = tuple(viol1s[j] + viol2)
+        if u2 is None:
+            out.append(Delivery(bit_id, value, t_center, retime_edges[j],
+                                u1s[j], -1, -1, viols))
+        else:
+            out.append(Delivery(bit_id, value, t_center, retime_edges[j],
+                                u1s[j], u2, u2 - t_center, viols))
+    out.sort(key=lambda d: (d.t_center, d.bit_id))
+    return out
+
+
+# Per-event step beyond one period, in fs: none, fine drift, a setup-window
+# position (test_cdt_stage_one_setup_violation_is_reported) or a coarse hop
+# back by 0.6 T (test_cdt_capture_miss_is_reported), or anywhere in between.
+_STEPS = (
+    st.sampled_from([0, 0, 0, 1_000, -1_000, round(0.21 * T), -round(0.6 * T)])
+    | st.integers(min_value=-round(0.6 * T), max_value=round(0.6 * T))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mode=st.sampled_from(["ideal", "tracking"]),
+    amp_ui=st.sampled_from([0.0, 0.3]),
+    freq_hz=st.floats(min_value=1e6, max_value=3e8),
+    n_phases=st.sampled_from([8, 10]),
+    t_setup_ui=st.sampled_from([0.0, 0.02, 0.15]),
+    t_hold_ui=st.sampled_from([0.0, 0.05, 0.9]),
+    start=st.integers(min_value=0, max_value=T - 1),
+    stream=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=7),
+                  st.integers(min_value=0, max_value=1),
+                  _STEPS),
+        max_size=40,
+    ),
+)
+def test_cdt_one_pass_matches_two_pass(
+    mode, amp_ui, freq_hz, n_phases, t_setup_ui, t_hold_ui, start, stream
+):
+    clk = ClockGen(T, jitter=JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
+    phases = DllPhases(clk, n_phases=n_phases, mode=mode)
+    chain = CdtChain(period=T, t_setup=round(t_setup_ui * T),
+                     t_hold=round(t_hold_ui * T))
+    events = []
+    t = 2 * T + start
+    for bit_id, (n_sel, value, step) in enumerate(stream):
+        events.append((bit_id, value, t, n_sel))
+        t += T + step
+    args = (events[:-1], [ev[2] for ev in events[1:]], phases, clk, chain)
+    assert cdt_transfer(*args) == _ref_cdt_transfer(*args)

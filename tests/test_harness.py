@@ -1,5 +1,7 @@
 """Closed-loop behavior of the full simulation."""
 
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -54,6 +56,23 @@ def test_vc_bound_counter_fires_on_rail_clamp():
     # pulls it back into the window.
     m = run(replace(BASE, vc_init_v=BASE.v_dd, alpha=0.0, duration_us=0.2))
     assert m.vc_bound_violations > 0
+
+
+def test_run_metrics_memory_per_cycle():
+    # A finished run keeps its traces and summary figures, not one record
+    # per simulated bit: about 130 B per cycle (446 B while every Delivery
+    # was kept).
+    scn = replace(BASE, alpha=0.3, duration_us=3.0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        m = run(scn)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.pd_event_count > 3000
+    assert kept / m.pd_event_count < 200
 
 
 def test_zero_duration_is_empty():

@@ -229,3 +229,11 @@ def test_eye_center_identity(alpha):
     bits = BitSource("prbs15", 1)
     center = eye_center_phase(bits, n=0, alpha=alpha, transition_ui=0.2)
     assert abs(wrap_ui(center - ((alpha + 0.5) % 1.0))) <= 0.011
+
+
+def test_eye_center_beyond_sampled_bits():
+    # A whole-period delay longer than the sampled bit run still finds the
+    # eye: the sweep starts at the slot where bit 1 arrives.
+    bits = BitSource("prbs15", 1)
+    center = eye_center_phase(bits, n=2500, alpha=0.3, transition_ui=0.2)
+    assert abs(wrap_ui(center - 0.8)) <= 0.011

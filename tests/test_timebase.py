@@ -163,3 +163,42 @@ def test_edges_monotone_under_excursion_bound(amp, freq, seed):
         t = gen.edge(k)
         assert t > last
         last = t
+
+
+def _ref_first_edge_at_or_after(gen, t):
+    # The nominal-grid search: jump close, then correct locally.
+    approx = (t - round(gen.static_phase_ui * gen.period)) // gen.period
+    k = max(int(approx) - 2, 0)
+    while gen.edge(k) >= t and k > 0 and gen.edge(k - 1) >= t:
+        k -= 1
+    while gen.edge(k) < t:
+        k += 1
+    return k, gen.edge(k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    amp_ui=st.sampled_from([0.0, 0.2, 0.45]),
+    freq_hz=st.floats(min_value=1e6, max_value=5e8),
+    static_phase_ui=st.sampled_from([0.0, 0.3, 0.75]),
+    queries=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=6)
+            | st.integers(min_value=0, max_value=300),
+            # Offsets in fs (T = 769,231 fs): on an edge, either side of
+            # it, half a period, or anywhere within about 1.3 periods.
+            st.sampled_from([0, 1, -1, 384_615, -384_615])
+            | st.integers(min_value=-1_000_000, max_value=1_000_000),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_first_edge_cursor_matches_reference(amp_ui, freq_hz, static_phase_ui, queries):
+    # Each query lands at an offset from some edge, so a sequence mixes
+    # forward steps, backward and far jumps and instants before edge 0.
+    T = period_fs(1.3e9)
+    gen = ClockGen(T, static_phase_ui, JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
+    for k, offset in queries:
+        t = gen.edge(k) + offset
+        assert gen.first_edge_at_or_after(t) == _ref_first_edge_at_or_after(gen, t), t
