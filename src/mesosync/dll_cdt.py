@@ -170,13 +170,19 @@ def cdt_transfer(
     phases: DllPhases,
     rx_clock: ClockGen,
     chain: CdtChain,
+    lookahead: int = 0,
 ) -> list[Delivery]:
     """Run retimed detector outputs through the transfer chain.
 
     ``events`` holds (bit_id, value, t_center, selected_phase) per detector
     evaluation in time order; ``retime_edges[j]`` is the sampling-clock edge
     that re-times event j (the following active edge).  Returns one
-    :class:`Delivery` per event that reaches the receiver domain.
+    :class:`Delivery` per event, except for the last ``lookahead`` events:
+    they only supply the later transitions that the events before them
+    need.  Stage 2 of event j needs stage 1 of event j+1, which needs the
+    retiming edge of event j+2, so with ``lookahead=2`` every delivery
+    equals the one a call over the whole stream would make, and a long
+    stream can run in blocks that overlap by two events.
 
     One pass: the receiver-clock stage of event j needs the next event's
     intermediate-stage output, so each step captures stage 1 of event j+1
@@ -193,7 +199,7 @@ def cdt_transfer(
         return _capture(phases.first_edge_after(m, tau), tau, nxt, chain)
 
     u1, viol1 = stage_one(0) if n_ev else (None, [])
-    for j in range(n_ev):
+    for j in range(n_ev - lookahead):
         bit_id, value, t_center, _ = events[j]
         next_u1, next_viol1 = stage_one(j + 1) if j + 1 < n_ev else (None, [])
         if u1 is None:

@@ -9,6 +9,12 @@ output flags a late sampling clock and therefore drives the pump's
 discharge input, while DN (early) drives the charge input.  The control
 voltage rises when more delay is needed; leaving the comparator window
 upward selects the next-later DLL phase with a strong discharge pulse.
+
+The transfer chain runs during the simulation: every ``_CDT_BLOCK``
+detector events pass through ``cdt_transfer`` together with the two
+events after them that their deliveries depend on, and BER, violation and
+latency figures are folded into running totals, so memory does not hold
+one record per simulated bit.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ PRIO_OPP = 5
 PRIO_CYCLE = 6
 
 _PHASE_HISTORY = 64  # cycles averaged for the final sampling-phase estimate
+_CDT_BLOCK = 1024    # detector events delivered per transfer-chain call
 
 
 @dataclass
@@ -170,7 +177,20 @@ class Simulation:
         self.vc_trace: list[tuple[SimTime, float]] = [(0, self.vc)]
         self.counter_trace: list = []
         self.counter_path: list[int] = [self.ring.hot_index]
-        self.pd_events: list[tuple[int, int, SimTime, int]] = []
+        # Detector events not yet delivered, (bit_id, value, t_center,
+        # phase), at most _CDT_BLOCK + 3; running totals of the delivered
+        # ones (see _transfer).
+        self.pd_pending: list[tuple[int, int, SimTime, int]] = []
+        self.pd_event_count = 0
+        self.chain = CdtChain(
+            period=self.T,
+            t_setup=round(scn.t_setup_ui * self.T),
+            t_hold=round(scn.t_hold_ui * self.T),
+        )
+        self.totals = RunMetrics(scenario=scn)
+        self._lat_sum = 0.0
+        self._lat_count = 0
+        self._lat_hist: dict[float, int] = {}
         self.excursions: list[tuple[SimTime, SimTime | None]] = []
         self.one_hot_violations = 0
         self.vc_bound_violations = 0
@@ -350,7 +370,10 @@ class Simulation:
         up, dn, retimed, self.alex = alexander_step(self.alex, edge_val, center_val)
 
         bit_id = self.waveform.bit_at(t_center)
-        self.pd_events.append((bit_id, retimed, t_center, n_used))
+        self.pd_event_count += 1
+        self.pd_pending.append((bit_id, retimed, t_center, n_used))
+        if len(self.pd_pending) == _CDT_BLOCK + 3:
+            self._transfer(lookahead=2)
 
         # Late clock (UP) discharges, early clock (DN) charges: more control
         # voltage means more delay.  Applied one bit period per evaluation,
@@ -366,6 +389,58 @@ class Simulation:
 
     def _on_pump(self, drive_up: int, drive_dn: int):
         self._set_levels(weak=(drive_up, drive_dn))
+
+    # -- transfer chain ----------------------------------------------------
+
+    def _measure_start(self) -> SimTime | None:
+        """Start of the post-lock measurement window, None before lock."""
+        if self.lock_time is None or self.measure_from_fs is None:
+            return self.lock_time
+        return max(self.lock_time, self.measure_from_fs)
+
+    def _transfer(self, lookahead: int):
+        """Deliver the pending events but the last ``lookahead`` + 1.
+
+        Each event is re-timed at the next event's mid-eye sample, so the
+        newest event only supplies a retiming edge.  A block runs three
+        detector cycles after the last sample it delivers (about 3 T, with
+        the sample at most 1 UI after its cycle), so when no lock has been
+        declared yet, a later lock instant lies after every sample in the
+        block, which then counts only towards ``total_violations``, as in
+        one pass over the whole run.  Mid-eye samples rise strictly in
+        detector order, so blocks arrive in the ``(t_center, bit_id)``
+        order that ``cdt_transfer`` sorts each one into.
+        """
+        pending = self.pd_pending
+        deliveries = cdt_transfer(
+            pending[:-1], [ev[2] for ev in pending[1:]], self.dll,
+            self.rx_clock, self.chain, lookahead=lookahead,
+        )
+        del pending[:len(deliveries)]
+        start = self._measure_start()
+        m = self.totals
+        bit = self.bits.bit
+        hist = self._lat_hist
+        for d in deliveries:
+            m.total_violations += len(d.violations)
+            if start is None or d.t_center < start:
+                continue
+            m.ber_bits += 1
+            m.post_lock_violations += len(d.violations)
+            if d.t_deliver <= 0:
+                m.missed_deliveries_post_lock += 1
+                continue
+            if d.value != bit(d.bit_id):
+                m.ber_errors += 1
+            x = d.latency / self.T
+            # Summed left to right in delivery order, so the mean does not
+            # depend on the block size.
+            self._lat_sum += x
+            self._lat_count += 1
+            if m.latency_max_t is None or x > m.latency_max_t:
+                m.latency_max_t = x
+            b = round(int(x * 10) / 10, 1)
+            hist[b] = hist.get(b, 0) + 1
 
     # -- lock detection ----------------------------------------------------
 
@@ -467,8 +542,14 @@ class Simulation:
     # -- metrics -----------------------------------------------------------
 
     def _finalize(self, end: SimTime) -> RunMetrics:
+        """Complete the running totals into the run's metrics.
+
+        The last transfer-chain call delivers the pending tail with no
+        look-ahead, so the end of the run is treated as in one pass.
+        """
         scn = self.scn
-        m = RunMetrics(scenario=scn, duration_fs=end)
+        m = self.totals
+        m.duration_fs = end
         m.locked = self.lock_time is not None
         m.lock_time_fs = self.lock_time
         m.vc_trace = self.vc_trace
@@ -478,7 +559,7 @@ class Simulation:
         m.vc_final = self.vc
         m.one_hot_violations = self.one_hot_violations
         m.vc_bound_violations = self.vc_bound_violations
-        m.pd_event_count = len(self.pd_events)
+        m.pd_event_count = self.pd_event_count
         m.first_clean_sample_fs = self.first_clean_sample
         m.excursions = [e for e in self.excursions if e[1] is not None]
         if m.excursions:
@@ -505,48 +586,24 @@ class Simulation:
                 m.oracle_center_ui = center
                 m.phase_error_ui = _oracle.wrap_ui(m.sampling_phase_ui - center)
 
-        # Transfer chain, BER and latency over the delivered stream.
-        if len(self.pd_events) >= 2:
-            chain = CdtChain(
-                period=self.T,
-                t_setup=round(scn.t_setup_ui * self.T),
-                t_hold=round(scn.t_hold_ui * self.T),
-            )
-            retime = [ev[2] for ev in self.pd_events[1:]]
-            deliveries = cdt_transfer(
-                self.pd_events[:-1], retime, self.dll, self.rx_clock, chain
-            )
-            start = self.lock_time
-            if start is not None and self.measure_from_fs is not None:
-                start = max(start, self.measure_from_fs)
-            # One pass; the deliveries are dropped once counted.
-            bit = self.bits.bit
-            lats = []
-            for d in deliveries:
-                m.total_violations += len(d.violations)
-                if start is None or d.t_center < start:
-                    continue
-                m.ber_bits += 1
-                m.post_lock_violations += len(d.violations)
-                if d.t_deliver <= 0:
-                    m.missed_deliveries_post_lock += 1
-                else:
-                    if d.value != bit(d.bit_id):
-                        m.ber_errors += 1
-                    lats.append(d.latency / self.T)
+        # Transfer chain tail, BER and latency over the delivered stream.
+        if self.pd_event_count >= 2:
+            self._transfer(lookahead=0)
             m.ber_errors += m.missed_deliveries_post_lock
-            if lats:
-                m.latency_max_t = max(lats)
-                m.latency_mean_t = sum(lats) / len(lats)
-                hist: dict[float, int] = {}
-                for x in lats:
-                    b = round(int(x * 10) / 10, 1)
-                    hist[b] = hist.get(b, 0) + 1
-                m.latency_hist = sorted(hist.items())
+            if self._lat_count:
+                m.latency_mean_t = self._lat_sum / self._lat_count
+                m.latency_hist = sorted(self._lat_hist.items())
+            start = self._measure_start()
             if start is not None:
-                vs = [v for t, v in self.vc_trace if t >= start]
-                if vs:
-                    m.vc_peak_to_peak_post_lock = max(vs) - min(vs)
+                hi = lo = None
+                for t, v in self.vc_trace:
+                    if t >= start:
+                        if hi is None or v > hi:
+                            hi = v
+                        if lo is None or v < lo:
+                            lo = v
+                if hi is not None:
+                    m.vc_peak_to_peak_post_lock = hi - lo
 
         if self.collect_eye and self.lock_time is not None:
             m.eye_hist = self._eye_histogram()

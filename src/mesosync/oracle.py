@@ -43,20 +43,26 @@ def ber_phase_sweep(
         j = np.floor(pos).astype(np.int64)       # bit index sampled
         frac = pos - j                             # offset into bit j, [0,1)
         level = seq[j].astype(np.float64) - 0.5    # +-0.5
-        # Leading ramp: within half_ramp after boundary(j) and bits differ.
-        lead = (frac < half_ramp) & (seq[j] != seq[j - 1])
-        # Trailing ramp: within half_ramp before boundary(j+1) and bits differ.
-        trail = (frac >= 1.0 - half_ramp) & (seq[j + 1] != seq[j])
-        value = np.where(
-            lead,
-            (seq[j - 1] - 0.5) + (seq[j] - seq[j - 1]) * (frac / transition_ui + 0.5),
-            np.where(
-                trail,
-                (seq[j] - 0.5)
-                + (seq[j + 1] - seq[j]) * ((frac - 1.0) / transition_ui + 0.5),
-                level,
-            ),
-        )
+        if half_ramp == 0.0:
+            # Ideal edges: no sample lands on a ramp (frac lies in [0, 1)),
+            # and the ramp formulas below would divide by zero.
+            value = level
+        else:
+            # Leading ramp: within half_ramp after boundary(j), bits differ.
+            lead = (frac < half_ramp) & (seq[j] != seq[j - 1])
+            # Trailing ramp: within half_ramp before boundary(j+1), bits differ.
+            trail = (frac >= 1.0 - half_ramp) & (seq[j + 1] != seq[j])
+            value = np.where(
+                lead,
+                (seq[j - 1] - 0.5)
+                + (seq[j] - seq[j - 1]) * (frac / transition_ui + 0.5),
+                np.where(
+                    trail,
+                    (seq[j] - 0.5)
+                    + (seq[j + 1] - seq[j]) * ((frac - 1.0) / transition_ui + 0.5),
+                    level,
+                ),
+            )
         decided = value > 0.0
         errors[idx] = int(np.sum(decided != (seq[j] > 0)))
     return phases, errors

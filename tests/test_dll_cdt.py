@@ -305,3 +305,48 @@ def test_cdt_one_pass_matches_two_pass(
         t += T + step
     args = (events[:-1], [ev[2] for ev in events[1:]], phases, clk, chain)
     assert cdt_transfer(*args) == _ref_cdt_transfer(*args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    amp_ui=st.sampled_from([0.0, 0.3]),
+    freq_hz=st.floats(min_value=1e6, max_value=3e8),
+    t_setup_ui=st.sampled_from([0.0, 0.02, 0.15]),
+    t_hold_ui=st.sampled_from([0.0, 0.05, 0.9]),
+    block=st.integers(min_value=1, max_value=7),
+    stream=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=9),
+                  st.integers(min_value=0, max_value=1),
+                  _STEPS),
+        max_size=40,
+    ),
+)
+def test_cdt_blocks_with_lookahead_match_one_pass(
+    amp_ui, freq_hz, t_setup_ui, t_hold_ui, block, stream
+):
+    # Blocks of `block` deliveries that carry the next two events as
+    # look-ahead, then the tail with none, deliver what one call does.
+    clk = ClockGen(T, jitter=JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
+    phases = DllPhases(clk)
+    chain = CdtChain(period=T, t_setup=round(t_setup_ui * T),
+                     t_hold=round(t_hold_ui * T))
+    events = []
+    t = 2 * T
+    for bit_id, (n_sel, value, step) in enumerate(stream):
+        events.append((bit_id, value, t, n_sel))
+        t += T + step
+
+    def transfer(evs, lookahead=0):
+        return cdt_transfer(evs[:-1], [ev[2] for ev in evs[1:]], phases, clk,
+                            chain, lookahead=lookahead)
+
+    blocked, pending = [], []
+    for ev in events:
+        pending.append(ev)
+        if len(pending) == block + 3:
+            out = transfer(pending, lookahead=2)
+            assert len(out) == block
+            blocked += out
+            del pending[:block]
+    blocked += transfer(pending)
+    assert blocked == transfer(events)

@@ -2,11 +2,12 @@
 
 import gc
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from mesosync import defaults_130nm, defaults_65nm, run, sweep
+from mesosync import defaults_130nm, defaults_65nm, harness, run, sweep
+from mesosync.dll_cdt import cdt_transfer
 from mesosync.harness import Simulation
 from mesosync.timebase import FS_PER_NS, derive_seed
 
@@ -61,18 +62,71 @@ def test_vc_bound_counter_fires_on_rail_clamp():
 def test_run_metrics_memory_per_cycle():
     # A finished run keeps its traces and summary figures, not one record
     # per simulated bit: about 130 B per cycle (446 B while every Delivery
-    # was kept).
+    # was kept).  While it runs, the transfer chain holds one block of
+    # detector events and deliveries at a time: the peak is about 285 B per
+    # cycle on this short run (587 B while the chain ran over every event
+    # after the run), and falls towards what is kept as runs get longer.
     scn = replace(BASE, alpha=0.3, duration_us=3.0)
     gc.collect()
     tracemalloc.start()
     try:
         m = run(scn)
         gc.collect()
-        kept, _ = tracemalloc.get_traced_memory()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert m.pd_event_count > 3000
     assert kept / m.pd_event_count < 200
+    assert peak / m.pd_event_count < 350
+
+
+# Runs that cross transfer-chain blocks in each measurement state: locked,
+# stopped after lock, measured from a later instant, never locked (exit 2)
+# and locked with setup violations and missed deliveries (exit 3, from
+# receiver-clock jitter the DLL passes on untracked).
+BLOCK_RUNS = (
+    (replace(BASE, alpha=0.3, duration_us=2.0), {}, 0),
+    (replace(BASE, alpha=0.7, duration_us=4.0), {"stop_after_lock_us": 0.5}, 0),
+    (replace(BASE, alpha=0.3, duration_us=2.5), {"measure_from_us": 1.5}, 0),
+    (replace(BASE, pattern="ones", duration_us=1.0), {}, 2),
+    (replace(BASE, alpha=0.3, correlated=False, rx_gauss_sigma_ui=0.05,
+             duration_us=2.0), {}, 3),
+)
+
+
+def _run_fields(m):
+    return {f.name: getattr(m, f.name) for f in fields(m) if f.name != "scenario"}
+
+
+@pytest.fixture(scope="module")
+def default_block_runs():
+    return [run(scn, **kw) for scn, kw, _ in BLOCK_RUNS]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_transfer_blocks_match_default(monkeypatch, default_block_runs, block):
+    # Each delivery depends only on the three detector events after it, so
+    # any block size gives the metrics of the default one, exactly.  The
+    # blocks arrive in detector order, which must also be the order of the
+    # mid-eye samples for the per-block sort to equal one sort of the run.
+    t_centers = []
+
+    def recording_transfer(events, retime_edges, phases, rx_clock, chain,
+                           lookahead=0):
+        out = cdt_transfer(events, retime_edges, phases, rx_clock, chain,
+                           lookahead=lookahead)
+        t_centers.extend(ev[2] for ev in events[:len(out)])
+        return out
+
+    monkeypatch.setattr(harness, "_CDT_BLOCK", block)
+    monkeypatch.setattr(harness, "cdt_transfer", recording_transfer)
+    for (scn, kw, code), ref in zip(BLOCK_RUNS, default_block_runs):
+        t_centers.clear()
+        m = run(scn, **kw)
+        assert ref.exit_code == code
+        assert _run_fields(m) == _run_fields(ref)
+        assert len(t_centers) == m.pd_event_count - 1
+        assert all(a < b for a, b in zip(t_centers, t_centers[1:]))
 
 
 def test_zero_duration_is_empty():

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -237,3 +239,14 @@ def test_eye_center_beyond_sampled_bits():
     bits = BitSource("prbs15", 1)
     center = eye_center_phase(bits, n=2500, alpha=0.3, transition_ui=0.2)
     assert abs(wrap_ui(center - 0.8)) <= 0.011
+
+
+def test_eye_center_ideal_edges_warn_nothing():
+    # With zero transition time no sample lands on a ramp, so the sweep
+    # must not evaluate the ramp formulas (numpy would warn of a division
+    # by zero); every phase is error-free, which reads as centre 0.0.
+    bits = BitSource("prbs15", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        center = eye_center_phase(bits, n=0, alpha=0.3, transition_ui=0.0)
+    assert center == 0.0
