@@ -202,6 +202,9 @@ class Simulation:
         self._vc_hist: deque = deque()
         self._act_hist: deque = deque()
         self._meta_hist: deque = deque()
+        # Running totals of the flags held in _act_hist and _meta_hist.
+        self._act_sum = 0
+        self._meta_sum = 0
         self._phase_hist: deque = deque(maxlen=_PHASE_HISTORY)
 
         self.actual_region = window_classify(self.vc, self.window)
@@ -450,17 +453,19 @@ class Simulation:
             return  # the gate histories below are read only before lock
         win = self.scn.lock_window_divided * self.K * self.T
         self._vc_hist.append((self.now, self._vc_at(self.now)))
-        self._act_hist.append((self.now, 1 if (up ^ dn) else 0))
-        self._meta_hist.append(
-            (self.now, 1 if self.center_sampler.last_was_metastable else 0)
-        )
+        act = 1 if (up ^ dn) else 0
+        meta = 1 if self.center_sampler.last_was_metastable else 0
+        self._act_hist.append((self.now, act))
+        self._meta_hist.append((self.now, meta))
+        self._act_sum += act
+        self._meta_sum += meta
         horizon = self.now - win
         while len(self._vc_hist) > 2 and self._vc_hist[1][0] <= horizon:
             self._vc_hist.popleft()
         while self._act_hist and self._act_hist[0][0] < horizon:
-            self._act_hist.popleft()
+            self._act_sum -= self._act_hist.popleft()[1]
         while self._meta_hist and self._meta_hist[0][0] < horizon:
-            self._meta_hist.popleft()
+            self._meta_sum -= self._meta_hist.popleft()[1]
         if self.published != WITHIN or self.actual_region != WITHIN:
             return
         if self.now - self.last_ring_change < win:
@@ -469,7 +474,7 @@ class Simulation:
             return
         if self._vc_hist[0][0] > horizon + self.T:
             return  # not enough history yet
-        activity = sum(a for _, a in self._act_hist)
+        activity = self._act_sum
         if activity < max(1, len(self._act_hist) // 4):
             return
         # A one-directional acquisition creep moves Vc by one pump step per
@@ -488,7 +493,7 @@ class Simulation:
             return
         # Mid-eye samples landing in the metastability window mean the loop
         # is parked on a data edge, not in the eye.
-        if any(f for _, f in self._meta_hist):
+        if self._meta_sum:
             return
         self.lock_time = self.now
 
@@ -612,13 +617,16 @@ class Simulation:
     def _eye_histogram(self, n_bits: int = 512) -> list:
         bins = self.scn.eye_bins
         counts: dict[tuple[float, float], int] = {}
+        # (offset into the bit in fs, phase in UI) at each bin centre.
+        centres = [
+            (round((b + 0.5) * self.T / bins), round((b + 0.5) / bins, 4))
+            for b in range(bins)
+        ]
         start_bit = self.waveform.bit_at(self.lock_time or 0) + 1
         for j in range(start_bit, start_bit + n_bits):
             base = self.waveform.boundary(j)
-            for b in range(bins):
-                t = base + round((b + 0.5) * self.T / bins)
-                v = round(self.waveform.value_at(t), 3)
-                key = (round((b + 0.5) / bins, 4), v)
+            for offset, phase in centres:
+                key = (phase, round(self.waveform.value_at(base + offset), 3))
                 counts[key] = counts.get(key, 0) + 1
         return sorted((p, v, c) for (p, v), c in counts.items())
 

@@ -101,10 +101,6 @@ class JitterSpec:
     def is_quiet(self) -> bool:
         return self.sin_amp_ui == 0.0 and self.gauss_sigma_ui == 0.0
 
-    def worst_excursion_ui(self) -> float:
-        # 4 sigma is used as the practical bound for the monotonicity contract
-        return self.sin_amp_ui + 4.0 * self.gauss_sigma_ui
-
 
 NO_JITTER = JitterSpec()
 

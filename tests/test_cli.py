@@ -1,6 +1,9 @@
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -93,6 +96,26 @@ BAD_SETTINGS = [
     "cdt.t_setup_ui=-0.1",
     "cdt.t_setup_ui=1e9",
 ]
+
+
+def test_run_without_numpy():
+    # The package and a run with the oracle need nothing beyond the
+    # standard library: with numpy blocked, a locking run still exits 0
+    # and reports an eye centre.
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "import mesosync\n"
+        "from mesosync import cli\n"
+        f"sys.exit(cli.main(['run', {SCN!r}, '--duration', '1',"
+        " '--set', 'channel.alpha=0.3']))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "oracle_center_ui = 0.800000" in proc.stdout.splitlines()
 
 
 def test_run_unknown_key_exits_2(capsys):

@@ -129,6 +129,41 @@ def test_transfer_blocks_match_default(monkeypatch, default_block_runs, block):
         assert all(a < b for a, b in zip(t_centers, t_centers[1:]))
 
 
+@pytest.mark.parametrize("alpha", [0.333, 0.305])
+def test_off_grid_alpha_centres(alpha):
+    # Off the oracle's 0.01 UI grid no swept phase lands on a bit boundary,
+    # so the oracle falls back on the channel's mid-bit phase; the loop
+    # locks there too.
+    m = run(replace(BASE, alpha=alpha, duration_us=3.0), stop_after_lock_us=0.5)
+    assert m.locked
+    assert m.oracle_center_ui == (alpha + 0.5) % 1.0
+    assert abs(m.phase_error_ui) <= 0.05
+
+
+@pytest.mark.parametrize("scn", [
+    replace(BASE, alpha=0.3, duration_us=2.0),
+    replace(BASE, pattern="ones", duration_us=1.0),
+], ids=["locking", "ones"])
+def test_lock_gate_running_sums(scn):
+    # The activity and metastability gates read running totals; after every
+    # lock-detector update they equal a recount of their windows.
+    sim = Simulation(scn)
+    update = sim._update_lock
+    checked = 0
+
+    def update_and_recount(*args):
+        nonlocal checked
+        update(*args)
+        assert sim._act_sum == sum(a for _, a in sim._act_hist)
+        assert sim._meta_sum == sum(f for _, f in sim._meta_hist)
+        checked += 1
+
+    sim._update_lock = update_and_recount
+    m = sim.run()
+    assert checked > 500
+    assert m.locked == (scn.pattern != "ones")
+
+
 def test_zero_duration_is_empty():
     m = run(replace(BASE, duration_us=0.0))
     assert not m.locked

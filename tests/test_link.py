@@ -243,10 +243,10 @@ def test_eye_center_beyond_sampled_bits():
 
 def test_eye_center_ideal_edges_warn_nothing():
     # With zero transition time no sample lands on a ramp, so the sweep
-    # must not evaluate the ramp formulas (numpy would warn of a division
-    # by zero); every phase is error-free, which reads as centre 0.0.
+    # must not evaluate the ramp formulas (they would divide by zero);
+    # every phase is error-free, and the centre is the mid-bit phase.
     bits = BitSource("prbs15", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         center = eye_center_phase(bits, n=0, alpha=0.3, transition_ui=0.0)
-    assert center == 0.0
+    assert center == 0.8
