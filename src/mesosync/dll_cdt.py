@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .timebase import ClockGen, SimTime, seek_edge
 
@@ -128,8 +130,7 @@ class CdtChain:
         return self.t_setup
 
 
-@dataclass(frozen=True, slots=True)
-class Delivery:
+class Delivery(NamedTuple):
     bit_id: int
     value: int
     t_center: SimTime       # mid-eye sample instant of this bit
@@ -140,27 +141,31 @@ class Delivery:
     violations: tuple[str, ...] = ()
 
 
+# Deliveries sort by (t_center, bit_id).
+_DELIVERY_ORDER = itemgetter(2, 0)
+
+
 def _capture(
     u: SimTime,
     transition: SimTime,
     next_transition: SimTime | None,
     chain: CdtChain,
-) -> tuple[SimTime | None, list[str]]:
+) -> tuple[SimTime | None, tuple[str, ...]]:
     """Check capture edge ``u``, the first after ``transition``.
 
     Returns (u, violations), or (None, ...) when the next transition has
     already overwritten the input by then.
     """
-    viol = []
     if next_transition is not None and u > next_transition:
-        return None, [f"missed capture window ending {next_transition}"]
+        return None, (f"missed capture window ending {next_transition}",)
+    viol = ()
     for tr in (transition, next_transition):
         if tr is None:
             continue
         if u - chain.t_setup < tr < u:
-            viol.append(f"setup violation: edge {u} vs transition {tr}")
+            viol += (f"setup violation: edge {u} vs transition {tr}",)
         elif chain.t_hold > 0 and u <= tr < u + chain.t_hold:
-            viol.append(f"hold violation: edge {u} vs transition {tr}")
+            viol += (f"hold violation: edge {u} vs transition {tr}",)
     return u, viol
 
 
@@ -190,29 +195,38 @@ def cdt_transfer(
     """
     out: list[Delivery] = []
     n_ev = len(events)
+    resolve_retime = chain.resolve_retime
+    resolve_stage = chain.resolve_stage
+    first_edge_after = phases.first_edge_after
+    rx_edge_at_or_after = rx_clock.first_edge_at_or_after
+    # Intermediate phase per selected phase, worked out once per call.
+    stage_phase: dict[int, int] = {}
 
-    def stage_one(j: int) -> tuple[SimTime | None, list[str]]:
+    def stage_one(j: int) -> tuple[SimTime | None, tuple[str, ...]]:
         # Data transitions at the retiming stage output.
-        tau = retime_edges[j] + chain.resolve_retime
-        nxt = retime_edges[j + 1] + chain.resolve_retime if j + 1 < n_ev else None
-        m = intermediate_phase(events[j][3], phases.n)
-        return _capture(phases.first_edge_after(m, tau), tau, nxt, chain)
+        tau = retime_edges[j] + resolve_retime
+        nxt = retime_edges[j + 1] + resolve_retime if j + 1 < n_ev else None
+        sel = events[j][3]
+        m = stage_phase.get(sel)
+        if m is None:
+            m = stage_phase[sel] = intermediate_phase(sel, phases.n)
+        return _capture(first_edge_after(m, tau), tau, nxt, chain)
 
-    u1, viol1 = stage_one(0) if n_ev else (None, [])
+    u1, viol1 = stage_one(0) if n_ev else (None, ())
     for j in range(n_ev - lookahead):
         bit_id, value, t_center, _ = events[j]
-        next_u1, next_viol1 = stage_one(j + 1) if j + 1 < n_ev else (None, [])
+        next_u1, next_viol1 = stage_one(j + 1) if j + 1 < n_ev else (None, ())
         if u1 is None:
             out.append(
                 Delivery(bit_id, value, t_center, retime_edges[j], -1, -1, -1,
-                         tuple(viol1))
+                         viol1)
             )
         else:
-            sigma = u1 + chain.resolve_stage
-            nxt = None if next_u1 is None else next_u1 + chain.resolve_stage
-            _, rx_edge = rx_clock.first_edge_at_or_after(sigma + 1)
+            sigma = u1 + resolve_stage
+            nxt = None if next_u1 is None else next_u1 + resolve_stage
+            _, rx_edge = rx_edge_at_or_after(sigma + 1)
             u2, viol2 = _capture(rx_edge, sigma, nxt, chain)
-            viols = tuple(viol1 + viol2)
+            viols = viol1 + viol2
             if u2 is None:
                 out.append(
                     Delivery(bit_id, value, t_center, retime_edges[j], u1, -1, -1,
@@ -224,5 +238,5 @@ def cdt_transfer(
                              u2 - t_center, viols)
                 )
         u1, viol1 = next_u1, next_viol1
-    out.sort(key=lambda d: (d.t_center, d.bit_id))
+    out.sort(key=_DELIVERY_ORDER)
     return out

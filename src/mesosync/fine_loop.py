@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from .timebase import FS_PER_SECOND, SimTime, clamp_voltage
 
@@ -36,8 +38,7 @@ class PumpConfig:
         return self.i_weak / self.c_filter / FS_PER_SECOND
 
 
-@dataclass
-class FineLoopState:
+class FineLoopState(NamedTuple):
     v_c: float
     clamped: bool = False  # the last integration ran into a supply rail
 
@@ -120,7 +121,7 @@ class VcdlCurve:
         if self.v_low >= self.v_high:
             raise ValueError("v_low must be below v_high")
 
-    @property
+    @cached_property
     def range_fs(self) -> SimTime:
         return round(self.corner_mult[self.corner] * self.phase_step)
 
@@ -129,4 +130,6 @@ def vcdl_delay(v_c: float, curve: VcdlCurve) -> SimTime:
     """Delay through the line at control voltage ``v_c`` (input clamped)."""
     v = min(max(v_c, curve.v_low), curve.v_high)
     x = (v - curve.v_low) / (curve.v_high - curve.v_low)
-    return curve.d_min + round(curve.range_fs * _shape(curve.shape, x))
+    if curve.shape != LINEAR:
+        x = _shape(curve.shape, x)
+    return curve.d_min + round(curve.range_fs * x)

@@ -2,7 +2,12 @@
 
 One simulation owns a single scheduler; simultaneous events are ordered by
 a fixed per-module priority, then by insertion sequence, so repeated runs
-of the same scenario produce byte-identical traces.
+of the same scenario produce byte-identical traces.  The scheduler is a
+heap plus one slot: the control voltage's predicted window crossing.  Every
+change of the pump levels starts a new Vc segment and replaces the
+prediction, so at most one crossing is ever pending; it is kept in the slot
+(``cross``) instead of on the heap, and, having the first priority, it runs
+before any heap event at the same instant.
 
 Loop wiring (see fine_loop for the sign conventions): the detector's UP
 output flags a late sampling clock and therefore drives the pump's
@@ -51,7 +56,8 @@ from .scenario import Scenario
 from .timebase import ClockGen, Rng, SimTime, clamp_voltage, derive_seed
 
 # Fixed tiebreak order for simultaneous events (low value runs first); each
-# value also indexes the event's handler in Simulation.run.
+# value also indexes the event's handler in Simulation.run.  Crossings are
+# never queued on the heap (see the module docstring).
 PRIO_CROSSING = 0
 PRIO_PUBLISH = 1
 PRIO_STRONG_END = 2
@@ -158,7 +164,6 @@ class Simulation:
         self.t_vc: SimTime = 0
         self.w_up = self.w_dn = 0
         self.s_up = self.s_dn = 0
-        self.gen = 0
         self.strong_gen = 0
         self.slope = self._slope_per_fs()
 
@@ -170,6 +175,9 @@ class Simulation:
         self.alex = AlexanderState()
 
         self.heap: list = []
+        # The one valid predicted window crossing, (t, region after), or
+        # None; see _predict_crossing.
+        self.cross: tuple[SimTime, str] | None = None
         self.seq = 0
         self.now: SimTime = 0
 
@@ -251,35 +259,43 @@ class Simulation:
         if strong is not None:
             self.s_up, self.s_dn = strong
         self.slope = self._slope_per_fs()
-        self.gen += 1
         self.vc_trace.append((self.now, self.vc))
         self._predict_crossing()
 
     def _predict_crossing(self):
+        """Replace the pending crossing with the one the current segment
+        reaches first, if any.
+
+        A new segment starts at every level change, and each prediction
+        starts from the segment origin, so only the newest prediction is
+        ever valid: it is kept in ``cross`` rather than on the heap.
+        """
+        self.cross = None
         slope = self.slope
         if slope == 0.0:
             return
         v = self.vc
         w = self.window
+        # The nearest threshold ahead of Vc, and the region beyond it.
         if slope > 0.0:
-            targets = [th for th in (w.v_low, w.v_high) if th >= v]
-            target = min(targets) if targets else None
-            after = WITHIN if target == w.v_low else ABOVE
+            if v <= w.v_low:
+                target, after = w.v_low, WITHIN
+            elif v <= w.v_high:
+                target, after = w.v_high, ABOVE
+            else:
+                return
+        elif v >= w.v_high:
+            target, after = w.v_high, WITHIN
+        elif v >= w.v_low:
+            target, after = w.v_low, BELOW
         else:
-            targets = [th for th in (w.v_low, w.v_high) if th <= v]
-            target = max(targets) if targets else None
-            after = WITHIN if target == w.v_high else BELOW
-        if target is None:
             return
         dt = (target - v) / slope
-        t_cross = self.t_vc + max(1, math.ceil(dt))
-        self._push(t_cross, PRIO_CROSSING, (self.gen, after))
+        self.cross = (self.t_vc + max(1, math.ceil(dt)), after)
 
     # -- event handlers ---------------------------------------------------
 
-    def _on_crossing(self, gen: int, after: str):
-        if gen != self.gen:
-            return  # segment changed since this prediction
+    def _on_crossing(self, after: str):
         # Move the segment origin to the crossing so the next prediction
         # starts from the threshold (exact: the segment is linear).
         self._advance_vc(self.now)
@@ -525,11 +541,25 @@ class Simulation:
             self._on_opp,          # PRIO_OPP
             self._on_cycle,        # PRIO_CYCLE
         )
-        while self.heap:
-            t, prio, _, args = self.heap[0]
+        # The divided clock always has its next edge queued, so the heap
+        # does not run empty while a crossing is pending.
+        on_crossing = handlers[PRIO_CROSSING]
+        heap = self.heap
+        pop = heapq.heappop
+        while heap:
+            t, prio, _, args = heap[0]
+            cross = self.cross
+            if cross is not None and cross[0] <= t:
+                # The crossing slot ranks first among events at one instant.
+                t = cross[0]
+                if t > end:
+                    break
+                self.now = t
+                on_crossing(cross[1])
+                continue
             if t > end:
                 break
-            heapq.heappop(self.heap)
+            pop(heap)
             self.now = t
             handlers[prio](*args)
             if (
@@ -572,8 +602,10 @@ class Simulation:
             m.excursion_max_divided = max((b - a) / div for a, b in m.excursions)
         m.counter_monotone = _is_monotone(self.counter_path, self.N)
 
-        # Sampling phase and oracle comparison (clean clocks only).
-        if len(self._phase_hist) >= 8:
+        # Sampling phase and oracle comparison (locked runs with clean
+        # clocks only): before lock the phase history is acquisition, not a
+        # centring error.
+        if self.lock_time is not None and len(self._phase_hist) >= 8:
             m.sampling_phase_ui = _circular_mean(list(self._phase_hist))
         quiet = (
             scn.tx_sin_amp_ui == 0

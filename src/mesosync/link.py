@@ -107,12 +107,14 @@ class RxWaveform:
     differ, the waveform ramps linearly over ``transition_time`` centered on
     the boundary, crossing 0 V exactly at the boundary instant.
 
-    Queries are answered from a cursor: the bit index of the previous
-    answer, its two boundaries, its neighbours' values and the nearest data
-    transitions around it.  A new query walks from there, or from the
-    nominal grid when it lands more than a few periods away, so every answer
-    is exact for any time and any query order.  Samplers move forward about
-    one bit per cycle, so the walk is usually zero or one step.
+    Queries are answered from a cursor: the bit index k of the previous
+    answer, a five-bit window k-2..k+2 of data around it, the boundaries
+    k-1, k and k+1, and the nearest data transitions around the bit.  A new
+    query walks from there, or from the nominal grid when it lands more than
+    a few periods away, so every answer is exact for any time and any query
+    order.  Samplers move forward about one bit per cycle: a walk of exactly
+    one bit shifts the window by one and reads only bit k+2; any other move
+    reads the window again.
     """
 
     def __init__(
@@ -122,6 +124,10 @@ class RxWaveform:
         self.cfg = cfg
         self._tx = tx_clock or ClockGen(cfg.bit_period, name="tx")
         self._delay = cfg.delay_fs
+        self._reach = SEEK_PERIODS * cfg.bit_period
+        self._half = cfg.transition_time // 2
+        self._high = cfg.swing / 2.0
+        self._low = -cfg.swing / 2.0
         self._place(0, self.boundary(0), self.boundary(1))
 
     def boundary(self, k: int) -> SimTime:
@@ -133,7 +139,7 @@ class RxWaveform:
         k, lo, hi = self._k, self._lo, self._hi
         edge = self._tx.edge
         delay = self._delay
-        reach = SEEK_PERIODS * self.cfg.bit_period
+        reach = self._reach
         if not -reach < t - lo < reach:
             k = max(0, int((t - delay) // self.cfg.bit_period) - 2)
             lo = edge(k) + delay
@@ -146,29 +152,44 @@ class RxWaveform:
             k -= 1
             hi = lo
             lo = edge(k) + delay
-        if k != self._k:
+        if k == self._k + 1:
+            # One bit forward: shift the window, read only the new bit k+2.
+            self._lo_prev = self._lo
+            self._k, self._lo, self._hi = k, lo, hi
+            self._prev2, self._prev, self._bit, self._next = (
+                self._prev, self._bit, self._next, self._next2)
+            self._next2 = self.bits.bit(k + 2)
+            self._transitions()
+        elif k != self._k:
             self._place(k, lo, hi)
 
     def _place(self, k: int, lo: SimTime, hi: SimTime) -> None:
         """Set the cursor to bit k, which spans [lo, hi)."""
         bit = self.bits.bit
         b = bit(k)
-        prev = bit(k - 1) if k else b
-        nxt = bit(k + 1)
         self._k, self._lo, self._hi = k, lo, hi
-        self._bit, self._prev, self._next = b, prev, nxt
-        # Nearest transitions among boundaries k-1..k+2 on either side of
-        # the bit; the outer boundary counts only without the inner one.
-        if prev != b:
-            self._left = lo
-        elif k >= 2 and bit(k - 2) != prev:
-            self._left = self.boundary(k - 1)
+        # Below bit 2 the missing neighbours repeat bit 0; the transition
+        # rule reads bit k-2 only from k = 2 on.
+        self._prev2 = bit(k - 2) if k >= 2 else b
+        self._prev = bit(k - 1) if k else b
+        self._bit, self._next, self._next2 = b, bit(k + 1), bit(k + 2)
+        self._lo_prev = self.boundary(k - 1) if k else None
+        self._transitions()
+
+    def _transitions(self) -> None:
+        """Nearest transitions among boundaries k-1..k+2 on either side of
+        the bit; the outer boundary counts only without the inner one."""
+        b = self._bit
+        if self._prev != b:
+            self._left = self._lo
+        elif self._k >= 2 and self._prev2 != b:
+            self._left = self._lo_prev
         else:
             self._left = None
-        if nxt != b:
-            self._right = hi
-        elif bit(k + 2) != nxt:
-            self._right = self.boundary(k + 2)
+        if self._next != b:
+            self._right = self._hi
+        elif self._next2 != b:
+            self._right = self.boundary(self._k + 2)
         else:
             self._right = None
 
@@ -185,7 +206,7 @@ class RxWaveform:
         if t < self._lo:
             # Before the first bit arrives the line idles at bit 0's level.
             return self._level(b)
-        half = self.cfg.transition_time // 2
+        half = self._half
         # Ramp around the leading boundary of bit k.
         if t - self._lo < half and self._prev != b:
             return self._ramp(self._prev, b, t - self._lo)
@@ -195,7 +216,7 @@ class RxWaveform:
         return self._level(b)
 
     def _level(self, bit: int) -> float:
-        return self.cfg.swing / 2.0 if bit else -self.cfg.swing / 2.0
+        return self._high if bit else self._low
 
     def _ramp(self, frm: int, to: int, dt_from_boundary: SimTime) -> float:
         # Linear ramp of width transition_time centered at the boundary.

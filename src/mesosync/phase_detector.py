@@ -9,6 +9,7 @@ the half-period false-lock equilibrium).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .link import RxWaveform
 from .timebase import Rng, SimTime
@@ -75,8 +76,7 @@ def sample_comparator(
     return 1 if v > 0.0 else 0
 
 
-@dataclass(frozen=True)
-class AlexanderState:
+class AlexanderState(NamedTuple):
     """Three most recent samples in time order (a oldest) plus last outputs.
 
     ``a`` and ``c`` are mid-eye samples from consecutive active edges, ``b``

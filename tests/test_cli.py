@@ -149,6 +149,19 @@ def test_run_nonconvergent_exits_2(capsys):
     assert code == 2
 
 
+def test_run_never_locked_reports_no_phase(capsys):
+    # A run too short to lock reports no sampling phase and no centring
+    # error: its detector phases are acquisition, not a locked loop's.
+    code = main([
+        "run", SCN, "--duration", "0.3", "--set", "channel.alpha=0.3",
+    ])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert "locked = false" in lines
+    for key in ("sampling_phase_ui", "oracle_center_ui", "phase_error_ui"):
+        assert f"{key} = none" in lines
+
+
 def test_run_timing_violation_exits_3(capsys):
     # A hold requirement near a full cycle forces every transfer capture to
     # clash with the following transition.

@@ -197,28 +197,70 @@ def test_divided_clock_cadence():
 
 
 def test_event_tiebreak_order():
-    # Simultaneous events pop in fixed module priority, then insertion order.
-    import heapq
+    # Simultaneous events run in fixed module priority, then insertion
+    # order; the predicted window crossing, kept beside the heap, runs
+    # before every heap event at its instant.
     from mesosync.harness import (
-        PRIO_CROSSING, PRIO_CYCLE, PRIO_DIVIDED, PRIO_PUBLISH, PRIO_PUMP,
+        PRIO_CYCLE, PRIO_DIVIDED, PRIO_PUBLISH, PRIO_PUMP,
     )
     sim = Simulation(replace(BASE, duration_us=0.1))
     t = 999
-    for prio in (PRIO_CYCLE, PRIO_CROSSING, PRIO_PUMP, PRIO_DIVIDED, PRIO_PUBLISH):
-        sim._push(t, prio, ("probe", prio))
-    sim._push(t, PRIO_PUMP, ("probe2", PRIO_PUMP))
     popped = []
-    while sim.heap:
-        _, prio, seq, payload = heapq.heappop(sim.heap)
-        popped.append((prio, payload[0]))
+
+    def recorder(name):
+        def handler(*args):
+            if sim.now == t:
+                popped.append((name, args))
+            if name == "crossing":
+                sim.cross = None
+        return handler
+
+    for name in ("crossing", "publish", "strong_end", "divided", "pump",
+                 "opp", "cycle"):
+        setattr(sim, f"_on_{name}", recorder(name))
+    for prio in (PRIO_CYCLE, PRIO_PUMP, PRIO_DIVIDED, PRIO_PUBLISH):
+        sim._push(t, prio, ("probe",))
+    sim._push(t, PRIO_PUMP, ("probe2",))
+    # run() predicts the first crossing after queueing its own events.
+    sim._predict_crossing = lambda: setattr(sim, "cross", (t, "probe"))
+    sim.run()
     assert popped == [
-        (PRIO_CROSSING, "probe"),
-        (PRIO_PUBLISH, "probe"),
-        (PRIO_DIVIDED, "probe"),
-        (PRIO_PUMP, "probe"),
-        (PRIO_PUMP, "probe2"),
-        (PRIO_CYCLE, "probe"),
+        ("crossing", ("probe",)),
+        ("publish", ("probe",)),
+        ("divided", ("probe",)),
+        ("pump", ("probe",)),
+        ("pump", ("probe2",)),
+        ("cycle", ("probe",)),
     ]
+
+
+def test_crossings_never_enter_the_heap():
+    # Only the newest predicted crossing is valid, so it lives in the slot
+    # beside the heap: no heap entry carries the crossing priority, and the
+    # locked run still sees its window crossings.
+    from mesosync.harness import PRIO_CROSSING
+    sim = Simulation(replace(BASE, alpha=0.3, duration_us=1.0))
+    on_cycle = sim._on_cycle
+    on_crossing = sim._on_crossing
+    cycles = crossings = 0
+
+    def checked_cycle(*args):
+        nonlocal cycles
+        assert all(entry[1] != PRIO_CROSSING for entry in sim.heap)
+        on_cycle(*args)
+        cycles += 1
+
+    def counted_crossing(*args):
+        nonlocal crossings
+        on_crossing(*args)
+        crossings += 1
+
+    sim._on_cycle = checked_cycle
+    sim._on_crossing = counted_crossing
+    m = sim.run()
+    assert m.locked
+    assert cycles > 1000 and crossings > 0
+    assert all(entry[1] != PRIO_CROSSING for entry in sim.heap)
 
 
 def test_cold_start_shows_strong_pump_resets(locked_run):

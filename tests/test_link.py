@@ -224,6 +224,48 @@ def test_cursor_queries_match_reference(pattern, n, alpha, amp_ui, freq_hz, quer
         assert getattr(wf, method)(t) == _REFERENCE[method](wf, t), (method, t)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    pattern=st.sampled_from(["prbs15", "alternating"]),
+    seed=st.integers(min_value=0, max_value=2**32),
+    n=st.integers(min_value=0, max_value=3),
+    alpha=st.floats(min_value=0.0, max_value=0.99),
+    amp_ui=st.sampled_from([0.0, 0.2, 0.45]),
+    freq_hz=st.floats(min_value=1e6, max_value=5e8),
+    first=st.integers(min_value=0, max_value=3)
+    | st.integers(min_value=0, max_value=300),
+    # Where each bit is queried, as fractions of its width: its start, the
+    # ramp edges, mid-bit and its last instant, or anywhere.
+    fracs=st.lists(
+        st.lists(
+            st.sampled_from([0.0, 0.1, 0.5, 0.9, 0.999999])
+            | st.floats(min_value=0.0, max_value=0.999999),
+            min_size=1, max_size=3,
+        ),
+        min_size=1, max_size=8,
+    ),
+    n_bits=st.integers(min_value=20, max_value=120),
+)
+def test_cursor_steps_match_reference(pattern, seed, n, alpha, amp_ui, freq_hz,
+                                      first, fracs, n_bits):
+    # Each query after the first moves one bit forward, which shifts the
+    # cursor's window, then a few more queries stay in that bit; PRBS data
+    # brings runs of equal bits, where the transitions lie two boundaries
+    # away, and alternating data a transition at every boundary.
+    T = period_fs(2.5e9)
+    cfg = ChannelConfig(n=n, alpha=alpha, bit_period=T,
+                        transition_time=round(0.2 * T), swing=0.2)
+    tx = ClockGen(T, 0.0, JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
+    wf = RxWaveform(BitSource(pattern, seed), cfg, tx)
+    for i in range(n_bits):
+        k = first + i
+        lo, hi = wf.boundary(k), wf.boundary(k + 1)
+        for frac in fracs[i % len(fracs)]:
+            t = lo + min(int(frac * (hi - lo)), hi - lo - 1)
+            for method, ref in _REFERENCE.items():
+                assert getattr(wf, method)(t) == ref(wf, t), (method, k, t)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.13, 0.25, 0.5, 0.77])
 def test_eye_center_identity(alpha):
     # Exhaustive 0.01 UI BER sweep: the zero-error plateau is centered at
