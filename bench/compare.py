@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Before/after benchmark of a change against its parent commit.
 
-    python3 bench/compare.py --label 7 --pairs 10 --workload steady_130nm
-    python3 bench/compare.py --label 7 --pairs 10 --workload all --seconds 25
+    python3 bench/compare.py --label NAME --pairs 10 --workload steady_130nm
+    python3 bench/compare.py --label NAME --base REV --seed 29 --seconds 25
 
 The base revision (``--base``, default ``HEAD~1``) is checked out in a
 local ``git worktree`` under ``.perfbench/``; the change is this checkout,
