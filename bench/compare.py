@@ -2,15 +2,16 @@
 """Before/after benchmark of a change against its parent commit.
 
     python3 bench/compare.py --label NAME --pairs 10 --workload steady_130nm
-    python3 bench/compare.py --label NAME --base REV --seed 29 --seconds 25
+    python3 bench/compare.py --label NAME --base REV --seed 29
 
 The base revision (``--base``, default ``HEAD~1``) is checked out in a
 local ``git worktree`` under ``.perfbench/``; the change is this checkout,
 working tree included.  Each pair runs ``perfbench/run.py`` once on each
 side, per workload, alternating which side goes first so that a slow drift
-of the host does not favour one side.  The summary per workload and
-end-to-end metric (the metrics and their better direction come from
-``BENCHMARK.json``) holds both sides' median and quartiles, the median
+of the host does not favour one side; each run lasts perfbench's own
+default run length, which is ``run_seconds`` in ``BENCHMARK.json``.  The
+workloads, the end-to-end metrics and their better direction also come from
+``BENCHMARK.json``.  The summary per workload and metric holds both sides' median and quartiles, the median
 ratio, the number of pairs the change won and whether the gap between the
 medians exceeds the base's interquartile range.  It is written to
 ``BENCH_<label>.json`` at the root of the checkout, with the seed, the
@@ -31,7 +32,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKTREES = ROOT / ".perfbench"
 RUNNER = Path("perfbench") / "run.py"
-WORKLOADS = ("steady_130nm", "lock_sweep", "jitter_65nm_out", "falselock")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -67,16 +67,30 @@ def summarize(base: list[float], change: list[float], better: str) -> dict:
     }
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+def git(*args: str, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, env=env,
                           capture_output=True, text=True).stdout.strip()
 
 
-def bench_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def src_tree() -> str:
+    """Tree id of the working tree's ``src/`` as it is on disk, untracked
+    files included and ignored ones left out (built on a scratch index, so
+    the checkout's own index is not touched)."""
+    index = WORKTREES / "src.index"
+    index.unlink(missing_ok=True)
+    env = {**os.environ, "GIT_INDEX_FILE": str(index)}
+    try:
+        git("add", "-A", "src", env=env)
+        return git("rev-parse", git("write-tree", env=env) + ":src")
+    finally:
+        index.unlink(missing_ok=True)
+
+
+def bench_once(root: Path, workload: str, seed: int) -> dict:
     """One ``perfbench/run.py`` call in checkout ``root``: its JSON line."""
     proc = subprocess.run(
         [sys.executable, str(root / RUNNER), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         cwd=root, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -87,7 +101,7 @@ def bench_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def compare(base_root: Path, workloads: list[str], pairs: int, seed: int,
-            seconds: float, metrics: list[dict]) -> tuple[dict, dict, bool]:
+            metrics: list[dict]) -> tuple[dict, dict, bool]:
     """Alternate the two sides for ``pairs`` pairs per workload."""
     runs: dict[str, list] = {w: [] for w in workloads}
     correct = True
@@ -97,7 +111,7 @@ def compare(base_root: Path, workloads: list[str], pairs: int, seed: int,
             pair = {"order": order[0] + "-first"}
             for side in order:
                 out = bench_once(base_root if side == "base" else ROOT, w,
-                                 seed, seconds)
+                                 seed)
                 correct = correct and out["correct"] and out["failed"] == 0
                 pair[side] = {m["name"]: out["metrics"][m["name"]]["value"]
                               for m in metrics}
@@ -117,32 +131,32 @@ def compare(base_root: Path, workloads: list[str], pairs: int, seed: int,
 
 
 def main(argv: list[str] | None = None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in benchmark["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     ap.add_argument("--base", default="HEAD~1", help="base revision")
-    ap.add_argument("--workload", choices=(*WORKLOADS, "all"), default="all")
+    ap.add_argument("--workload", choices=(*names, "all"), default="all")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=25.0,
-                    help="perfbench --seconds of each run")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
-    workloads = list(WORKLOADS) if args.workload == "all" else [args.workload]
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    workloads = names if args.workload == "all" else [args.workload]
+    metrics = benchmark["end_to_end"]
     base_commit = git("rev-parse", args.base)
     change_commit = git("rev-parse", "HEAD")
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-    # The src/ tree names the simulator that ran, also when the change is
-    # not committed yet (a stash commit of the working tree, left unused).
-    change_snapshot = git("stash", "create") if dirty else change_commit
-    base_root = WORKTREES / f"base-{base_commit[:12]}"
+    dirty = bool(git("status", "--porcelain"))
     WORKTREES.mkdir(exist_ok=True)
+    # The src/ tree names the simulator that ran, also when the change is
+    # not committed yet.
+    change_src = src_tree()
+    base_root = WORKTREES / f"base-{base_commit[:12]}"
     git("worktree", "add", "--detach", "--force", str(base_root), base_commit)
     try:
         summary, runs, correct = compare(base_root, workloads, args.pairs,
-                                         args.seed, args.seconds, metrics)
+                                         args.seed, metrics)
     finally:
         git("worktree", "remove", "--force", str(base_root))
         git("worktree", "prune")
@@ -152,10 +166,10 @@ def main(argv: list[str] | None = None) -> int:
         "base": {"rev": args.base, "commit": base_commit,
                  "src_tree": git("rev-parse", f"{base_commit}:src")},
         "change": {"commit": change_commit, "uncommitted_changes": dirty,
-                   "src_tree": git("rev-parse", f"{change_snapshot}:src")},
+                   "src_tree": change_src},
         "seed": args.seed,
         "pairs": args.pairs,
-        "seconds_per_run": args.seconds,
+        "seconds_per_run": benchmark["run_seconds"],
         "host": {"python": platform.python_version(),
                  "machine": platform.machine(), "cpus": os.cpu_count()},
         "correct": correct,

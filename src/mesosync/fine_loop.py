@@ -130,6 +130,4 @@ def vcdl_delay(v_c: float, curve: VcdlCurve) -> SimTime:
     """Delay through the line at control voltage ``v_c`` (input clamped)."""
     v = min(max(v_c, curve.v_low), curve.v_high)
     x = (v - curve.v_low) / (curve.v_high - curve.v_low)
-    if curve.shape != LINEAR:
-        x = _shape(curve.shape, x)
-    return curve.d_min + round(curve.range_fs * x)
+    return curve.d_min + round(curve.range_fs * _shape(curve.shape, x))
