@@ -53,21 +53,23 @@ class DllPhases:
         self.period = reference.period
         self._offsets = [round(i * self.period / n_phases) for i in range(n_phases)]
         self._cursor: tuple | None = None
+        # Reference edge k: the receiver clock's own in ideal mode, its
+        # low-passed copy in tracking mode.
+        self._ref_edge = reference.edge
         if mode == TRACKING:
             # Discrete one-pole equivalent of a first-order loop at loop_bw_hz.
             tsec = self.period / 1e15
             self._alpha = 1.0 - math.exp(-2.0 * math.pi * loop_bw_hz * tsec)
             self._tracked: list[SimTime] = []
             self._y = 0.0
+            self._ref_edge = self._tracked_edge
 
     def phase_offset(self, i: int) -> SimTime:
         if not 0 <= i < self.n:
             raise IndexError(f"phase index {i} out of range [0, {self.n})")
         return self._offsets[i]
 
-    def _ref_edge(self, k: int) -> SimTime:
-        if self.mode == IDEAL:
-            return self.ref.edge(k)
+    def _tracked_edge(self, k: int) -> SimTime:
         while len(self._tracked) <= k:
             j = len(self._tracked)
             x = self.ref.edge(j) - j * self.period
@@ -77,7 +79,10 @@ class DllPhases:
 
     def edge(self, i: int, k: int) -> SimTime:
         """k-th active edge of DLL phase i."""
-        return self._ref_edge(k) + self.phase_offset(i)
+        # The range check of phase_offset, inline: one call per cycle.
+        if not 0 <= i < self.n:
+            raise IndexError(f"phase index {i} out of range [0, {self.n})")
+        return self._ref_edge(k) + self._offsets[i]
 
     def first_edge_after(self, i: int, t: SimTime) -> SimTime:
         """Earliest edge of phase i strictly after t."""

@@ -3,11 +3,21 @@
 One simulation owns a single scheduler; simultaneous events are ordered by
 a fixed per-module priority, then by insertion sequence, so repeated runs
 of the same scenario produce byte-identical traces.  The scheduler is a
-heap plus one slot: the control voltage's predicted window crossing.  Every
-change of the pump levels starts a new Vc segment and replaces the
-prediction, so at most one crossing is ever pending; it is kept in the slot
-(``cross``) instead of on the heap, and, having the first priority, it runs
-before any heap event at the same instant.
+heap plus two slots, and ``Simulation.run`` merges them in that order:
+
+* The crossing slot (``cross``) holds the control voltage's predicted
+  window crossing.  Every change of the pump levels starts a new Vc
+  segment and replaces the prediction, so at most one crossing is ever
+  pending.  It has the first priority and runs before any heap event at
+  the same instant.
+* The heap holds the publish, strong-end, divided-clock and pump events,
+  ordered by (time, priority, insertion sequence).
+* The cycle slot (``next_cycle``) holds the detector's next cycle.  Each
+  cycle sets the next one, so exactly one is pending; it runs as two
+  events, the edge sample (OPP) half a period before the cycle's
+  sampling-clock edge and the cycle itself (CYCLE) at the edge.  They have
+  the two last priorities, so every heap event or crossing at or before
+  their instant runs first.
 
 Loop wiring (see fine_loop for the sign conventions): the detector's UP
 output flags a late sampling clock and therefore drives the pump's
@@ -55,9 +65,10 @@ from .phase_detector import (
 from .scenario import Scenario
 from .timebase import ClockGen, Rng, SimTime, clamp_voltage, derive_seed
 
-# Fixed tiebreak order for simultaneous events (low value runs first); each
-# value also indexes the event's handler in Simulation.run.  Crossings are
-# never queued on the heap (see the module docstring).
+# Fixed tiebreak order for simultaneous events (low value runs first).  The
+# heap priorities 1-4 also index the event's handler in Simulation.run;
+# crossings, OPP and CYCLE are never queued on the heap but kept in slots
+# (see the module docstring).
 PRIO_CROSSING = 0
 PRIO_PUBLISH = 1
 PRIO_STRONG_END = 2
@@ -178,6 +189,10 @@ class Simulation:
         # The one valid predicted window crossing, (t, region after), or
         # None; see _predict_crossing.
         self.cross: tuple[SimTime, str] | None = None
+        # The pending detector cycle, (sampling-clock edge, cycle index,
+        # selected phase); each cycle sets the next one (see _on_cycle).
+        n0 = self.ring.hot_index
+        self.next_cycle: tuple[SimTime, int, int] = (self.dll.edge(n0, 2), 2, n0)
         self.seq = 0
         self.now: SimTime = 0
 
@@ -363,7 +378,7 @@ class Simulation:
             )
         )
 
-    def _on_opp(self, k: int, n_used: int):
+    def _on_opp(self):
         d = vcdl_delay(self._vc_at(self.now), self.curve)
         t_sample = self.now + d
         self._edge_sample = self.edge_sampler.sample(
@@ -402,9 +417,7 @@ class Simulation:
         self._update_lock(t_center, up, dn)
 
         n_next = self.ring.hot_index
-        es = self.dll.edge(n_next, k + 1)
-        self._push(es - self.T // 2, PRIO_OPP, (k + 1, n_next))
-        self._push(es, PRIO_CYCLE, (k + 1, n_next))
+        self.next_cycle = (self.dll.edge(n_next, k + 1), k + 1, n_next)
 
     def _on_pump(self, drive_up: int, drive_dn: int):
         self._set_levels(weak=(drive_up, drive_dn))
@@ -523,51 +536,64 @@ class Simulation:
                               counter_trace=[], counter_path=[],
                               final_hot=self.ring.hot_index, vc_final=self.vc)
 
-        start_cycle = 2
-        n0 = self.ring.hot_index
-        es = self.dll.edge(n0, start_cycle)
-        self._push(es - self.T // 2, PRIO_OPP, (start_cycle, n0))
-        self._push(es, PRIO_CYCLE, (start_cycle, n0))
         self._push(self.rx_clock.edge(self.K), PRIO_DIVIDED, (1,))
         self._predict_crossing()
 
-        # Indexed by priority: the one table mapping event kinds to handlers.
+        # Indexed by heap priority: the one table mapping heap event kinds
+        # to handlers.
         handlers = (
-            self._on_crossing,     # PRIO_CROSSING
+            None,                  # PRIO_CROSSING: the crossing slot
             self._on_publish,      # PRIO_PUBLISH
             self._on_strong_end,   # PRIO_STRONG_END
             self._on_divided,      # PRIO_DIVIDED
             self._on_pump,         # PRIO_PUMP
-            self._on_opp,          # PRIO_OPP
-            self._on_cycle,        # PRIO_CYCLE
         )
-        # The divided clock always has its next edge queued, so the heap
-        # does not run empty while a crossing is pending.
-        on_crossing = handlers[PRIO_CROSSING]
+        on_crossing = self._on_crossing
+        on_opp = self._on_opp
+        on_cycle = self._on_cycle
+        half = self.T // 2
         heap = self.heap
         pop = heapq.heappop
-        while heap:
-            t, prio, _, args = heap[0]
+        es, k, n_used = self.next_cycle
+        # The cycle slot's next event: OPP at es - T/2, then CYCLE at es.
+        due = es - half
+        opp_next = True
+        # The divided clock always has its next edge queued, so the heap
+        # never runs empty.
+        while True:
+            t = heap[0][0]
             cross = self.cross
             if cross is not None and cross[0] <= t:
                 # The crossing slot ranks first among events at one instant.
                 t = cross[0]
+            else:
+                cross = None
+            if t <= due:
                 if t > end:
                     break
                 self.now = t
-                on_crossing(cross[1])
+                if cross is None:
+                    _, prio, _, args = pop(heap)
+                    handlers[prio](*args)
+                else:
+                    on_crossing(cross[1])
                 continue
-            if t > end:
+            # OPP and CYCLE rank last: every heap event and crossing up to
+            # their instant has run.
+            if due > end:
                 break
-            pop(heap)
-            self.now = t
-            handlers[prio](*args)
-            if (
-                prio == PRIO_CYCLE
-                and self.lock_time is not None
-                and self.stop_after_lock_fs is not None
-            ):
+            self.now = due
+            if opp_next:
+                on_opp()
+                due = es
+                opp_next = False
+                continue
+            on_cycle(k, n_used)
+            if self.lock_time is not None and self.stop_after_lock_fs is not None:
                 end = min(end, self.lock_time + self.stop_after_lock_fs)
+            es, k, n_used = self.next_cycle
+            due = es - half
+            opp_next = True
 
         self.now = end
         self._advance_vc(end)
@@ -614,7 +640,7 @@ class Simulation:
         )
         if quiet and m.sampling_phase_ui is not None and scn.pattern == "prbs15":
             center = _oracle.eye_center_phase(
-                BitSource(scn.pattern, derive_seed(scn.seed, 3)),
+                self.bits,
                 scn.n,
                 scn.alpha,
                 scn.transition_time_ui,

@@ -15,44 +15,40 @@ PRBS15_MASK = 0x7FFF
 PRBS15_PERIOD = 32767
 
 
-@dataclass(frozen=True)
-class Prbs15State:
-    """15-bit Fibonacci LFSR with taps x^15 + x^14 + 1."""
-
-    lfsr: int = PRBS15_MASK
-
-    def __post_init__(self):
-        if not 0 < self.lfsr <= PRBS15_MASK:
-            raise ValueError("PRBS-15 state must be a nonzero 15-bit value")
-
-
-def prbs15_next(state: Prbs15State) -> tuple[int, Prbs15State]:
-    """One LFSR step; returns (output bit = MSB before shift, new state)."""
-    reg = state.lfsr
-    out = (reg >> 14) & 1
-    fb = ((reg >> 14) ^ (reg >> 13)) & 1
-    return out, Prbs15State(((reg << 1) | fb) & PRBS15_MASK)
-
-
 class BitSource:
     """Lazily extended transmit bit sequence.
 
     Patterns: ``prbs15`` (seeded from the run seed), ``alternating`` 1010...,
     ``ones`` and ``zeros`` for degenerate checks.
+
+    ``prbs15`` is a 15-bit Fibonacci LFSR with taps x^15 + x^14 + 1, kept
+    as a plain integer register; each step outputs the register's MSB
+    before the shift.  Generated bits are stored in a ``bytearray`` and
+    generated only when first asked for, so a run pays for the bits it
+    reads, one register step each.
     """
 
     def __init__(self, pattern: str = "prbs15", seed: int = 1):
         self.pattern = pattern
-        self._bits: list[int] = []
+        self._bits = bytearray()
         if pattern == "prbs15":
             # Map the seed onto a nonzero register value, then flush the
             # register so degenerate low-weight seeds don't start the
             # stream with a long constant run.
-            self._state = Prbs15State((seed % PRBS15_MASK) + 1)
-            for _ in range(31):
-                _, self._state = prbs15_next(self._state)
+            self._reg = (seed % PRBS15_MASK) + 1
+            self._extend(31)
+            del self._bits[:]
         elif pattern not in ("alternating", "ones", "zeros"):
             raise ValueError(f"unknown data pattern: {pattern!r}")
+
+    def _extend(self, count: int) -> None:
+        """Append the next ``count`` register outputs."""
+        bits = self._bits
+        reg = self._reg
+        for _ in range(count):
+            bits.append(reg >> 14)
+            reg = ((reg << 1) | (((reg >> 14) ^ (reg >> 13)) & 1)) & PRBS15_MASK
+        self._reg = reg
 
     def bit(self, index: int) -> int:
         if 0 <= index < len(self._bits):
@@ -65,9 +61,7 @@ class BitSource:
             return 1
         if self.pattern == "zeros":
             return 0
-        while len(self._bits) <= index:
-            b, self._state = prbs15_next(self._state)
-            self._bits.append(b)
+        self._extend(index + 1 - len(self._bits))
         return self._bits[index]
 
 

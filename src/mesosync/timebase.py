@@ -175,8 +175,12 @@ class ClockGen:
         self.name = name
         self._edges: list[SimTime] = []
         self._cursor: tuple | None = None
+        # Nominal grid origin of first_edge_at_or_after's walk.
+        self._origin = round(static_phase_ui * period)
 
     def edge(self, index: int) -> SimTime:
+        if index < len(self._edges):
+            return self._edges[index]
         while len(self._edges) <= index:
             k = len(self._edges)
             t = edge_time(self.period, k, self.static_phase_ui, self.jitter, self.rng)
@@ -190,10 +194,8 @@ class ClockGen:
 
     def first_edge_at_or_after(self, t: SimTime) -> tuple[int, SimTime]:
         """(index, time) of the earliest edge with time >= t."""
-        self._cursor = seek_edge(
-            self.edge, self._cursor, t, self.period,
-            round(self.static_phase_ui * self.period),
-        )
+        self._cursor = seek_edge(self.edge, self._cursor, t, self.period,
+                                 self._origin)
         k, _, e = self._cursor
         return k, e
 

@@ -1,6 +1,7 @@
 """The summary that bench/compare.py writes into BENCH_*.json.
 
-Only the arithmetic is checked here, on fixed samples; no benchmark runs.
+The summary arithmetic is checked on fixed samples, and the pairing of
+``compare()`` with ``bench_once`` stubbed out; no benchmark runs.
 """
 
 import importlib.util
@@ -70,3 +71,78 @@ def test_summary_single_pair():
 def test_summary_rejects_bad_input(base, change, better):
     with pytest.raises(ValueError):
         compare.summarize(base, change, better)
+
+
+METRICS = [
+    {"name": "cycles_per_norm_s", "unit": "1/s", "better": "higher"},
+    {"name": "wall_norm_s", "unit": "s", "better": "lower"},
+]
+
+
+def _stub_runs(monkeypatch, failed_side=None):
+    """Replace bench_once with a stub that spawns nothing; returns its log.
+
+    Call i returns the metric values i and 100 + i, so every per-pair value
+    names the call that produced it.
+    """
+    calls = []
+    base_root = Path("/nonexistent/base")
+
+    def bench_once(root, workload, seed):
+        side = "base" if root == base_root else "change"
+        calls.append((side, workload, seed))
+        i = len(calls)
+        return {
+            "correct": True,
+            "failed": 1 if side == failed_side else 0,
+            "metrics": {"cycles_per_norm_s": {"value": float(i)},
+                        "wall_norm_s": {"value": 100.0 + i}},
+        }
+
+    monkeypatch.setattr(compare, "bench_once", bench_once)
+    return base_root, calls
+
+
+def test_compare_alternates_sides_per_pair(monkeypatch):
+    base_root, calls = _stub_runs(monkeypatch)
+    summary, runs, correct = compare.compare(
+        base_root, ["w1", "w2"], 3, 7, METRICS)
+    assert correct is True
+    # Each pair runs every workload on both sides; the side that goes first
+    # alternates from one pair to the next.
+    firsts = ["base", "change", "base"]
+    expected = []
+    for first in firsts:
+        second = "change" if first == "base" else "base"
+        for w in ("w1", "w2"):
+            expected += [(first, w, 7), (second, w, 7)]
+    assert calls == expected
+    assert list(runs) == ["w1", "w2"]
+    for w in ("w1", "w2"):
+        assert [p["order"] for p in runs[w]] == [f + "-first" for f in firsts]
+        for p in runs[w]:
+            assert set(p) == {"order", "base", "change"}
+            assert set(p["base"]) == set(p["change"]) == {
+                "cycles_per_norm_s", "wall_norm_s"}
+    # Pair 2 of w2 (the 7th and 8th calls) ran the change first.
+    assert runs["w2"][1] == {
+        "order": "change-first",
+        "base": {"cycles_per_norm_s": 8.0, "wall_norm_s": 108.0},
+        "change": {"cycles_per_norm_s": 7.0, "wall_norm_s": 107.0},
+    }
+    s = summary["w1"]["cycles_per_norm_s"]
+    assert s["unit"] == "1/s" and s["better"] == "higher" and s["pairs"] == 3
+    # w1: base ran calls 1, 6 and 9, the change calls 2, 5 and 10.
+    assert s["base"]["median"] == 6.0 and s["change"]["median"] == 5.0
+    assert s["change_wins"] == 2
+    assert summary["w2"]["wall_norm_s"]["better"] == "lower"
+
+
+@pytest.mark.parametrize("failed_side", ["base", "change"])
+def test_compare_failed_runs_are_not_correct(monkeypatch, failed_side):
+    base_root, calls = _stub_runs(monkeypatch, failed_side)
+    _, runs, correct = compare.compare(base_root, ["w1", "w2"], 3, 1, METRICS)
+    assert correct is False
+    # A failed run does not stop the comparison.
+    assert len(calls) == 12
+    assert all(len(runs[w]) == 3 for w in ("w1", "w2"))

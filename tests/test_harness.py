@@ -198,47 +198,60 @@ def test_divided_clock_cadence():
 
 def test_event_tiebreak_order():
     # Simultaneous events run in fixed module priority, then insertion
-    # order; the predicted window crossing, kept beside the heap, runs
-    # before every heap event at its instant.
-    from mesosync.harness import (
-        PRIO_CYCLE, PRIO_DIVIDED, PRIO_PUBLISH, PRIO_PUMP,
-    )
-    sim = Simulation(replace(BASE, duration_us=0.1))
+    # order: the predicted window crossing, kept in its slot beside the
+    # heap, runs first, then the heap events, and the cycle slot's OPP or
+    # CYCLE last.
+    from mesosync.harness import PRIO_DIVIDED, PRIO_PUBLISH, PRIO_PUMP
     t = 999
-    popped = []
+    for last in ("cycle", "opp"):
+        sim = Simulation(replace(BASE, duration_us=0.1))
+        end = sim.scn.duration_fs
+        popped = []
 
-    def recorder(name):
-        def handler(*args):
-            if sim.now == t:
-                popped.append((name, args))
-            if name == "crossing":
-                sim.cross = None
-        return handler
+        def recorder(name):
+            def handler(*args):
+                if sim.now == t:
+                    popped.append((name, args))
+                if name == "crossing":
+                    sim.cross = None
+                elif name == "cycle":
+                    # No further cycle inside the run.
+                    sim.next_cycle = (end + sim.T, 0, 0)
+            return handler
 
-    for name in ("crossing", "publish", "strong_end", "divided", "pump",
-                 "opp", "cycle"):
-        setattr(sim, f"_on_{name}", recorder(name))
-    for prio in (PRIO_CYCLE, PRIO_PUMP, PRIO_DIVIDED, PRIO_PUBLISH):
-        sim._push(t, prio, ("probe",))
-    sim._push(t, PRIO_PUMP, ("probe2",))
-    # run() predicts the first crossing after queueing its own events.
-    sim._predict_crossing = lambda: setattr(sim, "cross", (t, "probe"))
-    sim.run()
-    assert popped == [
-        ("crossing", ("probe",)),
-        ("publish", ("probe",)),
-        ("divided", ("probe",)),
-        ("pump", ("probe",)),
-        ("pump", ("probe2",)),
-        ("cycle", ("probe",)),
-    ]
+        for name in ("crossing", "publish", "strong_end", "divided", "pump",
+                     "opp", "cycle"):
+            setattr(sim, f"_on_{name}", recorder(name))
+        for prio in (PRIO_PUMP, PRIO_DIVIDED, PRIO_PUBLISH):
+            sim._push(t, prio, ("probe",))
+        sim._push(t, PRIO_PUMP, ("probe2",))
+        # The recorders queue no divided edge; this one keeps the heap from
+        # running empty and lies beyond the end of the run.
+        sim._push(end + 1, PRIO_DIVIDED, ("sentinel",))
+        # OPP runs half a period before the cycle's sampling-clock edge.
+        es = t if last == "cycle" else t + sim.T // 2
+        sim.next_cycle = (es, 2, 0)
+        # run() predicts the first crossing after queueing its own events.
+        sim._predict_crossing = lambda: setattr(sim, "cross", (t, "probe"))
+        sim.run()
+        slot_event = ("cycle", (2, 0)) if last == "cycle" else ("opp", ())
+        assert popped == [
+            ("crossing", ("probe",)),
+            ("publish", ("probe",)),
+            ("divided", ("probe",)),
+            ("pump", ("probe",)),
+            ("pump", ("probe2",)),
+            slot_event,
+        ], last
 
 
 def test_crossings_never_enter_the_heap():
     # Only the newest predicted crossing is valid, so it lives in the slot
-    # beside the heap: no heap entry carries the crossing priority, and the
+    # beside the heap, and each cycle sets the next one in the cycle slot:
+    # no heap entry carries the crossing, OPP or CYCLE priority, and the
     # locked run still sees its window crossings.
-    from mesosync.harness import PRIO_CROSSING
+    from mesosync.harness import PRIO_CROSSING, PRIO_CYCLE, PRIO_OPP
+    slot_prios = {PRIO_CROSSING, PRIO_OPP, PRIO_CYCLE}
     sim = Simulation(replace(BASE, alpha=0.3, duration_us=1.0))
     on_cycle = sim._on_cycle
     on_crossing = sim._on_crossing
@@ -246,8 +259,9 @@ def test_crossings_never_enter_the_heap():
 
     def checked_cycle(*args):
         nonlocal cycles
-        assert all(entry[1] != PRIO_CROSSING for entry in sim.heap)
+        assert all(entry[1] not in slot_prios for entry in sim.heap)
         on_cycle(*args)
+        assert all(entry[1] not in slot_prios for entry in sim.heap)
         cycles += 1
 
     def counted_crossing(*args):
@@ -260,7 +274,8 @@ def test_crossings_never_enter_the_heap():
     m = sim.run()
     assert m.locked
     assert cycles > 1000 and crossings > 0
-    assert all(entry[1] != PRIO_CROSSING for entry in sim.heap)
+    assert sim.heap
+    assert all(entry[1] not in slot_prios for entry in sim.heap)
 
 
 def test_cold_start_shows_strong_pump_resets(locked_run):

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import pytest
@@ -7,46 +8,75 @@ from hypothesis import strategies as st
 from mesosync.link import (
     BitSource,
     ChannelConfig,
+    PRBS15_MASK,
     PRBS15_PERIOD,
-    Prbs15State,
     RxWaveform,
-    prbs15_next,
 )
 from mesosync.oracle import eye_center_phase, wrap_ui
-from mesosync.timebase import ClockGen, JitterSpec, period_fs
+from mesosync.timebase import ClockGen, JitterSpec, derive_seed, period_fs
+
+
+# sha256 of bits 0-69,999 (one byte per bit) of the PRBS-15 source, recorded
+# from the frozen-dataclass LFSR that the integer register replaced.  Seed
+# 0x7FFE maps onto the all-ones register; derive_seed(1, 3) is the data seed
+# of a run with seed 1.
+PRBS15_SHA256 = {
+    1: "a36fe3928ff689cf5c455dce1bb9de55c9358fddc30cf57297cb8431301cbec8",
+    0x7FFE: "b3169473dc41d70e3bb363d93ea3ce57a11f3d61caaa87fcf586d1d7ecae0ce7",
+    derive_seed(1, 3):
+        "e6b0d714c71b1e42e1a0ea0f1004ca7bc9e29fc054dea52a8030cadeb9c05570",
+}
+
+
+def _prbs(seed, n, start=0):
+    bits = BitSource("prbs15", seed)
+    return bytes(bits.bit(i) for i in range(start, start + n))
+
+
+@pytest.mark.parametrize("seed", sorted(PRBS15_SHA256))
+def test_prbs15_conformance_vectors(seed):
+    data = _prbs(seed, 70000)
+    assert hashlib.sha256(data).hexdigest() == PRBS15_SHA256[seed]
 
 
 def test_prbs15_full_cycle_returns_to_seed():
-    state = Prbs15State(0x7FFF)
-    s = state
-    for _ in range(PRBS15_PERIOD):
-        _, s = prbs15_next(s)
-    assert s == state
+    # After one period the register is back where it started, so the
+    # stream repeats with period 2^15 - 1, from any seed.
+    for seed in (1, derive_seed(1, 3)):
+        bits = BitSource("prbs15", seed)
+        assert all(bits.bit(i) == bits.bit(i + PRBS15_PERIOD)
+                   for i in range(PRBS15_PERIOD))
 
 
 def test_prbs15_never_reaches_zero():
-    s = Prbs15State(1)
-    seen = set()
-    for _ in range(PRBS15_PERIOD):
-        _, s = prbs15_next(s)
-        assert s.lfsr != 0
-        seen.add(s.lfsr)
-    assert len(seen) == PRBS15_PERIOD
+    # The register holds the next 15 output bits, MSB first, so the
+    # windows of 15 consecutive bits over one period are its states: all
+    # 2^15 - 1 nonzero values, each once.
+    data = _prbs(1, PRBS15_PERIOD + 14)
+    states = {int("".join(map(str, data[i:i + 15])), 2)
+              for i in range(PRBS15_PERIOD)}
+    assert 0 not in states
+    assert len(states) == PRBS15_PERIOD
 
 
 def test_prbs15_balance_over_one_period():
-    s = Prbs15State(0x7FFF)
-    ones = 0
-    for _ in range(PRBS15_PERIOD):
-        bit, s = prbs15_next(s)
-        ones += bit
+    ones = sum(_prbs(1, PRBS15_PERIOD))
     assert ones == 16384
     assert PRBS15_PERIOD - ones == 16383
 
 
-def test_prbs15_rejects_zero_state():
-    with pytest.raises(ValueError):
-        Prbs15State(0)
+def test_prbs15_seeds_never_map_to_zero_state():
+    # Every seed maps onto a nonzero register (seed mod 0x7FFF, plus one),
+    # so no seed gives the stuck all-zero stream.
+    for seed in (0, PRBS15_MASK - 1, PRBS15_MASK, 2**64 - 1):
+        assert 0 < sum(_prbs(seed, 64)) < 64
+
+
+def test_bit_source_rejects_negative_index():
+    bits = BitSource("prbs15", 1)
+    bits.bit(10)
+    with pytest.raises(IndexError):
+        bits.bit(-1)
 
 
 def test_bit_source_patterns():
