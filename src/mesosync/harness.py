@@ -176,7 +176,8 @@ class Simulation:
         self.w_up = self.w_dn = 0
         self.s_up = self.s_dn = 0
         self.strong_gen = 0
-        self.slope = self._slope_per_fs()
+        # Vc slope of the current pump levels: flat while every level is off.
+        self.slope = 0.0
 
         meta = scn.metastability_model()
         if hold_until_fs is not None:
@@ -243,11 +244,6 @@ class Simulation:
 
     # -- control voltage segments ----------------------------------------
 
-    def _slope_per_fs(self) -> float:
-        """Vc slope of the current pump levels (cached in ``slope``)."""
-        i = pump_current(self.pump, self.w_up, self.w_dn, self.s_up, self.s_dn)
-        return i / self.pump.c_filter / 1e15
-
     def _vc_at(self, t: SimTime) -> float:
         v = self.vc + self.slope * (t - self.t_vc)
         return clamp_voltage(v, self.pump.v_dd)
@@ -267,13 +263,16 @@ class Simulation:
             self.vc_bound_violations += 1
         self.t_vc = t
 
-    def _set_levels(self, *, weak=None, strong=None):
+    def _set_levels(self, w_up: int, w_dn: int, s_up: int, s_dn: int):
+        """Start a new Vc segment at ``now`` with these weak and strong
+        pump levels."""
         self._advance_vc(self.now)
-        if weak is not None:
-            self.w_up, self.w_dn = weak
-        if strong is not None:
-            self.s_up, self.s_dn = strong
-        self.slope = self._slope_per_fs()
+        self.w_up = w_up
+        self.w_dn = w_dn
+        self.s_up = s_up
+        self.s_dn = s_dn
+        i = pump_current(self.pump, w_up, w_dn, s_up, s_dn)
+        self.slope = i / self.pump.c_filter / 1e15
         self.vc_trace.append((self.now, self.vc))
         self._predict_crossing()
 
@@ -333,7 +332,7 @@ class Simulation:
         if region == WITHIN and (self.s_up or self.s_dn):
             # Asynchronous reset truncates the strong pulse at window entry.
             self.strong_gen += 1
-            self._set_levels(strong=(0, 0))
+            self._set_levels(self.w_up, self.w_dn, 0, 0)
             changed = True
         if changed:
             self._trace_counter()
@@ -342,7 +341,7 @@ class Simulation:
         if gen != self.strong_gen:
             return
         if self.s_up or self.s_dn:
-            self._set_levels(strong=(0, 0))
+            self._set_levels(self.w_up, self.w_dn, 0, 0)
             self._trace_counter()
 
     def _on_divided(self, m: int):
@@ -357,7 +356,7 @@ class Simulation:
             self.counter_path.append(self.ring.hot_index)
         if (s_up, s_dn) != (self.s_up, self.s_dn):
             self.strong_gen += 1
-            self._set_levels(strong=(s_up, s_dn))
+            self._set_levels(self.w_up, self.w_dn, s_up, s_dn)
             if s_up or s_dn:
                 self._push(
                     self.now + self.K * self.T, PRIO_STRONG_END, (self.strong_gen,)
@@ -420,7 +419,7 @@ class Simulation:
         self.next_cycle = (self.dll.edge(n_next, k + 1), k + 1, n_next)
 
     def _on_pump(self, drive_up: int, drive_dn: int):
-        self._set_levels(weak=(drive_up, drive_dn))
+        self._set_levels(drive_up, drive_dn, self.s_up, self.s_dn)
 
     # -- transfer chain ----------------------------------------------------
 
