@@ -13,6 +13,9 @@ from .timebase import SEEK_PERIODS, ClockGen, SimTime
 
 PRBS15_MASK = 0x7FFF
 PRBS15_PERIOD = 32767
+# PRBS bits generated ahead per extension, so that a reader moving one bit
+# at a time extends the sequence once every this many bits.
+_PRBS_CHUNK = 64
 
 
 class BitSource:
@@ -23,9 +26,9 @@ class BitSource:
 
     ``prbs15`` is a 15-bit Fibonacci LFSR with taps x^15 + x^14 + 1, kept
     as a plain integer register; each step outputs the register's MSB
-    before the shift.  Generated bits are stored in a ``bytearray`` and
-    generated only when first asked for, so a run pays for the bits it
-    reads, one register step each.
+    before the shift.  Bits are stored in a ``bytearray``; nothing is
+    generated ahead at construction, and a read past the stored bits
+    extends them by at least ``_PRBS_CHUNK`` register steps.
     """
 
     def __init__(self, pattern: str = "prbs15", seed: int = 1):
@@ -61,7 +64,7 @@ class BitSource:
             return 1
         if self.pattern == "zeros":
             return 0
-        self._extend(index + 1 - len(self._bits))
+        self._extend(max(index + 1 - len(self._bits), _PRBS_CHUNK))
         return self._bits[index]
 
 
