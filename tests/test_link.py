@@ -72,13 +72,6 @@ def test_prbs15_seeds_never_map_to_zero_state():
         assert 0 < sum(_prbs(seed, 64)) < 64
 
 
-def test_bit_source_rejects_negative_index():
-    bits = BitSource("prbs15", 1)
-    bits.bit(10)
-    with pytest.raises(IndexError):
-        bits.bit(-1)
-
-
 def test_bit_source_patterns():
     alt = BitSource("alternating")
     assert [alt.bit(i) for i in range(6)] == [0, 1, 0, 1, 0, 1]
@@ -86,6 +79,11 @@ def test_bit_source_patterns():
     assert BitSource("zeros").bit(100) == 0
     with pytest.raises(ValueError):
         BitSource("noise")
+    # Negative indices are refused, also once bits are stored.
+    prbs = BitSource("prbs15", 1)
+    prbs.bit(10)
+    with pytest.raises(IndexError):
+        prbs.bit(-1)
 
 
 def _waveform(n=0, alpha=0.0, pattern="prbs15", rate=2.5e9, tt_ui=0.2, swing=0.2):
