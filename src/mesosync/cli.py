@@ -43,7 +43,7 @@ def cmd_run(args) -> int:
     scn = _load(args)
     if scn.experiment == "falselock":
         return cmd_falselock(args)
-    m = run(scn, collect_eye=args.out is not None)
+    m = run(scn, keep_traces=args.out is not None)
     for key, value in summary_items(m):
         print(f"{key} = {value}")
     if args.out:
@@ -58,7 +58,8 @@ def cmd_sweep(args) -> int:
     if not grid:
         print("empty grid")
         return 0
-    results = sweep(scn, args.param, grid, stop_after_lock_us=args.settle)
+    results = sweep(scn, args.param, grid, stop_after_lock_us=args.settle,
+                    keep_traces=args.out is not None)
     worst = 0
     print("index,value,locked,lock_time_us,phase_error_ui,ber,latency_max_t,violations")
     for i, (v, m) in enumerate(zip(grid, results)):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .timebase import ClockGen, SimTime, seek_edge
+from .timebase import ClockGen, EvictedEdgeError, SimTime, seek_edge
 
 IDEAL = "ideal"
 TRACKING = "tracking"
@@ -60,7 +60,9 @@ class DllPhases:
             # Discrete one-pole equivalent of a first-order loop at loop_bw_hz.
             tsec = self.period / 1e15
             self._alpha = 1.0 - math.exp(-2.0 * math.pi * loop_bw_hz * tsec)
+            # Tracked edges base, base + 1, ... (see forget_before).
             self._tracked: list[SimTime] = []
+            self._base = 0
             self._y = 0.0
             self._ref_edge = self._tracked_edge
 
@@ -70,12 +72,27 @@ class DllPhases:
         return self._offsets[i]
 
     def _tracked_edge(self, k: int) -> SimTime:
-        while len(self._tracked) <= k:
-            j = len(self._tracked)
+        tracked = self._tracked
+        i = k - self._base
+        if i < 0:
+            raise EvictedEdgeError(f"tracked edge {k} is below the cache "
+                                   f"base {self._base}")
+        while len(tracked) <= i:
+            j = self._base + len(tracked)
             x = self.ref.edge(j) - j * self.period
             self._y += self._alpha * (x - self._y)
-            self._tracked.append(j * self.period + round(self._y))
-        return self._tracked[k]
+            tracked.append(j * self.period + round(self._y))
+        return tracked[i]
+
+    def forget_before(self, index: int) -> None:
+        """Drop the reference's and the tracked edges below ``index``
+        (see :meth:`ClockGen.forget_before`)."""
+        self.ref.forget_before(index)
+        if self.mode == TRACKING:
+            drop = min(index - self._base, len(self._tracked))
+            if drop > 0:
+                del self._tracked[:drop]
+                self._base += drop
 
     def edge(self, i: int, k: int) -> SimTime:
         """k-th active edge of DLL phase i."""

@@ -29,7 +29,12 @@ The transfer chain runs during the simulation: every ``_CDT_BLOCK``
 detector events pass through ``cdt_transfer`` together with the two
 events after them that their deliveries depend on, and BER, violation and
 latency figures are folded into running totals, so memory does not hold
-one record per simulated bit.
+one record per simulated bit.  Each block also folds the control-voltage
+points into the post-lock Vc extremes and lets the clocks drop the edges
+more than ``_EDGE_LOOKBACK`` periods old.  Unless a run keeps its traces
+(``keep_traces``, which ``--out`` sets), ``vc_trace`` and
+``counter_trace`` come back empty and a run's memory does not grow with
+its length.
 """
 
 from __future__ import annotations
@@ -79,11 +84,22 @@ PRIO_CYCLE = 6
 
 _PHASE_HISTORY = 64  # cycles averaged for the final sampling-phase estimate
 _CDT_BLOCK = 1024    # detector events delivered per transfer-chain call
+# Clock edges kept behind the current period.  The transfer chain reaches
+# back no further than the oldest pending detector event (at most 1,027 of
+# them, one per cycle) and SEEK_PERIODS more for its seeks, and jitter keeps
+# every edge within a period of its nominal instant; this covers both with
+# margin, wherever in the block the edges are dropped.
+_EDGE_LOOKBACK = 2048
 
 
 @dataclass
 class RunMetrics:
-    """Everything a run reports; traces are strictly time-ordered."""
+    """Everything a run reports; traces are strictly time-ordered.
+
+    ``vc_trace``, ``counter_trace`` and ``eye_hist`` are filled only when
+    the run keeps its traces (``keep_traces``); otherwise they stay empty
+    (``eye_hist`` None).
+    """
 
     scenario: Scenario
     locked: bool = False
@@ -137,7 +153,7 @@ class Simulation:
         hold_until_fs: SimTime | None = None,
         stop_after_lock_fs: SimTime | None = None,
         measure_from_fs: SimTime | None = None,
-        collect_eye: bool = False,
+        keep_traces: bool = False,
     ):
         scn.validate()
         self.scn = scn
@@ -147,7 +163,7 @@ class Simulation:
         self.hold_until_fs = hold_until_fs
         self.stop_after_lock_fs = stop_after_lock_fs
         self.measure_from_fs = measure_from_fs
-        self.collect_eye = collect_eye
+        self.keep_traces = keep_traces
 
         self.rng_meta = Rng(derive_seed(scn.seed, 0))
         rng_tx = Rng(derive_seed(scn.seed, 1))
@@ -197,8 +213,11 @@ class Simulation:
         self.seq = 0
         self.now: SimTime = 0
 
-        # Traces and bookkeeping.
+        # Traces and bookkeeping.  Without keep_traces each transfer block
+        # folds vc_trace into the post-lock extremes and empties it.
         self.vc_trace: list[tuple[SimTime, float]] = [(0, self.vc)]
+        self._vc_hi: float | None = None
+        self._vc_lo: float | None = None
         self.counter_trace: list = []
         self.counter_path: list[int] = [self.ring.hot_index]
         # Detector events not yet delivered, (bit_id, value, t_center,
@@ -224,6 +243,9 @@ class Simulation:
         self.first_clean_sample: SimTime | None = None
         self._edge_sample: int | None = None
         self._vc_hist: deque = deque()
+        # Monotone deques over _vc_hist: their fronts are its max and min.
+        self._vc_max: deque = deque()
+        self._vc_min: deque = deque()
         self._act_hist: deque = deque()
         self._meta_hist: deque = deque()
         # Running totals of the flags held in _act_hist and _meta_hist.
@@ -366,6 +388,8 @@ class Simulation:
         self._push(nxt, PRIO_DIVIDED, (m + 1,))
 
     def _trace_counter(self):
+        if not self.keep_traces:
+            return
         self.counter_trace.append(
             (
                 self.now,
@@ -449,6 +473,19 @@ class Simulation:
         )
         del pending[:len(deliveries)]
         start = self._measure_start()
+        forget = self.now // self.T - _EDGE_LOOKBACK
+        self.tx_clock.forget_before(forget)
+        self.rx_clock.forget_before(forget)
+        self.dll.forget_before(forget)
+        if not self.keep_traces:
+            if start is not None:
+                self._fold_vc(start)
+                self.vc_trace.clear()
+            else:
+                # A lock declared at this instant still counts the points
+                # set at it before this cycle.
+                now = self.now
+                self.vc_trace[:] = [p for p in self.vc_trace if p[0] == now]
         m = self.totals
         bit = self.bits.bit
         hist = self._lat_hist
@@ -473,6 +510,18 @@ class Simulation:
             b = round(int(x * 10) / 10, 1)
             hist[b] = hist.get(b, 0) + 1
 
+    def _fold_vc(self, start: SimTime):
+        """Fold the vc_trace points at or after ``start`` into the running
+        post-lock Vc extremes."""
+        hi, lo = self._vc_hi, self._vc_lo
+        for t, v in self.vc_trace:
+            if t >= start:
+                if hi is None or v > hi:
+                    hi = v
+                if lo is None or v < lo:
+                    lo = v
+        self._vc_hi, self._vc_lo = hi, lo
+
     # -- lock detection ----------------------------------------------------
 
     def _update_lock(self, t_center: SimTime, up: int, dn: int):
@@ -480,7 +529,16 @@ class Simulation:
         if self.lock_time is not None:
             return  # the gate histories below are read only before lock
         win = self.scn.lock_window_divided * self.K * self.T
-        self._vc_hist.append((self.now, self._vc_at(self.now)))
+        v = self._vc_at(self.now)
+        point = (self.now, v)
+        self._vc_hist.append(point)
+        vc_max, vc_min = self._vc_max, self._vc_min
+        while vc_max and vc_max[-1][1] <= v:
+            vc_max.pop()
+        vc_max.append(point)
+        while vc_min and vc_min[-1][1] >= v:
+            vc_min.pop()
+        vc_min.append(point)
         act = 1 if (up ^ dn) else 0
         meta = 1 if self.center_sampler.last_was_metastable else 0
         self._act_hist.append((self.now, act))
@@ -490,6 +548,11 @@ class Simulation:
         horizon = self.now - win
         while len(self._vc_hist) > 2 and self._vc_hist[1][0] <= horizon:
             self._vc_hist.popleft()
+        oldest = self._vc_hist[0][0]
+        while vc_max[0][0] < oldest:
+            vc_max.popleft()
+        while vc_min[0][0] < oldest:
+            vc_min.popleft()
         while self._act_hist and self._act_hist[0][0] < horizon:
             self._act_sum -= self._act_hist.popleft()[1]
         while self._meta_hist and self._meta_hist[0][0] < horizon:
@@ -509,15 +572,16 @@ class Simulation:
         # active decision, whatever the data transition density; the locked
         # limit cycle stays well under that.  Bounding the window excursion
         # by a fraction of the activity-driven maximum separates the two.
-        vs = [v for _, v in self._vc_hist]
+        v_max = vc_max[0][1]
+        v_min = vc_min[0][1]
         step_v = self.pump.weak_slope_v_per_fs * self.T
         drift_bound = self.scn.lock_drift_frac * activity * step_v
-        if max(vs) - min(vs) > drift_bound:
+        if v_max - v_min > drift_bound:
             return
         # Equilibria hugging a comparator threshold are one dither step from
         # a coarse hop: only an interior control voltage counts as locked.
         margin = self.scn.lock_vc_margin_frac * (self.window.v_high - self.window.v_low)
-        if min(vs) < self.window.v_low + margin or max(vs) > self.window.v_high - margin:
+        if v_min < self.window.v_low + margin or v_max > self.window.v_high - margin:
             return
         # Mid-eye samples landing in the metastability window mean the loop
         # is parked on a data edge, not in the eye.
@@ -531,9 +595,8 @@ class Simulation:
         scn = self.scn
         end = scn.duration_fs
         if end <= 0:
-            return RunMetrics(scenario=scn, duration_fs=0, vc_trace=[],
-                              counter_trace=[], counter_path=[],
-                              final_hot=self.ring.hot_index, vc_final=self.vc)
+            return RunMetrics(scenario=scn, final_hot=self.ring.hot_index,
+                              vc_final=self.vc)
 
         self._push(self.rx_clock.edge(self.K), PRIO_DIVIDED, (1,))
         self._predict_crossing()
@@ -612,7 +675,7 @@ class Simulation:
         m.duration_fs = end
         m.locked = self.lock_time is not None
         m.lock_time_fs = self.lock_time
-        m.vc_trace = self.vc_trace
+        m.vc_trace = self.vc_trace if self.keep_traces else []
         m.counter_trace = self.counter_trace
         m.counter_path = self.counter_path
         m.final_hot = self.ring.hot_index
@@ -657,33 +720,33 @@ class Simulation:
                 m.latency_hist = sorted(self._lat_hist.items())
             start = self._measure_start()
             if start is not None:
-                hi = lo = None
-                for t, v in self.vc_trace:
-                    if t >= start:
-                        if hi is None or v > hi:
-                            hi = v
-                        if lo is None or v < lo:
-                            lo = v
-                if hi is not None:
-                    m.vc_peak_to_peak_post_lock = hi - lo
+                self._fold_vc(start)
+                if self._vc_hi is not None:
+                    m.vc_peak_to_peak_post_lock = self._vc_hi - self._vc_lo
 
-        if self.collect_eye and self.lock_time is not None:
+        if self.keep_traces and self.lock_time is not None:
             m.eye_hist = self._eye_histogram()
         return m
 
     def _eye_histogram(self, n_bits: int = 512) -> list:
-        bins = self.scn.eye_bins
+        # The run's transmitter clock has dropped its old edges; a fresh one
+        # with the same seed draws the same edges again.
+        scn = self.scn
+        tx_clock = ClockGen(self.T, 0.0, scn.jitter()[0],
+                            Rng(derive_seed(scn.seed, 1)), name="tx")
+        waveform = RxWaveform(self.bits, scn.channel_config(), tx_clock)
+        bins = scn.eye_bins
         counts: dict[tuple[float, float], int] = {}
         # (offset into the bit in fs, phase in UI) at each bin centre.
         centres = [
             (round((b + 0.5) * self.T / bins), round((b + 0.5) / bins, 4))
             for b in range(bins)
         ]
-        start_bit = self.waveform.bit_at(self.lock_time or 0) + 1
+        start_bit = waveform.bit_at(self.lock_time) + 1
         for j in range(start_bit, start_bit + n_bits):
-            base = self.waveform.boundary(j)
+            base = waveform.boundary(j)
             for offset, phase in centres:
-                key = (phase, round(self.waveform.value_at(base + offset), 3))
+                key = (phase, round(waveform.value_at(base + offset), 3))
                 counts[key] = counts.get(key, 0) + 1
         return sorted((p, v, c) for (p, v), c in counts.items())
 
@@ -704,13 +767,15 @@ def _circular_mean(phases: list[float]) -> float:
 def run(
     scn: Scenario,
     *,
-    collect_eye: bool = False,
+    keep_traces: bool = False,
     stop_after_lock_us: float | None = None,
     hold_until_us: float | None = None,
     measure_from_us: float | None = None,
 ) -> RunMetrics:
     """Execute one scenario to completion and collect metrics.
 
+    ``keep_traces`` keeps ``vc_trace``, ``counter_trace`` and the eye
+    histogram in the result; without it their memory is not spent.
     ``measure_from_us`` pushes the start of the post-lock measurement window
     later than the detector's lock instant (useful when jitter makes the
     lock instant itself fuzzy but the steady state is what matters).
@@ -724,7 +789,7 @@ def run(
         measure_from_fs=(
             None if measure_from_us is None else round(measure_from_us * 1e9)
         ),
-        collect_eye=collect_eye,
+        keep_traces=keep_traces,
     )
     return sim.run()
 
@@ -735,6 +800,7 @@ def sweep(
     grid: list,
     *,
     stop_after_lock_us: float | None = None,
+    keep_traces: bool = False,
 ) -> list[RunMetrics]:
     """Independent runs over a parameter grid with derived per-point seeds.
 
@@ -747,7 +813,8 @@ def sweep(
         try:
             scn = apply_settings(base, {param: str(value)})
             scn = replace(scn, seed=derive_seed(base.seed, i))
-            results.append(run(scn, stop_after_lock_us=stop_after_lock_us))
+            results.append(run(scn, stop_after_lock_us=stop_after_lock_us,
+                               keep_traces=keep_traces))
         except Exception as e:  # record per-point failures, keep sweeping
             m = RunMetrics(scenario=base, error=f"{type(e).__name__}: {e}")
             results.append(m)
@@ -805,7 +872,7 @@ def false_lock_experiment(
     )
 
     hold_scn = replace(base, resolution="hold", duration_us=phase1_us)
-    hold_m = run(hold_scn)
+    hold_m = run(hold_scn, keep_traces=True)
     v0 = hold_scn.vc_start()
     dvc = max((abs(v - v0) for _, v in hold_m.vc_trace), default=0.0)
 

@@ -35,6 +35,10 @@ class NonMonotonicEdgeError(RuntimeError):
     """Raised when jitter pushes a generated clock edge behind its predecessor."""
 
 
+class EvictedEdgeError(IndexError):
+    """Raised for an edge index below a cache's base (see forget_before)."""
+
+
 def _mix64(x: int) -> int:
     z = x & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -152,8 +156,11 @@ class ClockGen:
     """Sequential edge generator for one clock with monotonicity checking.
 
     Owns the gaussian draw order for its jitter spec: edges are generated
-    in index order, each exactly once, and cached, so ``edge(k)`` may be
-    called with any k in any order and repeated queries are stable.
+    in index order, each exactly once, and cached from a base index on, so
+    ``edge(k)`` may be called with any k at or above the base in any order
+    and repeated queries are stable.  The base starts at 0;
+    ``forget_before(k)`` raises it to k (never past the newest generated
+    edge), and ``edge`` below it raises :class:`EvictedEdgeError`.
 
     ``first_edge_at_or_after`` keeps the index of its previous answer and
     the edges on either side of it, and walks from there (see
@@ -173,24 +180,38 @@ class ClockGen:
         self.jitter = jitter
         self.rng = rng
         self.name = name
+        # Edges base, base + 1, ... in generation order.
         self._edges: list[SimTime] = []
+        self._base = 0
         self._cursor: tuple | None = None
         # Nominal grid origin of first_edge_at_or_after's walk.
         self._origin = round(static_phase_ui * period)
 
     def edge(self, index: int) -> SimTime:
-        if index < len(self._edges):
-            return self._edges[index]
-        while len(self._edges) <= index:
-            k = len(self._edges)
+        edges = self._edges
+        i = index - self._base
+        if 0 <= i < len(edges):
+            return edges[i]
+        if i < 0:
+            raise EvictedEdgeError(f"{self.name}: edge {index} is below the "
+                                   f"cache base {self._base}")
+        while len(edges) <= i:
+            k = self._base + len(edges)
             t = edge_time(self.period, k, self.static_phase_ui, self.jitter, self.rng)
-            if self._edges and t <= self._edges[-1]:
+            if edges and t <= edges[-1]:
                 raise NonMonotonicEdgeError(
                     f"{self.name}: edge {k} at {t} fs not after edge {k-1} "
-                    f"at {self._edges[-1]} fs"
+                    f"at {edges[-1]} fs"
                 )
-            self._edges.append(t)
-        return self._edges[index]
+            edges.append(t)
+        return edges[i]
+
+    def forget_before(self, index: int) -> None:
+        """Drop the cached edges below ``index``, but keep the newest one."""
+        drop = min(index - self._base, len(self._edges) - 1)
+        if drop > 0:
+            del self._edges[:drop]
+            self._base += drop
 
     def first_edge_at_or_after(self, t: SimTime) -> tuple[int, SimTime]:
         """(index, time) of the earliest edge with time >= t."""

@@ -245,7 +245,7 @@ def test_criterion_10_determinism(tmp_path):
     dirs = []
     for name in ("first", "second"):
         d = tmp_path / name
-        write_outputs(run(scn, collect_eye=True), d)
+        write_outputs(run(scn, keep_traces=True), d)
         dirs.append(d)
     files = ["vc_trace.csv", "counter_trace.csv", "eye_hist.csv", "metrics.txt"]
     identical = all(

@@ -1,10 +1,13 @@
 """The summary that bench/compare.py writes into BENCH_*.json.
 
-The summary arithmetic is checked on fixed samples, and the pairing of
-``compare()`` with ``bench_once`` stubbed out; no benchmark runs.
+The summary arithmetic is checked on fixed samples, the pairing of
+``compare()`` and the report ``main()`` writes with ``bench_once`` stubbed
+out; no benchmark runs.
 """
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -146,3 +149,63 @@ def test_compare_failed_runs_are_not_correct(monkeypatch, failed_side):
     # A failed run does not stop the comparison.
     assert len(calls) == 12
     assert all(len(runs[w]) == 3 for w in ("w1", "w2"))
+
+
+def _git(root, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+         "-c", "commit.gpgsign=false", *args],
+        cwd=root, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+
+
+def test_main_writes_report_and_removes_worktree(monkeypatch, tmp_path, capsys):
+    # A throwaway two-commit repository stands in for the checkout; the
+    # parent commit is checked out as the base, and bench_once is stubbed.
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 25,
+        "workloads": [{"name": "w1"}],
+        "end_to_end": [{"name": "wall_norm_s", "unit": "s", "better": "lower"}],
+    }))
+    (repo / ".gitignore").write_text(".perfbench/\n")
+    (repo / "src" / "sim.py").write_text("SPEED = 1\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+    (repo / "src" / "sim.py").write_text("SPEED = 2\n")
+    _git(repo, "commit", "-q", "-am", "change")
+    base_commit = _git(repo, "rev-parse", "HEAD~1")
+    change_commit = _git(repo, "rev-parse", "HEAD")
+
+    roots = []
+
+    def bench_once(root, workload, seed):
+        # The base side runs in a live worktree of the parent commit.
+        roots.append(root)
+        value = float((root / "src" / "sim.py").read_text().split("=")[1])
+        return {"correct": True, "failed": 0,
+                "metrics": {"wall_norm_s": {"value": value}}}
+
+    monkeypatch.setattr(compare, "ROOT", repo)
+    monkeypatch.setattr(compare, "WORKTREES", repo / ".perfbench")
+    monkeypatch.setattr(compare, "bench_once", bench_once)
+    assert compare.main(["--label", "t", "--pairs", "2"]) == 0
+
+    report = json.loads((repo / "BENCH_t.json").read_text())
+    assert report["base"]["commit"] == base_commit
+    assert report["change"]["commit"] == change_commit
+    assert report["base"]["src_tree"] == _git(repo, "rev-parse", f"{base_commit}:src")
+    assert report["change"]["src_tree"] == _git(repo, "rev-parse", "HEAD:src")
+    assert report["change"]["uncommitted_changes"] is False
+    assert report["correct"] is True
+    s = report["summary"]["w1"]["wall_norm_s"]
+    assert s["base"]["median"] == 1.0 and s["change"]["median"] == 2.0
+    base_roots = {r for r in roots if r != repo}
+    assert len(roots) == 4 and len(base_roots) == 1
+    (base_root,) = base_roots
+    assert base_root.parent == repo / ".perfbench"
+    # The worktree is gone, from disk and from git's list.
+    assert not base_root.exists()
+    assert _git(repo, "worktree", "list").count("\n") == 0

@@ -11,7 +11,7 @@ from mesosync.dll_cdt import (
     cdt_transfer,
     intermediate_phase,
 )
-from mesosync.timebase import ClockGen, JitterSpec, Rng, period_fs
+from mesosync.timebase import ClockGen, EvictedEdgeError, JitterSpec, Rng, period_fs
 from test_timebase import _ref_first_edge_at_or_after
 
 T = period_fs(1.3e9)
@@ -68,6 +68,17 @@ def test_tracking_attenuates_fast_jitter():
     peak = max(abs(o) for o in offsets)
     # First-order attenuation at f/fb = 10 is ~0.0995.
     assert peak <= 0.12 * amp
+
+
+def test_tracking_forget_before_drops_only_older_edges():
+    jitter = JitterSpec(sin_amp_ui=0.3, sin_freq_hz=5e6)
+    ref = _phases(mode="tracking", jitter=jitter)
+    p = _phases(mode="tracking", jitter=jitter)
+    p.edge(3, 199)
+    p.forget_before(120)
+    with pytest.raises(EvictedEdgeError):
+        p.edge(3, 119)
+    assert [p.edge(3, k) for k in range(120, 400)] == [ref.edge(3, k) for k in range(120, 400)]
 
 
 def test_intermediate_phase_formula():

@@ -18,7 +18,7 @@ BASE = defaults_130nm()
 @pytest.fixture(scope="module")
 def locked_run():
     scn = replace(BASE, alpha=0.3, duration_us=6.0)
-    return run(scn, stop_after_lock_us=1.0)
+    return run(scn, stop_after_lock_us=1.0, keep_traces=True)
 
 
 def test_locks_and_centers(locked_run):
@@ -41,9 +41,9 @@ def test_latency_and_violations(locked_run):
 
 def test_traces_time_ordered(locked_run):
     ts = [t for t, _ in locked_run.vc_trace]
-    assert ts == sorted(ts)
+    assert ts and ts == sorted(ts)
     ts = [row[0] for row in locked_run.counter_trace]
-    assert ts == sorted(ts)
+    assert ts and ts == sorted(ts)
 
 
 def test_invariant_counters_clean(locked_run):
@@ -60,12 +60,13 @@ def test_vc_bound_counter_fires_on_rail_clamp():
 
 
 def test_run_metrics_memory_per_cycle():
-    # A finished run keeps its traces and summary figures, not one record
-    # per simulated bit: about 130 B per cycle (446 B while every Delivery
-    # was kept).  While it runs, the transfer chain holds one block of
-    # detector events and deliveries at a time: the peak is about 285 B per
-    # cycle on this short run (587 B while the chain ran over every event
-    # after the run), and falls towards what is kept as runs get longer.
+    # A finished run without traces keeps its summary figures, not one
+    # record per simulated bit: about 1 B per cycle (130 B while the traces
+    # were always kept, 446 B while every Delivery was kept).  While it
+    # runs, the transfer chain holds one block of detector events and
+    # deliveries at a time: the peak is about 190 B per cycle on this short
+    # run (275 B while the traces were always kept, 587 B while the chain
+    # ran over every event after the run), and falls as runs get longer.
     scn = replace(BASE, alpha=0.3, duration_us=3.0)
     gc.collect()
     tracemalloc.start()
@@ -78,6 +79,24 @@ def test_run_metrics_memory_per_cycle():
     assert m.pd_event_count > 3000
     assert kept / m.pd_event_count < 200
     assert peak / m.pd_event_count < 350
+
+
+def _traced_peak(scn) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run(scn)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_does_not_grow_with_length():
+    # Without traces, a run holds one transfer block of detector events and
+    # a window of clock edges, whatever its length.
+    short = _traced_peak(replace(BASE, alpha=0.3, duration_us=3.0))
+    long = _traced_peak(replace(BASE, alpha=0.3, duration_us=30.0))
+    assert long < 1.5 * short
 
 
 # Runs that cross transfer-chain blocks in each measurement state: locked,
@@ -129,6 +148,31 @@ def test_transfer_blocks_match_default(monkeypatch, default_block_runs, block):
         assert all(a < b for a, b in zip(t_centers, t_centers[1:]))
 
 
+# The block runs, a measurement start before lock and jittered 65 nm edges.
+TRACE_RUNS = BLOCK_RUNS + (
+    (replace(BASE, alpha=0.45, duration_us=3.0), {"measure_from_us": 0.1}, 0),
+    (replace(defaults_65nm(), alpha=0.62, correlated=False, tx_sin_amp_ui=0.4,
+             tx_sin_freq_hz=200e6, duration_us=3.0), {}, 0),
+)
+
+
+@pytest.mark.parametrize("i", range(len(TRACE_RUNS)))
+def test_keep_traces_changes_no_metric(i):
+    # Without traces the post-lock Vc peak-to-peak is folded block by block
+    # and the clocks drop their old edges; every other figure is the same.
+    scn, kw, code = TRACE_RUNS[i]
+    kept = run(scn, keep_traces=True, **kw)
+    lean = run(scn, **kw)
+    assert kept.exit_code == code
+    assert kept.vc_trace and kept.counter_trace
+    assert (kept.eye_hist is not None) == kept.locked
+    assert lean.vc_trace == [] and lean.counter_trace == []
+    assert lean.eye_hist is None
+    traces = ("vc_trace", "counter_trace", "eye_hist")
+    assert ({k: v for k, v in _run_fields(kept).items() if k not in traces}
+            == {k: v for k, v in _run_fields(lean).items() if k not in traces})
+
+
 @pytest.mark.parametrize("alpha", [0.333, 0.305])
 def test_off_grid_alpha_centres(alpha):
     # Off the oracle's 0.01 UI grid no swept phase lands on a bit boundary,
@@ -145,7 +189,8 @@ def test_off_grid_alpha_centres(alpha):
     replace(BASE, pattern="ones", duration_us=1.0),
 ], ids=["locking", "ones"])
 def test_lock_gate_running_sums(scn):
-    # The activity and metastability gates read running totals; after every
+    # The activity and metastability gates read running totals, and the
+    # drift and margin gates the fronts of two monotone deques; after every
     # lock-detector update they equal a recount of their windows.
     sim = Simulation(scn)
     update = sim._update_lock
@@ -156,6 +201,10 @@ def test_lock_gate_running_sums(scn):
         update(*args)
         assert sim._act_sum == sum(a for _, a in sim._act_hist)
         assert sim._meta_sum == sum(f for _, f in sim._meta_hist)
+        if sim.lock_time is None:
+            vs = [v for _, v in sim._vc_hist]
+            assert sim._vc_max[0][1] == max(vs)
+            assert sim._vc_min[0][1] == min(vs)
         checked += 1
 
     sim._update_lock = update_and_recount
@@ -176,7 +225,7 @@ def test_comparator_trip_delay_visible():
     # first divided edge after the trip delay, and recovery completes
     # within two divided cycles.
     scn = replace(BASE, alpha=0.3, vc_init_v=0.93, duration_us=1.0)
-    m = run(scn)
+    m = run(scn, keep_traces=True)
     strong_rows = [r for r in m.counter_trace if r[5]]
     assert strong_rows
     first = strong_rows[0][0]
@@ -189,7 +238,7 @@ def test_comparator_trip_delay_visible():
 
 def test_divided_clock_cadence():
     scn = replace(BASE, alpha=0.0, duration_us=0.5)
-    m = run(scn)
+    m = run(scn, keep_traces=True)
     times = [row[0] for row in m.counter_trace]
     diffs = {b - a for a, b in zip(times, times[1:])}
     # Pure divided-edge rows are K*T apart; async events may interleave.
@@ -323,10 +372,11 @@ def test_sweep_quarter_grid_all_lock():
 def test_sweep_same_seed_identical():
     grid = ["0.1", "0.35"]
     a = sweep(replace(BASE, duration_us=4.0), "channel.alpha", grid,
-              stop_after_lock_us=0.5)
+              stop_after_lock_us=0.5, keep_traces=True)
     b = sweep(replace(BASE, duration_us=4.0), "channel.alpha", grid,
-              stop_after_lock_us=0.5)
+              stop_after_lock_us=0.5, keep_traces=True)
     assert [m.lock_time_fs for m in a] == [m.lock_time_fs for m in b]
+    assert all(m.vc_trace for m in a)
     assert [m.vc_trace for m in a] == [m.vc_trace for m in b]
 
 

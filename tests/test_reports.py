@@ -6,7 +6,7 @@ from mesosync.reports import summary_items, write_outputs
 
 def test_outputs_headers_and_lf(tmp_path):
     scn = replace(defaults_130nm(), alpha=0.3, duration_us=3.0)
-    m = run(scn, stop_after_lock_us=0.3, collect_eye=True)
+    m = run(scn, stop_after_lock_us=0.3, keep_traces=True)
     write_outputs(m, tmp_path)
     for name, header in [
         ("vc_trace.csv", "time_fs,vc_volts"),
@@ -25,7 +25,7 @@ def test_outputs_headers_and_lf(tmp_path):
 
 def test_eye_hist_contents(tmp_path):
     scn = replace(defaults_130nm(), alpha=0.3, duration_us=3.0)
-    m = run(scn, stop_after_lock_us=0.3, collect_eye=True)
+    m = run(scn, stop_after_lock_us=0.3, keep_traces=True)
     assert m.eye_hist
     phases = {p for p, _, _ in m.eye_hist}
     assert len(phases) == scn.eye_bins
@@ -38,8 +38,8 @@ def test_eye_hist_contents(tmp_path):
 def test_byte_identical_reruns(tmp_path):
     scn = replace(defaults_130nm(), alpha=0.42, duration_us=3.0)
     d1, d2 = tmp_path / "a", tmp_path / "b"
-    write_outputs(run(scn, collect_eye=True), d1)
-    write_outputs(run(scn, collect_eye=True), d2)
+    write_outputs(run(scn, keep_traces=True), d1)
+    write_outputs(run(scn, keep_traces=True), d2)
     for name in ("vc_trace.csv", "counter_trace.csv", "eye_hist.csv", "metrics.txt"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 

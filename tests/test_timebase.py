@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mesosync.timebase import (
     ClockGen,
+    EvictedEdgeError,
     JitterSpec,
     NO_JITTER,
     NonMonotonicEdgeError,
@@ -138,6 +139,28 @@ def test_clockgen_reports_non_monotonic():
     with pytest.raises(NonMonotonicEdgeError):
         for k in range(10_000):
             gen.edge(k)
+
+
+def test_clockgen_forget_before_drops_only_older_edges():
+    # Dropped edges raise, never answer; the kept ones and the edges
+    # generated after the drop are those of a clock that dropped nothing.
+    T = period_fs(1.3e9)
+    spec = JitterSpec(sin_amp_ui=0.2, sin_freq_hz=50e6, gauss_sigma_ui=0.05)
+    ref = ClockGen(T, jitter=spec, rng=Rng(5))
+    gen = ClockGen(T, jitter=spec, rng=Rng(5))
+    gen.edge(99)
+    gen.forget_before(40)
+    for k in (0, 39):
+        with pytest.raises(EvictedEdgeError):
+            gen.edge(k)
+    assert issubclass(EvictedEdgeError, IndexError)
+    assert [gen.edge(k) for k in range(40, 300)] == [ref.edge(k) for k in range(40, 300)]
+    # The base never passes the newest generated edge, so no draw is skipped.
+    gen.forget_before(10_000)
+    with pytest.raises(EvictedEdgeError):
+        gen.edge(298)
+    assert gen.edge(299) == ref.edge(299)
+    assert gen.edge(500) == ref.edge(500)
 
 
 def test_clockgen_first_edge_at_or_after():
