@@ -85,9 +85,8 @@ class DllPhases:
         return tracked[i]
 
     def forget_before(self, index: int) -> None:
-        """Drop the reference's and the tracked edges below ``index``
-        (see :meth:`ClockGen.forget_before`)."""
-        self.ref.forget_before(index)
+        """Drop the tracked edges below ``index``; the reference clock
+        drops its own (see :meth:`ClockGen.forget_before`)."""
         if self.mode == TRACKING:
             drop = min(index - self._base, len(self._tracked))
             if drop > 0:

@@ -207,7 +207,8 @@ class ClockGen:
         return edges[i]
 
     def forget_before(self, index: int) -> None:
-        """Drop the cached edges below ``index``, but keep the newest one."""
+        """Drop the cached edges below ``index``, but keep the newest one:
+        the monotonicity check of the next edge compares against it."""
         drop = min(index - self._base, len(self._edges) - 1)
         if drop > 0:
             del self._edges[:drop]

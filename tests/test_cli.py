@@ -172,16 +172,20 @@ def test_run_timing_violation_exits_3(capsys):
     assert code == 3
 
 
-def test_sweep_subcommand(capsys):
+def test_sweep_subcommand(tmp_path, capsys):
     code = main([
         "sweep", SCN, "--duration", "4", "--param", "channel.alpha",
-        "--grid", "0.1,0.35", "--settle", "0.5",
+        "--grid", "0.1,0.35", "--settle", "0.5", "--out", str(tmp_path),
     ])
     out = capsys.readouterr().out
     assert code == 0
     lines = [l for l in out.splitlines() if l and l[0].isdigit()]
     assert len(lines) == 2
     assert all(",true," in l for l in lines)
+    # --out keeps every point's traces.
+    for point in ("point_000", "point_001"):
+        for name in ("vc_trace.csv", "counter_trace.csv", "eye_hist.csv"):
+            assert len((tmp_path / point / name).read_text().splitlines()) > 1
 
 
 def test_falselock_subcommand(capsys):
