@@ -61,12 +61,10 @@ def test_vc_bound_counter_fires_on_rail_clamp():
 
 def test_run_metrics_memory_per_cycle():
     # A finished run without traces keeps its summary figures, not one
-    # record per simulated bit: about 1 B per cycle (130 B while the traces
-    # were always kept, 446 B while every Delivery was kept).  While it
-    # runs, the transfer chain holds one block of detector events and
-    # deliveries at a time: the peak is about 190 B per cycle on this short
-    # run (275 B while the traces were always kept, 587 B while the chain
-    # ran over every event after the run), and falls as runs get longer.
+    # record per simulated bit: about 1 B per cycle.  While it runs, the
+    # transfer chain holds one block of detector events and deliveries at
+    # a time: the peak is about 190 B per cycle on this short run, and
+    # falls as runs get longer.
     scn = replace(BASE, alpha=0.3, duration_us=3.0)
     gc.collect()
     tracemalloc.start()
