@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -32,8 +33,9 @@ class DllPhases:
     reference's per-edge phase offsets pass through a one-pole low-pass with
     the given loop bandwidth before the phase offsets are applied.
 
-    ``first_edge_after`` keeps a cursor on the (tracked) reference edges,
-    shared by all phases, and walks from it (see :func:`seek_edge`).
+    ``first_edge_after`` and its block form ``first_edges_after`` keep a
+    cursor on the (tracked) reference edges, shared by all phases, and walk
+    from it (see :func:`seek_edge`).
     """
 
     def __init__(
@@ -102,9 +104,19 @@ class DllPhases:
 
     def first_edge_after(self, i: int, t: SimTime) -> SimTime:
         """Earliest edge of phase i strictly after t."""
-        off = self.phase_offset(i)
-        self._cursor = seek_edge(self._ref_edge, self._cursor, t - off + 1, self.period)
-        return self._cursor[2] + off
+        return self.first_edges_after((i,), (t,))[0]
+
+    def first_edges_after(self, idx, ts) -> list[SimTime]:
+        """Earliest edge of phase ``idx[j]`` strictly after ``ts[j]``, for
+        each j, in one walk over the reference edges."""
+        for i in set(idx):
+            self.phase_offset(i)  # range check
+        offs = [self._offsets[i] for i in idx]
+        self._cursor, edges = seek_edge(
+            self._ref_edge, self._cursor,
+            (t - off + 1 for t, off in zip(ts, offs)), self.period,
+        )
+        return [e + off for e, off in zip(edges, offs)]
 
 
 def intermediate_phase(n: int, n_phases: int) -> int:
@@ -210,54 +222,51 @@ def cdt_transfer(
     equals the one a call over the whole stream would make, and a long
     stream can run in blocks that overlap by two events.
 
-    One pass: the receiver-clock stage of event j needs the next event's
-    intermediate-stage output, so each step captures stage 1 of event j+1
-    before stage 2 of event j.
+    Each stage runs over the whole block with one walk of its clock's edge
+    cursor: stage 1 captures every event at its intermediate DLL phase,
+    then stage 2 captures each event at the receiver clock, which needs
+    the next event's stage-1 output as its closing transition.
     """
     out: list[Delivery] = []
     n_ev = len(events)
+    n_out = n_ev - lookahead
     resolve_retime = chain.resolve_retime
     resolve_stage = chain.resolve_stage
-    first_edge_after = phases.first_edge_after
-    rx_edge_at_or_after = rx_clock.first_edge_at_or_after
-    # Intermediate phase per selected phase, worked out once per call.
-    stage_phase: dict[int, int] = {}
-
-    def stage_one(j: int) -> tuple[SimTime | None, tuple[str, ...]]:
-        # Data transitions at the retiming stage output.
-        tau = retime_edges[j] + resolve_retime
-        nxt = retime_edges[j + 1] + resolve_retime if j + 1 < n_ev else None
-        sel = events[j][3]
-        m = stage_phase.get(sel)
-        if m is None:
-            m = stage_phase[sel] = intermediate_phase(sel, phases.n)
-        return _capture(first_edge_after(m, tau), tau, nxt, chain)
-
-    u1, viol1 = stage_one(0) if n_ev else (None, ())
-    for j in range(n_ev - lookahead):
-        bit_id, value, t_center, _ = events[j]
-        next_u1, next_viol1 = stage_one(j + 1) if j + 1 < n_ev else (None, ())
+    # Stage 1: data transitions at the retiming stage output, captured at
+    # the intermediate phase of each event's selected phase.
+    taus = [r + resolve_retime for r in retime_edges]
+    stage_phase = {sel: intermediate_phase(sel, phases.n)
+                   for sel in {ev[3] for ev in events}}
+    edges = phases.first_edges_after([stage_phase[ev[3]] for ev in events], taus)
+    taus.append(None)
+    stage1 = [_capture(u, tau, nxt, chain)
+              for u, tau, nxt in zip(edges, taus, islice(taus, 1, None))]
+    # A sentinel closes the last event.  Only the captures stay alive for
+    # stage 2, as two flat tuples.
+    stage1.append((None, ()))
+    u1s, viol1s = zip(*stage1)
+    del taus, edges, stage1
+    # Stage 2: stage-1 outputs, captured at the receiver clock.
+    rx_edges = iter(rx_clock.first_edges_at_or_after(
+        u + resolve_stage + 1 for u in islice(u1s, n_out) if u is not None))
+    for (bit_id, value, t_center, _), t_retime, u1, next_u1, viol1 in zip(
+            islice(events, n_out), retime_edges, u1s, islice(u1s, 1, None), viol1s):
         if u1 is None:
             out.append(
-                Delivery(bit_id, value, t_center, retime_edges[j], -1, -1, -1,
-                         viol1)
+                Delivery(bit_id, value, t_center, t_retime, -1, -1, -1, viol1)
+            )
+            continue
+        nxt = None if next_u1 is None else next_u1 + resolve_stage
+        u2, viol2 = _capture(next(rx_edges), u1 + resolve_stage, nxt, chain)
+        viols = viol1 + viol2
+        if u2 is None:
+            out.append(
+                Delivery(bit_id, value, t_center, t_retime, u1, -1, -1, viols)
             )
         else:
-            sigma = u1 + resolve_stage
-            nxt = None if next_u1 is None else next_u1 + resolve_stage
-            _, rx_edge = rx_edge_at_or_after(sigma + 1)
-            u2, viol2 = _capture(rx_edge, sigma, nxt, chain)
-            viols = viol1 + viol2
-            if u2 is None:
-                out.append(
-                    Delivery(bit_id, value, t_center, retime_edges[j], u1, -1, -1,
-                             viols)
-                )
-            else:
-                out.append(
-                    Delivery(bit_id, value, t_center, retime_edges[j], u1, u2,
-                             u2 - t_center, viols)
-                )
-        u1, viol1 = next_u1, next_viol1
+            out.append(
+                Delivery(bit_id, value, t_center, t_retime, u1, u2,
+                         u2 - t_center, viols)
+            )
     out.sort(key=_DELIVERY_ORDER)
     return out

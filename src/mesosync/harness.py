@@ -25,9 +25,17 @@ discharge input, while DN (early) drives the charge input.  The control
 voltage rises when more delay is needed; leaving the comparator window
 upward selects the next-later DLL phase with a strong discharge pulse.
 
+Two exact shortcuts spare the fine loop work whose result is known.  A
+pump event that keeps the weak levels while the segment is flat (slope
+0.0) only records its trace point: a zero-current segment leaves Vc
+bit-identical and no crossing is pending, so no new segment starts.  OPP
+and CYCLE reuse the last VCDL delay while Vc equals the value it was
+computed for.
+
 The transfer chain runs during the simulation: every ``_CDT_BLOCK``
 detector events pass through ``cdt_transfer`` together with the two
-events after them that their deliveries depend on, and BER, violation and
+events after them that their deliveries depend on; each of its stages
+walks its clock's edges once per block.  BER, violation and
 latency figures are folded into running totals, so memory does not hold
 one record per simulated bit.  Each block also folds the control-voltage
 points into the post-lock Vc extremes and lets the clocks drop the edges
@@ -67,7 +75,7 @@ from .phase_detector import (
     Sampler,
     alexander_step,
 )
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 from .timebase import ClockGen, Rng, SimTime, clamp_voltage, derive_seed
 
 # Fixed tiebreak order for simultaneous events (low value runs first).  The
@@ -194,6 +202,9 @@ class Simulation:
         self.strong_gen = 0
         # Vc slope of the current pump levels: flat while every level is off.
         self.slope = 0.0
+        # The last VCDL delay and the Vc it was computed for (see _on_opp).
+        self._delay_vc: float | None = None
+        self._delay_fs: SimTime = 0
 
         meta = scn.metastability_model()
         if hold_until_fs is not None:
@@ -402,8 +413,13 @@ class Simulation:
         )
 
     def _on_opp(self):
-        d = vcdl_delay(self._vc_at(self.now), self.curve)
-        t_sample = self.now + d
+        # OPP and CYCLE reuse the last VCDL delay while Vc has not moved
+        # (the curve is a pure function of Vc).
+        v = self._vc_at(self.now)
+        if v != self._delay_vc:
+            self._delay_vc = v
+            self._delay_fs = vcdl_delay(v, self.curve)
+        t_sample = self.now + self._delay_fs
         self._edge_sample = self.edge_sampler.sample(
             self.waveform, t_sample, self.rng_meta
         )
@@ -416,8 +432,11 @@ class Simulation:
                 )
                 self.center_sampler.model = stoch
                 self.edge_sampler.model = stoch
-        d = vcdl_delay(self._vc_at(self.now), self.curve)
-        t_center = self.now + d
+        v = self._vc_at(self.now)
+        if v != self._delay_vc:
+            self._delay_vc = v
+            self._delay_fs = vcdl_delay(v, self.curve)
+        t_center = self.now + self._delay_fs
         center_val = self.center_sampler.sample(self.waveform, t_center, self.rng_meta)
         if self.first_clean_sample is None and not self.center_sampler.last_was_metastable:
             if self.hold_until_fs is None or self.now >= self.hold_until_fs:
@@ -443,6 +462,14 @@ class Simulation:
         self.next_cycle = (self.dll.edge(n_next, k + 1), k + 1, n_next)
 
     def _on_pump(self, drive_up: int, drive_dn: int):
+        if self.slope == 0.0 and drive_up == self.w_up and drive_dn == self.w_dn:
+            # A flat segment needs no new one: integrating it only adds 0.0
+            # to Vc (which turns a -0.0 start into 0.0), the stale segment
+            # origin is read only as 0.0 * dt, and no crossing is pending.
+            # The point stays for a lock declared at this instant.
+            self.vc += 0.0
+            self.vc_trace.append((self.now, self.vc))
+            return
         self._set_levels(drive_up, drive_dn, self.s_up, self.s_dn)
 
     # -- transfer chain ----------------------------------------------------
@@ -861,8 +888,12 @@ def false_lock_experiment(
     may be declared.  Leg 2 repeats the hold phase, then switches the
     comparators to random resolution: every seed must escape the
     equilibrium and lock.  Leg 3 restores a snapshot near the correct
-    lock: the loop must never dwell at the false equilibrium.
+    lock: the loop must never dwell at the false equilibrium.  Legs 2
+    and 3 need at least one seed each.
     """
+    if n_seeds < 1:
+        raise ScenarioError(f"the false-lock study needs at least one seed, "
+                            f"got {n_seeds}")
     alpha = false_lock_alpha(scn)
     base = replace(
         scn,

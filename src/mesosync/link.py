@@ -28,7 +28,9 @@ class BitSource:
     as a plain integer register; each step outputs the register's MSB
     before the shift.  Bits are stored in a ``bytearray``; nothing is
     generated ahead at construction, and a read past the stored bits
-    extends them by at least ``_PRBS_CHUNK`` register steps.
+    extends them by at least ``_PRBS_CHUNK`` register steps, up to one
+    period.  The sequence repeats every ``PRBS15_PERIOD`` bits from any
+    nonzero register, so later bits are read from the stored period.
     """
 
     def __init__(self, pattern: str = "prbs15", seed: int = 1):
@@ -64,8 +66,11 @@ class BitSource:
             return 1
         if self.pattern == "zeros":
             return 0
-        self._extend(max(index + 1 - len(self._bits), _PRBS_CHUNK))
-        return self._bits[index]
+        bits = self._bits
+        n = len(bits)
+        if n < PRBS15_PERIOD:
+            self._extend(min(max(index + 1 - n, _PRBS_CHUNK), PRBS15_PERIOD - n))
+        return bits[index % PRBS15_PERIOD]
 
 
 @dataclass(frozen=True)

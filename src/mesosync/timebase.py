@@ -162,9 +162,9 @@ class ClockGen:
     ``forget_before(k)`` raises it to k (never past the newest generated
     edge), and ``edge`` below it raises :class:`EvictedEdgeError`.
 
-    ``first_edge_at_or_after`` keeps the index of its previous answer and
-    the edges on either side of it, and walks from there (see
-    :func:`seek_edge`).
+    ``first_edge_at_or_after`` and its block form ``first_edges_at_or_after``
+    keep the index of the previous answer and the edges on either side of
+    it, and walk from there (see :func:`seek_edge`).
     """
 
     def __init__(
@@ -216,37 +216,48 @@ class ClockGen:
 
     def first_edge_at_or_after(self, t: SimTime) -> tuple[int, SimTime]:
         """(index, time) of the earliest edge with time >= t."""
-        self._cursor = seek_edge(self.edge, self._cursor, t, self.period,
-                                 self._origin)
+        self._cursor, _ = seek_edge(self.edge, self._cursor, (t,), self.period,
+                                    self._origin)
         k, _, e = self._cursor
         return k, e
 
+    def first_edges_at_or_after(self, ts) -> list[SimTime]:
+        """Time of the earliest edge at or after each of ``ts``, in one
+        walk."""
+        self._cursor, edges = seek_edge(self.edge, self._cursor, ts,
+                                        self.period, self._origin)
+        return edges
 
-def seek_edge(edge, cursor: tuple | None, t: SimTime, period: SimTime,
-              origin: SimTime = 0) -> tuple:
-    """Cursor ``(k, edge(k - 1), edge(k))`` of the earliest edge at or after t.
 
-    ``edge`` maps index k >= 0 to strictly increasing times near the nominal
-    grid ``origin + k * period``; ``cursor`` is the previous result, or None
-    before the first query.  The walk starts from the cursor, or from the
-    nominal grid when t lands more than ``SEEK_PERIODS`` periods away from
-    it, so the answer is exact for any query order.  A caller asking for
-    about one period later each time walks one step.  ``edge(k - 1)`` is
-    None at k = 0.
+def seek_edge(edge, cursor: tuple | None, ts, period: SimTime,
+              origin: SimTime = 0) -> tuple[tuple, list[SimTime]]:
+    """Walk to the earliest edge at or after each query instant in ``ts``.
+
+    Returns the final cursor ``(k, edge(k - 1), edge(k))`` and the list of
+    ``edge(k)`` answers, one per query.  ``edge`` maps index k >= 0 to
+    strictly increasing times near the nominal grid ``origin + k * period``;
+    ``cursor`` is the previous result, or None before the first query.
+    Each query walks from the cursor the one before it left, or from the
+    nominal grid when it lands more than ``SEEK_PERIODS`` periods away, so
+    every answer is exact for any query order.  A block of queries about
+    one period apart walks one step each, and a single query is a block
+    of one.  ``edge(k - 1)`` is None at k = 0.
     """
     reach = SEEK_PERIODS * period
-    if cursor is None or not -reach < t - cursor[2] < reach:
-        k = max(int((t - origin) // period) - 2, 0)
-        lo, hi = (edge(k - 1) if k else None), edge(k)
-    else:
-        k, lo, hi = cursor
-    while hi < t:
-        k += 1
-        lo, hi = hi, edge(k)
-    while k > 0 and lo >= t:
-        k -= 1
-        lo, hi = (edge(k - 1) if k else None), lo
-    return k, lo, hi
+    out: list[SimTime] = []
+    k, lo, hi = cursor or (None, None, None)
+    for t in ts:
+        if hi is None or not -reach < t - hi < reach:
+            k = max(int((t - origin) // period) - 2, 0)
+            lo, hi = (edge(k - 1) if k else None), edge(k)
+        while hi < t:
+            k += 1
+            lo, hi = hi, edge(k)
+        while k > 0 and lo >= t:
+            k -= 1
+            lo, hi = (edge(k - 1) if k else None), lo
+        out.append(hi)
+    return ((k, lo, hi) if out else cursor), out
 
 
 def clamp_voltage(v: float, v_dd: float) -> float:

@@ -198,6 +198,17 @@ def test_falselock_subcommand(capsys):
     assert "hold_dvc_max_mv = 0.000" in out
 
 
+def test_falselock_needs_a_seed(capsys):
+    # With no stochastic or snapshot seed the study would check only the
+    # hold leg and still report ok.
+    for seeds in ("0", "-3"):
+        code = main(["falselock", SCN, "--seeds", seeds, "--duration", "3"])
+        out = capsys.readouterr()
+        assert code == 2, seeds
+        assert out.err.startswith("scenario error:"), seeds
+        assert out.out == "", seeds
+
+
 # Raw --set values by field type: in-range, boundary, out-of-range and
 # malformed.  The bit rate stays below 10 GHz so that a 0.3 us run stays
 # short; "falselock" is left out of the strings because the false-lock

@@ -222,6 +222,40 @@ def test_first_edge_after_cursor_matches_reference(mode, amp_ui, freq_hz, querie
         assert p.first_edge_after(i, t) == _ref_first_edge_after(p, i, t), (i, t)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    mode=st.sampled_from(["ideal", "tracking"]),
+    amp_ui=st.sampled_from([0.0, 0.3, 0.45]),
+    freq_hz=st.floats(min_value=1e6, max_value=5e8),
+    blocks=st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=9),
+                st.integers(min_value=0, max_value=6)
+                | st.integers(min_value=0, max_value=300),
+                st.sampled_from([0, 1, -1, T // 2, -(T // 2)])
+                | st.integers(min_value=-1_000_000, max_value=1_000_000),
+            ),
+            max_size=12,
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_first_edges_after_block_walk_matches_reference(mode, amp_ui, freq_hz, blocks):
+    # Blocks of (phase, instant) queries in any order, each followed by a
+    # single query on the shared cursor: every answer is the nominal-grid
+    # search's, on a quiet or jittered reference, ideal or tracking.
+    p = _phases(mode=mode, jitter=JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
+    for block in blocks:
+        idx = [i for i, _, _ in block]
+        ts = [p.edge(0, k) + offset for _, k, offset in block]
+        assert p.first_edges_after(idx, ts) == [
+            _ref_first_edge_after(p, i, t) for i, t in zip(idx, ts)]
+        t = p.edge(0, block[-1][1] if block else 0)
+        assert p.first_edge_after(9, t) == _ref_first_edge_after(p, 9, t)
+
+
 def _ref_capture(u, transition, next_transition, chain):
     viol = []
     if next_transition is not None and u > next_transition:

@@ -6,8 +6,9 @@ from dataclasses import fields, replace
 
 import pytest
 
-from mesosync import defaults_130nm, defaults_65nm, harness, run, sweep
+from mesosync import defaults_130nm, defaults_65nm, harness, phase_detector, run, sweep
 from mesosync.dll_cdt import cdt_transfer
+from mesosync.fine_loop import vcdl_delay
 from mesosync.harness import Simulation
 from mesosync.timebase import FS_PER_NS, derive_seed
 
@@ -93,7 +94,7 @@ def test_run_memory_does_not_grow_with_length():
     # Without traces, a run holds one transfer block of detector events and
     # a window of clock edges, whatever its length.
     short = _traced_peak(replace(BASE, alpha=0.3, duration_us=3.0))
-    long = _traced_peak(replace(BASE, alpha=0.3, duration_us=30.0))
+    long = _traced_peak(replace(BASE, alpha=0.3, duration_us=8.0))
     assert long < 1.5 * short
 
 
@@ -169,6 +170,68 @@ def test_keep_traces_changes_no_metric(i):
     traces = ("vc_trace", "counter_trace", "eye_hist")
     assert ({k: v for k, v in _run_fields(kept).items() if k not in traces}
             == {k: v for k, v in _run_fields(lean).items() if k not in traces})
+
+
+def test_flat_pump_skip_is_exact(monkeypatch):
+    # A pump event that keeps the weak levels on a flat Vc segment skips
+    # _set_levels; a run that always calls it reports the same figures,
+    # with and without traces, down to the sign of a -0.0 start.  The runs
+    # cover strong pulses, window crossings, a lock and a never-locked run.
+    skipped = 0
+    pulses = crossings = 0
+    runs = [(scn, kw, keep) for scn, kw, _ in BLOCK_RUNS for keep in (False, True)]
+    runs.append((replace(BASE, vc_init_v=-0.0, duration_us=0.5), {}, True))
+    fast = [run(scn, keep_traces=keep, **kw) for scn, kw, keep in runs]
+
+    def always_set_levels(self, drive_up, drive_dn):
+        nonlocal skipped
+        if (self.slope == 0.0 and drive_up == self.w_up
+                and drive_dn == self.w_dn):
+            skipped += 1
+        self._set_levels(drive_up, drive_dn, self.s_up, self.s_dn)
+
+    monkeypatch.setattr(Simulation, "_on_pump", always_set_levels)
+    for (scn, kw, keep), m in zip(runs, fast):
+        ref = run(scn, keep_traces=keep, **kw)
+        assert repr(_run_fields(m)) == repr(_run_fields(ref)), (scn.alpha, kw, keep)
+        pulses += sum(1 for r in ref.counter_trace if r[4] or r[5])
+        crossings += len(ref.excursions)
+    assert skipped > 1000 and pulses and crossings
+    assert any(m.locked for m in fast) and not all(m.locked for m in fast)
+
+
+@pytest.mark.parametrize("scn, kw", [
+    (replace(BASE, alpha=0.7, duration_us=3.0), {}),
+    (replace(BASE, alpha=0.3, correlated=False, rx_gauss_sigma_ui=0.05,
+             tx_sin_amp_ui=0.2, tx_sin_freq_hz=50e6, duration_us=2.0), {}),
+    (replace(BASE, resolution="hold", pattern="alternating",
+             alpha=harness.false_lock_alpha(BASE), duration_us=2.0),
+     {"hold_until_fs": 1_000 * FS_PER_NS}),
+], ids=["cold-start", "jittered", "hold-then-stochastic"])
+def test_delay_memo_never_stale(monkeypatch, scn, kw):
+    # Every sample that OPP or CYCLE takes sits one VCDL delay after the
+    # event, and that delay is the curve's value at the current Vc.
+    sim = Simulation(scn, **kw)
+    sample = phase_detector.Sampler.sample
+    checked = computed = 0
+
+    def checking_sample(self, waveform, t, rng):
+        nonlocal checked
+        assert t - sim.now == vcdl_delay(sim._vc_at(sim.now), sim.curve), sim.now
+        checked += 1
+        return sample(self, waveform, t, rng)
+
+    def counting_delay(v, curve):
+        nonlocal computed
+        computed += 1
+        return vcdl_delay(v, curve)
+
+    monkeypatch.setattr(phase_detector.Sampler, "sample", checking_sample)
+    monkeypatch.setattr(harness, "vcdl_delay", counting_delay)
+    m = sim.run()
+    # An OPP whose cycle falls after the end of the run has no CYCLE.
+    assert checked - 2 * m.pd_event_count in (0, 1)
+    assert computed < checked  # the memo served some samples
 
 
 @pytest.mark.parametrize("alpha", [0.333, 0.305])

@@ -44,8 +44,23 @@ def test_prbs15_full_cycle_returns_to_seed():
     # stream repeats with period 2^15 - 1, from any seed.
     for seed in (1, derive_seed(1, 3)):
         bits = BitSource("prbs15", seed)
+        start = bits._reg
+        bits.bit(PRBS15_PERIOD - 1)
+        assert bits._reg == start
         assert all(bits.bit(i) == bits.bit(i + PRBS15_PERIOD)
                    for i in range(PRBS15_PERIOD))
+
+
+def test_prbs15_stores_one_period():
+    # Past one period the source answers from the stored period, so a long
+    # run keeps 32,767 bytes of bits, however far it reads.
+    # test_prbs15_conformance_vectors checks the bits across two wraps.
+    bits = BitSource("prbs15", derive_seed(1, 3))
+    bits.bit(200_000)
+    assert len(bits._bits) <= PRBS15_PERIOD
+    for i in range(PRBS15_PERIOD - 100, PRBS15_PERIOD + 100):
+        assert bits.bit(i) == bits.bit(i + PRBS15_PERIOD)
+    assert len(bits._bits) <= PRBS15_PERIOD
 
 
 def test_prbs15_never_reaches_zero():

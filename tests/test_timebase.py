@@ -199,23 +199,21 @@ def _ref_first_edge_at_or_after(gen, t):
     return k, gen.edge(k)
 
 
+# A query lands at an offset in fs (T = 769,231 fs) from some edge: on it,
+# either side of it, half a period, or anywhere within about 1.3 periods.
+_QUERIES = st.tuples(
+    st.integers(min_value=0, max_value=6) | st.integers(min_value=0, max_value=300),
+    st.sampled_from([0, 1, -1, 384_615, -384_615])
+    | st.integers(min_value=-1_000_000, max_value=1_000_000),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     amp_ui=st.sampled_from([0.0, 0.2, 0.45]),
     freq_hz=st.floats(min_value=1e6, max_value=5e8),
     static_phase_ui=st.sampled_from([0.0, 0.3, 0.75]),
-    queries=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=6)
-            | st.integers(min_value=0, max_value=300),
-            # Offsets in fs (T = 769,231 fs): on an edge, either side of
-            # it, half a period, or anywhere within about 1.3 periods.
-            st.sampled_from([0, 1, -1, 384_615, -384_615])
-            | st.integers(min_value=-1_000_000, max_value=1_000_000),
-        ),
-        min_size=1,
-        max_size=40,
-    ),
+    queries=st.lists(_QUERIES, min_size=1, max_size=40),
 )
 def test_first_edge_cursor_matches_reference(amp_ui, freq_hz, static_phase_ui, queries):
     # Each query lands at an offset from some edge, so a sequence mixes
@@ -225,3 +223,23 @@ def test_first_edge_cursor_matches_reference(amp_ui, freq_hz, static_phase_ui, q
     for k, offset in queries:
         t = gen.edge(k) + offset
         assert gen.first_edge_at_or_after(t) == _ref_first_edge_at_or_after(gen, t), t
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    amp_ui=st.sampled_from([0.0, 0.2, 0.45]),
+    freq_hz=st.floats(min_value=1e6, max_value=5e8),
+    static_phase_ui=st.sampled_from([0.0, 0.3, 0.75]),
+    blocks=st.lists(st.lists(_QUERIES, max_size=12), min_size=1, max_size=6),
+)
+def test_block_walk_matches_reference(amp_ui, freq_hz, static_phase_ui, blocks):
+    # Blocks of queries in any order, each followed by a single query, on
+    # one cursor: every answer is the nominal-grid search's.
+    T = period_fs(1.3e9)
+    gen = ClockGen(T, static_phase_ui, JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
+    for block in blocks:
+        ts = [gen.edge(k) + offset for k, offset in block]
+        assert gen.first_edges_at_or_after(ts) == [
+            _ref_first_edge_at_or_after(gen, t)[1] for t in ts]
+        t = gen.edge(block[-1][0] if block else 0) + 1
+        assert gen.first_edge_at_or_after(t) == _ref_first_edge_at_or_after(gen, t)
