@@ -194,24 +194,22 @@ def _ref_first_edge_after(phases, i, t):
     return phases.edge(i, k)
 
 
+# A (phase, k, offset) query: offsets in fs from edge k of phase 0, on it,
+# either side of it, half a period, or anywhere within about 1.3 periods.
+_QUERIES = st.tuples(
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=0, max_value=6) | st.integers(min_value=0, max_value=300),
+    st.sampled_from([0, 1, -1, T // 2, -(T // 2)])
+    | st.integers(min_value=-1_000_000, max_value=1_000_000),
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     mode=st.sampled_from(["ideal", "tracking"]),
     amp_ui=st.sampled_from([0.0, 0.3, 0.45]),
     freq_hz=st.floats(min_value=1e6, max_value=5e8),
-    queries=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=9),
-            st.integers(min_value=0, max_value=6)
-            | st.integers(min_value=0, max_value=300),
-            # Offsets in fs from edge k of phase 0: on it, either side of
-            # it, half a period, or anywhere within about 1.3 periods.
-            st.sampled_from([0, 1, -1, T // 2, -(T // 2)])
-            | st.integers(min_value=-1_000_000, max_value=1_000_000),
-        ),
-        min_size=1,
-        max_size=40,
-    ),
+    queries=st.lists(_QUERIES, min_size=1, max_size=40),
 )
 def test_first_edge_after_cursor_matches_reference(mode, amp_ui, freq_hz, queries):
     # Mixed forward steps, backward and far jumps, over all phases, on a
@@ -227,20 +225,7 @@ def test_first_edge_after_cursor_matches_reference(mode, amp_ui, freq_hz, querie
     mode=st.sampled_from(["ideal", "tracking"]),
     amp_ui=st.sampled_from([0.0, 0.3, 0.45]),
     freq_hz=st.floats(min_value=1e6, max_value=5e8),
-    blocks=st.lists(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=9),
-                st.integers(min_value=0, max_value=6)
-                | st.integers(min_value=0, max_value=300),
-                st.sampled_from([0, 1, -1, T // 2, -(T // 2)])
-                | st.integers(min_value=-1_000_000, max_value=1_000_000),
-            ),
-            max_size=12,
-        ),
-        min_size=1,
-        max_size=6,
-    ),
+    blocks=st.lists(st.lists(_QUERIES, max_size=12), min_size=1, max_size=6),
 )
 def test_first_edges_after_block_walk_matches_reference(mode, amp_ui, freq_hz, blocks):
     # Blocks of (phase, instant) queries in any order, each followed by a
