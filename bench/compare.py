@@ -4,18 +4,21 @@
     python3 bench/compare.py --label NAME --pairs 10 --workload steady_130nm
     python3 bench/compare.py --label NAME --base REV --seed 29
 
-The base revision (``--base``, default ``HEAD~1``) is checked out in a
-local ``git worktree`` under ``.perfbench/``; the change is this checkout,
-working tree included.  Each pair runs ``perfbench/run.py`` once on each
-side, per workload, alternating which side goes first so that a slow drift
-of the host does not favour one side; each run lasts perfbench's own
-default run length, which is ``run_seconds`` in ``BENCHMARK.json``.  The
-workloads, the end-to-end metrics and their better direction also come from
-``BENCHMARK.json``.  The summary per workload and metric holds both sides' median and quartiles, the median
-ratio, the number of pairs the change won and whether the gap between the
+Both sides run from twin copies under ``.perfbench/``, at paths of equal
+length: ``base`` holds the base revision (``--base``, default ``HEAD~1``)
+and ``work`` this checkout's files as they are on disk, uncommitted ones
+included.  A run's peak RSS depends on the directory it starts from, so
+neither side runs from the checkout itself.  Each pair runs
+``perfbench/run.py`` once on each side, per workload, alternating which
+side goes first so that a slow drift of the host does not favour one side;
+each run lasts perfbench's own default run length, which is
+``run_seconds`` in ``BENCHMARK.json``.  The workloads, the end-to-end
+metrics and their better direction also come from ``BENCHMARK.json``.  The
+summary per workload and metric holds both sides' median and quartiles,
+the median ratio, the number of pairs the change won and whether the gap between the
 medians exceeds the base's interquartile range.  It is written to
 ``BENCH_<label>.json`` at the root of the checkout, with the seed, the
-per-pair values and both commit ids.  The worktree is removed at the end.
+per-pair values and both commit ids.  Both copies are removed at the end.
 """
 
 from __future__ import annotations
@@ -24,13 +27,14 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKTREES = ROOT / ".perfbench"
+COPIES = ROOT / ".perfbench"
 RUNNER = Path("perfbench") / "run.py"
 
 
@@ -72,15 +76,21 @@ def git(*args: str, env: dict | None = None) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def src_tree() -> str:
-    """Tree id of the working tree's ``src/`` as it is on disk, untracked
-    files included and ignored ones left out (built on a scratch index, so
-    the checkout's own index is not touched)."""
-    index = WORKTREES / "src.index"
+def copy_tree(dest: Path, rev: str | None = None) -> str:
+    """Write the files of ``rev``, or of the working tree as it is on disk
+    (untracked files included, ignored ones left out), to ``dest``; return
+    the tree id of their ``src/``.  The copy goes through a scratch index,
+    so the checkout's own index is not touched."""
+    index = COPIES / f"{dest.name}.index"
     index.unlink(missing_ok=True)
+    shutil.rmtree(dest, ignore_errors=True)
     env = {**os.environ, "GIT_INDEX_FILE": str(index)}
     try:
-        git("add", "-A", "src", env=env)
+        if rev is None:
+            git("add", "-A", ".", env=env)
+        else:
+            git("read-tree", rev, env=env)
+        git("checkout-index", "-a", f"--prefix={dest}/", env=env)
         return git("rev-parse", git("write-tree", env=env) + ":src")
     finally:
         index.unlink(missing_ok=True)
@@ -100,8 +110,9 @@ def bench_once(root: Path, workload: str, seed: int) -> dict:
     return json.loads(lines[-1])
 
 
-def compare(base_root: Path, workloads: list[str], pairs: int, seed: int,
-            metrics: list[dict]) -> tuple[dict, dict, bool]:
+def compare(base_root: Path, change_root: Path, workloads: list[str],
+            pairs: int, seed: int, metrics: list[dict]
+            ) -> tuple[dict, dict, bool]:
     """Alternate the two sides for ``pairs`` pairs per workload."""
     runs: dict[str, list] = {w: [] for w in workloads}
     correct = True
@@ -110,8 +121,8 @@ def compare(base_root: Path, workloads: list[str], pairs: int, seed: int,
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             pair = {"order": order[0] + "-first"}
             for side in order:
-                out = bench_once(base_root if side == "base" else ROOT, w,
-                                 seed)
+                out = bench_once(base_root if side == "base" else change_root,
+                                 w, seed)
                 correct = correct and out["correct"] and out["failed"] == 0
                 pair[side] = {m["name"]: out["metrics"][m["name"]]["value"]
                               for m in metrics}
@@ -148,23 +159,23 @@ def main(argv: list[str] | None = None) -> int:
     base_commit = git("rev-parse", args.base)
     change_commit = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain"))
-    WORKTREES.mkdir(exist_ok=True)
-    # The src/ tree names the simulator that ran, also when the change is
-    # not committed yet.
-    change_src = src_tree()
-    base_root = WORKTREES / f"base-{base_commit[:12]}"
-    git("worktree", "add", "--detach", "--force", str(base_root), base_commit)
+    COPIES.mkdir(exist_ok=True)
+    base_root, change_root = COPIES / "base", COPIES / "work"
     try:
-        summary, runs, correct = compare(base_root, workloads, args.pairs,
-                                         args.seed, metrics)
+        base_src = copy_tree(base_root, base_commit)
+        # The src/ tree names the simulator that ran, also when the change
+        # is not committed yet.
+        change_src = copy_tree(change_root)
+        summary, runs, correct = compare(base_root, change_root, workloads,
+                                         args.pairs, args.seed, metrics)
     finally:
-        git("worktree", "remove", "--force", str(base_root))
-        git("worktree", "prune")
+        shutil.rmtree(base_root, ignore_errors=True)
+        shutil.rmtree(change_root, ignore_errors=True)
 
     report = {
         "label": args.label,
         "base": {"rev": args.base, "commit": base_commit,
-                 "src_tree": git("rev-parse", f"{base_commit}:src")},
+                 "src_tree": base_src},
         "change": {"commit": change_commit, "uncommitted_changes": dirty,
                    "src_tree": change_src},
         "seed": args.seed,

@@ -41,8 +41,6 @@ def _load(args) -> "Scenario":
 
 def cmd_run(args) -> int:
     scn = _load(args)
-    if scn.experiment == "falselock":
-        return cmd_falselock(args)
     m = run(scn, keep_traces=args.out is not None)
     for key, value in summary_items(m):
         print(f"{key} = {value}")
@@ -82,7 +80,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_falselock(args) -> int:
     scn = _load(args)
-    report = false_lock_experiment(scn, n_seeds=getattr(args, "seeds", 20))
+    report = false_lock_experiment(scn, n_seeds=args.seeds)
     print(f"alpha_used = {report.alpha_used:.6f}")
     print(f"hold_dvc_max_mv = {report.hold_dvc_max * 1e3:.3f}")
     print(f"hold_locked = {str(report.hold_locked).lower()}")

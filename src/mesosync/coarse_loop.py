@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .timebase import FS_PER_NS, SimTime
+from .timebase import SimTime
 
 ABOVE = "above"
 WITHIN = "within"
@@ -26,7 +26,7 @@ DOWN = "down"
 class WindowComparator:
     v_low: float
     v_high: float
-    trip_delay: SimTime = 6 * FS_PER_NS
+    trip_delay: SimTime
 
     def __post_init__(self):
         if self.v_low >= self.v_high:
@@ -52,7 +52,7 @@ def window_classify(v_c: float, w: WindowComparator) -> str:
 class RingCounter:
     """N-bit one-hot word; preset state is Q0."""
 
-    n: int = 10
+    n: int
     q: int = 1  # one-hot word, bit i set <=> Q_i
 
     def __post_init__(self):
@@ -91,7 +91,6 @@ class CoarseFsm:
     case.  At most one strong signal is ever asserted.
     """
 
-    k_divide: int = 16
     enable: int = 0
     up_dn: int = 0
     up_strong: int = 0

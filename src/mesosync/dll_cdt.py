@@ -41,9 +41,9 @@ class DllPhases:
     def __init__(
         self,
         reference: ClockGen,
-        n_phases: int = 10,
-        mode: str = IDEAL,
-        loop_bw_hz: float = 20e6,
+        n_phases: int,
+        mode: str,
+        loop_bw_hz: float,
     ):
         if n_phases < 4:
             raise ValueError("need at least 4 DLL phases")
@@ -150,7 +150,7 @@ class CdtChain:
 
     period: SimTime
     t_setup: SimTime
-    t_hold: SimTime = 0
+    t_hold: SimTime
 
     @property
     def resolve_retime(self) -> SimTime:

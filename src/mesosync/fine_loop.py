@@ -13,7 +13,7 @@ Sign conventions used throughout the simulator (fixed here, in one place):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -22,10 +22,10 @@ from .timebase import FS_PER_SECOND, SimTime, clamp_voltage
 
 @dataclass(frozen=True)
 class PumpConfig:
-    i_weak: float = 1e-6        # amperes
-    strong_ratio: float = 16.0
-    c_filter: float = 200e-15   # farads
-    v_dd: float = 1.2
+    i_weak: float       # amperes
+    strong_ratio: float
+    c_filter: float     # farads
+    v_dd: float
 
     def __post_init__(self):
         if min(self.i_weak, self.strong_ratio, self.c_filter, self.v_dd) <= 0:
@@ -82,10 +82,6 @@ def pump_integrate(
     return FineLoopState(clamp_voltage(v, cfg.v_dd), not 0.0 <= v <= cfg.v_dd)
 
 
-# Range multipliers in DLL phase steps: designed so the fastest corner spans
-# exactly one step, typical spans two, slow corners up to 2.6.
-DEFAULT_CORNER_MULT = {"FF": 1.0, "TT": 2.0, "SS": 2.6, "FNSP": 2.3, "SNFP": 2.3}
-
 LINEAR = "linear"
 SATURATING = "saturating"
 
@@ -103,17 +99,19 @@ def _shape(kind: str, x: float) -> float:
 
 @dataclass(frozen=True)
 class VcdlCurve:
-    """Monotone Vc-to-delay map over the comparator window [v_low, v_high]."""
+    """Monotone Vc-to-delay map over the comparator window [v_low, v_high].
+
+    ``corner_mult`` maps each process corner to the line's range in DLL
+    phase steps; ``corner`` selects one.
+    """
 
     d_min: SimTime
     phase_step: SimTime           # one DLL step, T/N
     v_low: float
     v_high: float
-    corner: str = "TT"
-    shape: str = LINEAR
-    corner_mult: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_CORNER_MULT)
-    )
+    corner: str
+    shape: str
+    corner_mult: dict[str, float]
 
     def __post_init__(self):
         if self.corner not in self.corner_mult:

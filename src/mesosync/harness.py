@@ -91,6 +91,7 @@ PRIO_OPP = 5
 PRIO_CYCLE = 6
 
 _PHASE_HISTORY = 64  # cycles averaged for the final sampling-phase estimate
+_EYE_BITS = 512      # bits folded into the eye histogram after lock
 _CDT_BLOCK = 1024    # detector events delivered per transfer-chain call
 # Clock edges kept behind the current period.  The transfer chain reaches
 # back no further than the oldest pending detector event (at most 1,027 of
@@ -179,12 +180,12 @@ class Simulation:
         self.bits = BitSource(scn.pattern, derive_seed(scn.seed, 3))
 
         tx_jit, rx_jit = scn.jitter()
-        self.tx_clock = ClockGen(self.T, 0.0, tx_jit, rng_tx, name="tx")
+        self.tx_clock = ClockGen(self.T, tx_jit, rng_tx, name="tx")
         if scn.correlated:
             # Receiver reference shares the transmitter's edge offsets.
             self.rx_clock = self.tx_clock
         else:
-            self.rx_clock = ClockGen(self.T, 0.0, rx_jit, rng_rx, name="rx")
+            self.rx_clock = ClockGen(self.T, rx_jit, rng_rx, name="rx")
 
         self.waveform = RxWaveform(self.bits, scn.channel_config(), self.tx_clock)
         self.window = scn.window_comparator()
@@ -194,7 +195,7 @@ class Simulation:
 
         preset = scn.snapshot_hot if scn.snapshot_hot >= 0 else 0
         self.ring = RingCounter(self.N, 1 << preset)
-        self.fsm = CoarseFsm(k_divide=self.K)
+        self.fsm = CoarseFsm()
         self.vc = scn.vc_start()
         self.t_vc: SimTime = 0
         self.w_up = self.w_dn = 0
@@ -257,9 +258,9 @@ class Simulation:
         # Monotone deques over _vc_hist: their fronts are its max and min.
         self._vc_max: deque = deque()
         self._vc_min: deque = deque()
-        self._act_hist: deque = deque()
-        self._meta_hist: deque = deque()
-        # Running totals of the flags held in _act_hist and _meta_hist.
+        # (t, active decision, metastable sample) per pre-lock cycle, and
+        # running totals of both flags.
+        self._flag_hist: deque = deque()
         self._act_sum = 0
         self._meta_sum = 0
         self._phase_hist: deque = deque(maxlen=_PHASE_HISTORY)
@@ -381,6 +382,9 @@ class Simulation:
         fsm, stepped, direction, s_up, s_dn = fsm_step(self.fsm, self.published, True)
         self.fsm = fsm
         if stepped and direction is not None:
+            # ring_step rejects a word that is not one-hot; RingCounter
+            # already rejects one at construction, so only a word set
+            # around it (object.__setattr__) reaches this branch.
             try:
                 self.ring = ring_step(self.ring, direction)
             except ValueError:
@@ -456,18 +460,18 @@ class Simulation:
         # two cycles after the mid-eye sample.
         self._push(t_center + PD_PIPELINE_CYCLES * self.T, PRIO_PUMP, (dn, up))
 
-        self._update_lock(t_center, up, dn)
+        self._update_lock(t_center, up, dn, v)
 
         n_next = self.ring.hot_index
         self.next_cycle = (self.dll.edge(n_next, k + 1), k + 1, n_next)
 
     def _on_pump(self, drive_up: int, drive_dn: int):
         if self.slope == 0.0 and drive_up == self.w_up and drive_dn == self.w_dn:
-            # A flat segment needs no new one: integrating it only adds 0.0
-            # to Vc (which turns a -0.0 start into 0.0), the stale segment
-            # origin is read only as 0.0 * dt, and no crossing is pending.
-            # The point stays for a lock declared at this instant.
-            self.vc += 0.0
+            # A flat segment needs no new one: integrating it would leave Vc
+            # bit-identical (it never starts at -0.0, see Scenario.vc_start),
+            # the stale segment origin is read only as 0.0 * dt, and no
+            # crossing is pending.  The point stays for a lock declared at
+            # this instant.
             self.vc_trace.append((self.now, self.vc))
             return
         self._set_levels(drive_up, drive_dn, self.s_up, self.s_dn)
@@ -551,12 +555,12 @@ class Simulation:
 
     # -- lock detection ----------------------------------------------------
 
-    def _update_lock(self, t_center: SimTime, up: int, dn: int):
+    def _update_lock(self, t_center: SimTime, up: int, dn: int, v: float):
+        """One lock-detector update per cycle; ``v`` is Vc at ``now``."""
         self._phase_hist.append((t_center % self.T) / self.T)
         if self.lock_time is not None:
             return  # the gate histories below are read only before lock
         win = self.scn.lock_window_divided * self.K * self.T
-        v = self._vc_at(self.now)
         point = (self.now, v)
         self._vc_hist.append(point)
         vc_max, vc_min = self._vc_max, self._vc_min
@@ -568,8 +572,8 @@ class Simulation:
         vc_min.append(point)
         act = 1 if (up ^ dn) else 0
         meta = 1 if self.center_sampler.last_was_metastable else 0
-        self._act_hist.append((self.now, act))
-        self._meta_hist.append((self.now, meta))
+        flags = self._flag_hist
+        flags.append((self.now, act, meta))
         self._act_sum += act
         self._meta_sum += meta
         horizon = self.now - win
@@ -580,10 +584,10 @@ class Simulation:
             vc_max.popleft()
         while vc_min[0][0] < oldest:
             vc_min.popleft()
-        while self._act_hist and self._act_hist[0][0] < horizon:
-            self._act_sum -= self._act_hist.popleft()[1]
-        while self._meta_hist and self._meta_hist[0][0] < horizon:
-            self._meta_sum -= self._meta_hist.popleft()[1]
+        while flags and flags[0][0] < horizon:
+            _, old_act, old_meta = flags.popleft()
+            self._act_sum -= old_act
+            self._meta_sum -= old_meta
         if self.published != WITHIN or self.actual_region != WITHIN:
             return
         if self.now - self.last_ring_change < win:
@@ -593,7 +597,7 @@ class Simulation:
         if self._vc_hist[0][0] > horizon + self.T:
             return  # not enough history yet
         activity = self._act_sum
-        if activity < max(1, len(self._act_hist) // 4):
+        if activity < max(1, len(flags) // 4):
             return
         # A one-directional acquisition creep moves Vc by one pump step per
         # active decision, whatever the data transition density; the locked
@@ -722,11 +726,8 @@ class Simulation:
         # centring error.
         if self.lock_time is not None and len(self._phase_hist) >= 8:
             m.sampling_phase_ui = _circular_mean(list(self._phase_hist))
-        quiet = (
-            scn.tx_sin_amp_ui == 0
-            and scn.tx_gauss_sigma_ui == 0
-            and (scn.correlated or (scn.rx_sin_amp_ui == 0 and scn.rx_gauss_sigma_ui == 0))
-        )
+        tx_jit, rx_jit = scn.jitter()
+        quiet = tx_jit.is_quiet and (scn.correlated or rx_jit.is_quiet)
         if quiet and m.sampling_phase_ui is not None and scn.pattern == "prbs15":
             center = _oracle.eye_center_phase(
                 self.bits,
@@ -755,11 +756,11 @@ class Simulation:
             m.eye_hist = self._eye_histogram()
         return m
 
-    def _eye_histogram(self, n_bits: int = 512) -> list:
+    def _eye_histogram(self) -> list:
         # The run's transmitter clock has dropped its old edges; a fresh one
         # with the same seed draws the same edges again.
         scn = self.scn
-        tx_clock = ClockGen(self.T, 0.0, scn.jitter()[0],
+        tx_clock = ClockGen(self.T, scn.jitter()[0],
                             Rng(derive_seed(scn.seed, 1)), name="tx")
         waveform = RxWaveform(self.bits, scn.channel_config(), tx_clock)
         bins = scn.eye_bins
@@ -770,7 +771,7 @@ class Simulation:
             for b in range(bins)
         ]
         start_bit = waveform.bit_at(self.lock_time) + 1
-        for j in range(start_bit, start_bit + n_bits):
+        for j in range(start_bit, start_bit + _EYE_BITS):
             base = waveform.boundary(j)
             for offset, phase in centres:
                 key = (phase, round(waveform.value_at(base + offset), 3))

@@ -33,7 +33,7 @@ class BitSource:
     nonzero register, so later bits are read from the stored period.
     """
 
-    def __init__(self, pattern: str = "prbs15", seed: int = 1):
+    def __init__(self, pattern: str, seed: int):
         self.pattern = pattern
         self._bits = bytearray()
         if pattern == "prbs15":
@@ -119,12 +119,10 @@ class RxWaveform:
     reads the window again.
     """
 
-    def __init__(
-        self, bits: BitSource, cfg: ChannelConfig, tx_clock: ClockGen | None = None
-    ):
+    def __init__(self, bits: BitSource, cfg: ChannelConfig, tx_clock: ClockGen):
         self.bits = bits
         self.cfg = cfg
-        self._tx = tx_clock or ClockGen(cfg.bit_period, name="tx")
+        self._tx = tx_clock
         self._delay = cfg.delay_fs
         self._reach = SEEK_PERIODS * cfg.bit_period
         self._half = cfg.transition_time // 2

@@ -20,8 +20,8 @@ HOLD = "hold"
 
 @dataclass(frozen=True)
 class MetastabilityModel:
-    time_window_tw: SimTime = 10_000  # 10 ps in fs
-    resolution_mode: str = STOCHASTIC
+    time_window_tw: SimTime
+    resolution_mode: str
 
     def __post_init__(self):
         if self.time_window_tw < 0:
@@ -35,9 +35,9 @@ class Sampler:
 
     __slots__ = ("model", "last", "last_was_metastable")
 
-    def __init__(self, model: MetastabilityModel, initial: int = 0):
+    def __init__(self, model: MetastabilityModel):
         self.model = model
-        self.last = initial
+        self.last = 0
         self.last_was_metastable = False
 
     def sample(self, waveform: RxWaveform, t: SimTime, rng: Rng) -> int:
@@ -53,18 +53,16 @@ def sample_comparator(
     t_sample: SimTime,
     m: MetastabilityModel,
     rng: Rng,
-    previous: int = 0,
-    distance: SimTime | None = None,
+    previous: int,
+    distance: SimTime,
 ) -> int:
     """Resolved comparator output for a sample at ``t_sample``.
 
     Outside the metastability window the output is the sign of the
-    differential input; inside it the resolution mode decides.
-    ``distance`` is ``waveform.nearest_transition_distance(t_sample)``,
-    looked up here unless the caller already has it.
+    differential input; inside it the resolution mode decides, with
+    ``previous`` the comparator's last output.  ``distance`` is
+    ``waveform.nearest_transition_distance(t_sample)``.
     """
-    if distance is None:
-        distance = waveform.nearest_transition_distance(t_sample)
     if distance <= m.time_window_tw:
         if m.resolution_mode == STOCHASTIC:
             return rng.coin()

@@ -2,12 +2,16 @@
 
 Keys are namespaced (``pump.i_weak_uA = 1``); ``#`` starts a comment;
 unknown keys are errors so that typos never silently fall back to defaults.
+
+``Scenario`` is the one home of every model default: the component
+configurations take each value explicitly and are built from a scenario
+(``pump_config``, ``vcdl_curve`` and the other builders below).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .coarse_loop import WindowComparator
@@ -28,7 +32,6 @@ class Scenario:
     bit_rate_hz: float = 1.3e9
     duration_us: float = 10.0
     seed: int = 1
-    experiment: str = "run"
     # channel.*
     n: int = 0
     alpha: float = 0.0
@@ -59,7 +62,8 @@ class Scenario:
     trip_delay_ns: float = 6.0
     # coarse.*
     k_divide: int = 16
-    # vcdl.*
+    # vcdl.*  (range multipliers in DLL phase steps: the fastest corner spans
+    # exactly one step, typical spans two, slow corners up to 2.6)
     corner: str = "TT"
     d_min_ui: float = 0.0
     vcdl_shape: str = "linear"
@@ -99,7 +103,7 @@ class Scenario:
 
     def vc_start(self) -> float:
         if self.vc_init_v >= 0.0:
-            return self.vc_init_v
+            return abs(self.vc_init_v)  # -0.0 starts at 0.0
         lo, hi = self.window()
         return (lo + hi) / 2.0
 
@@ -176,8 +180,6 @@ class Scenario:
             raise ScenarioError("dll.n_phases must be even")
         if self.k_divide < 1:
             raise ScenarioError("coarse.k_divide must be >= 1")
-        if self.experiment not in ("run", "falselock"):
-            raise ScenarioError(f"unknown experiment kind: {self.experiment!r}")
         if self.snapshot_hot >= self.n_phases:
             raise ScenarioError("snapshot.hot_index out of range")
         if self.vc_init_v > self.v_dd:
@@ -197,7 +199,7 @@ class Scenario:
             curve = self.vcdl_curve()
             vcdl_delay(self.vc_start(), curve)
             self.metastability_model()
-            BitSource(self.pattern)
+            BitSource(self.pattern, self.seed)
         except ValueError as e:
             raise ScenarioError(str(e)) from None
         # A negative delay would sample before the clock edge that asks
@@ -216,7 +218,6 @@ _KEYMAP = {
     "sim.bit_rate_hz": "bit_rate_hz",
     "sim.duration_us": "duration_us",
     "sim.seed": "seed",
-    "sim.experiment": "experiment",
     "channel.n": "n",
     "channel.alpha": "alpha",
     "channel.transition_time_ui": "transition_time_ui",

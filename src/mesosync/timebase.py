@@ -63,10 +63,6 @@ class Rng:
         self._state = (self._state + _GOLDEN) & _MASK64
         return _mix64(self._state)
 
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def gauss(self) -> float:
         """One standard-normal draw (Box-Muller, cosine branch only).
 
@@ -132,11 +128,10 @@ def jitter_offset(spec: JitterSpec, t: SimTime, rng: Rng | None = None) -> float
 def edge_time(
     period: SimTime,
     index: int,
-    static_phase_ui: float = 0.0,
     jitter: JitterSpec = NO_JITTER,
     rng: Rng | None = None,
 ) -> SimTime:
-    """Active-edge instant ``index*T + static_phase*T + jitter*T`` in ticks.
+    """Active-edge instant ``index*T + jitter*T`` in ticks.
 
     Jitter is evaluated at the nominal grid instant ``index*T``.  Edges are
     strictly increasing in ``index`` whenever the total excursion per period
@@ -146,7 +141,7 @@ def edge_time(
         raise ValueError("period must be positive")
     if index < 0:
         raise ValueError("index must be >= 0")
-    t = index * period + round(static_phase_ui * period)
+    t = index * period
     if not jitter.is_quiet:
         t += round(jitter_offset(jitter, index * period, rng) * period)
     return t
@@ -170,13 +165,11 @@ class ClockGen:
     def __init__(
         self,
         period: SimTime,
-        static_phase_ui: float = 0.0,
         jitter: JitterSpec = NO_JITTER,
         rng: Rng | None = None,
         name: str = "clk",
     ):
         self.period = period
-        self.static_phase_ui = static_phase_ui
         self.jitter = jitter
         self.rng = rng
         self.name = name
@@ -184,8 +177,6 @@ class ClockGen:
         self._edges: list[SimTime] = []
         self._base = 0
         self._cursor: tuple | None = None
-        # Nominal grid origin of first_edge_at_or_after's walk.
-        self._origin = round(static_phase_ui * period)
 
     def edge(self, index: int) -> SimTime:
         edges = self._edges
@@ -197,7 +188,7 @@ class ClockGen:
                                    f"cache base {self._base}")
         while len(edges) <= i:
             k = self._base + len(edges)
-            t = edge_time(self.period, k, self.static_phase_ui, self.jitter, self.rng)
+            t = edge_time(self.period, k, self.jitter, self.rng)
             if edges and t <= edges[-1]:
                 raise NonMonotonicEdgeError(
                     f"{self.name}: edge {k} at {t} fs not after edge {k-1} "
@@ -216,8 +207,7 @@ class ClockGen:
 
     def first_edge_at_or_after(self, t: SimTime) -> tuple[int, SimTime]:
         """(index, time) of the earliest edge with time >= t."""
-        self._cursor, _ = seek_edge(self.edge, self._cursor, (t,), self.period,
-                                    self._origin)
+        self._cursor, _ = seek_edge(self.edge, self._cursor, (t,), self.period)
         k, _, e = self._cursor
         return k, e
 
@@ -225,17 +215,17 @@ class ClockGen:
         """Time of the earliest edge at or after each of ``ts``, in one
         walk."""
         self._cursor, edges = seek_edge(self.edge, self._cursor, ts,
-                                        self.period, self._origin)
+                                        self.period)
         return edges
 
 
-def seek_edge(edge, cursor: tuple | None, ts, period: SimTime,
-              origin: SimTime = 0) -> tuple[tuple, list[SimTime]]:
+def seek_edge(edge, cursor: tuple | None, ts,
+              period: SimTime) -> tuple[tuple, list[SimTime]]:
     """Walk to the earliest edge at or after each query instant in ``ts``.
 
     Returns the final cursor ``(k, edge(k - 1), edge(k))`` and the list of
     ``edge(k)`` answers, one per query.  ``edge`` maps index k >= 0 to
-    strictly increasing times near the nominal grid ``origin + k * period``;
+    strictly increasing times near the nominal grid ``k * period``;
     ``cursor`` is the previous result, or None before the first query.
     Each query walks from the cursor the one before it left, or from the
     nominal grid when it lands more than ``SEEK_PERIODS`` periods away, so
@@ -248,7 +238,7 @@ def seek_edge(edge, cursor: tuple | None, ts, period: SimTime,
     k, lo, hi = cursor or (None, None, None)
     for t in ts:
         if hi is None or not -reach < t - hi < reach:
-            k = max(int((t - origin) // period) - 2, 0)
+            k = max(int(t // period) - 2, 0)
             lo, hi = (edge(k - 1) if k else None), edge(k)
         while hi < t:
             k += 1

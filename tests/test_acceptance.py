@@ -13,7 +13,7 @@ import pytest
 
 from conftest import record_acceptance
 from mesosync import defaults_130nm, false_lock_experiment, load_scenario, run
-from mesosync.fine_loop import FineLoopState, PumpConfig, pump_integrate
+from mesosync.fine_loop import FineLoopState, pump_integrate
 from mesosync.reports import write_outputs
 from mesosync.timebase import derive_seed
 
@@ -171,7 +171,7 @@ def test_criterion_6_strong_pump_recentering(sweep_results, jitter_results):
 
 def test_criterion_7_charge_pump_slope_oracle():
     # Constant UP for 0.2 us, integrated exactly as the simulator does.
-    cfg = PumpConfig()
+    cfg = defaults_130nm().pump_config()
     period = 769_231
     state = FineLoopState(0.0)
     t = 0

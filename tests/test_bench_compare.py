@@ -109,7 +109,7 @@ def _stub_runs(monkeypatch, failed_side=None):
 def test_compare_alternates_sides_per_pair(monkeypatch):
     base_root, calls = _stub_runs(monkeypatch)
     summary, runs, correct = compare.compare(
-        base_root, ["w1", "w2"], 3, 7, METRICS)
+        base_root, Path("/nonexistent/work"), ["w1", "w2"], 3, 7, METRICS)
     assert correct is True
     # Each pair runs every workload on both sides; the side that goes first
     # alternates from one pair to the next.
@@ -144,7 +144,8 @@ def test_compare_alternates_sides_per_pair(monkeypatch):
 @pytest.mark.parametrize("failed_side", ["base", "change"])
 def test_compare_failed_runs_are_not_correct(monkeypatch, failed_side):
     base_root, calls = _stub_runs(monkeypatch, failed_side)
-    _, runs, correct = compare.compare(base_root, ["w1", "w2"], 3, 1, METRICS)
+    _, runs, correct = compare.compare(
+        base_root, Path("/nonexistent/work"), ["w1", "w2"], 3, 1, METRICS)
     assert correct is False
     # A failed run does not stop the comparison.
     assert len(calls) == 12
@@ -159,9 +160,10 @@ def _git(root, *args):
     ).stdout.strip()
 
 
-def test_main_writes_report_and_removes_worktree(monkeypatch, tmp_path, capsys):
+def test_main_runs_twin_copies_and_removes_them(monkeypatch, tmp_path, capsys):
     # A throwaway two-commit repository stands in for the checkout; the
-    # parent commit is checked out as the base, and bench_once is stubbed.
+    # parent commit is the base, the files on disk are the change, and
+    # bench_once is stubbed.
     repo = tmp_path / "repo"
     (repo / "src").mkdir(parents=True)
     (repo / "BENCHMARK.json").write_text(json.dumps({
@@ -176,20 +178,21 @@ def test_main_writes_report_and_removes_worktree(monkeypatch, tmp_path, capsys):
     _git(repo, "commit", "-q", "-m", "base")
     (repo / "src" / "sim.py").write_text("SPEED = 2\n")
     _git(repo, "commit", "-q", "-am", "change")
+    # Uncommitted: the change side runs the files as they are on disk.
+    (repo / "src" / "sim.py").write_text("SPEED = 3\n")
     base_commit = _git(repo, "rev-parse", "HEAD~1")
     change_commit = _git(repo, "rev-parse", "HEAD")
 
     roots = []
 
     def bench_once(root, workload, seed):
-        # The base side runs in a live worktree of the parent commit.
         roots.append(root)
         value = float((root / "src" / "sim.py").read_text().split("=")[1])
         return {"correct": True, "failed": 0,
                 "metrics": {"wall_norm_s": {"value": value}}}
 
     monkeypatch.setattr(compare, "ROOT", repo)
-    monkeypatch.setattr(compare, "WORKTREES", repo / ".perfbench")
+    monkeypatch.setattr(compare, "COPIES", repo / ".perfbench")
     monkeypatch.setattr(compare, "bench_once", bench_once)
     assert compare.main(["--label", "t", "--pairs", "2"]) == 0
 
@@ -197,15 +200,19 @@ def test_main_writes_report_and_removes_worktree(monkeypatch, tmp_path, capsys):
     assert report["base"]["commit"] == base_commit
     assert report["change"]["commit"] == change_commit
     assert report["base"]["src_tree"] == _git(repo, "rev-parse", f"{base_commit}:src")
-    assert report["change"]["src_tree"] == _git(repo, "rev-parse", "HEAD:src")
-    assert report["change"]["uncommitted_changes"] is False
+    _git(repo, "add", "src")
+    assert report["change"]["src_tree"] == _git(repo, "write-tree", "--prefix=src")
+    assert report["change"]["uncommitted_changes"] is True
     assert report["correct"] is True
     s = report["summary"]["w1"]["wall_norm_s"]
-    assert s["base"]["median"] == 1.0 and s["change"]["median"] == 2.0
-    base_roots = {r for r in roots if r != repo}
-    assert len(roots) == 4 and len(base_roots) == 1
-    (base_root,) = base_roots
-    assert base_root.parent == repo / ".perfbench"
-    # The worktree is gone, from disk and from git's list.
-    assert not base_root.exists()
+    assert s["base"]["median"] == 1.0 and s["change"]["median"] == 3.0
+    # Two sides, each run from one copy under .perfbench/, never from the
+    # checkout; the two paths have the same length.
+    assert len(roots) == 4 and len(set(roots)) == 2
+    base_root, change_root = roots[0], roots[1]
+    assert base_root.parent == change_root.parent == repo / ".perfbench"
+    assert len(str(base_root)) == len(str(change_root))
+    # Both copies are gone, and no worktree or index was left behind.
+    assert not base_root.exists() and not change_root.exists()
+    assert list((repo / ".perfbench").iterdir()) == []
     assert _git(repo, "worktree", "list").count("\n") == 0

@@ -188,6 +188,17 @@ def test_sweep_subcommand(tmp_path, capsys):
             assert len((tmp_path / point / name).read_text().splitlines()) > 1
 
 
+def test_run_negative_zero_start_prints_zero(tmp_path, capsys):
+    code = main([
+        "run", SCN, "--set", "loop.vc_init_v=-0.0", "--duration", "0.5",
+        "--out", str(tmp_path),
+    ])
+    capsys.readouterr()
+    assert code in (0, 2)
+    rows = (tmp_path / "vc_trace.csv").read_text().splitlines()
+    assert rows[1] == "0,0.000000000"
+
+
 def test_falselock_subcommand(capsys):
     code = main([
         "falselock", SCN, "--seeds", "3", "--duration", "6",
@@ -211,8 +222,7 @@ def test_falselock_needs_a_seed(capsys):
 
 # Raw --set values by field type: in-range, boundary, out-of-range and
 # malformed.  The bit rate stays below 10 GHz so that a 0.3 us run stays
-# short; "falselock" is left out of the strings because the false-lock
-# study is not a run of at most 0.3 us.
+# short.
 _JUNK = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e400", "-1"])
 _VALUES = {
     "float": st.floats(min_value=-2.0, max_value=40.0).map(repr)
@@ -220,7 +230,7 @@ _VALUES = {
     "int": st.integers(min_value=-3, max_value=40).map(str)
     | st.sampled_from(["1.5", "99999"]) | _JUNK,
     "bool": st.sampled_from(["true", "false", "maybe"]),
-    "str": st.sampled_from(["run", "ideal", "tracking", "prbs15", "alternating",
+    "str": st.sampled_from(["ideal", "tracking", "prbs15", "alternating",
                             "ones", "zeros", "hold", "stochastic", "TT", "SS",
                             "FF", "FNSP", "SNFP", "linear", "tanh", "bogus"]),
 }

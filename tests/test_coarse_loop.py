@@ -19,8 +19,9 @@ from mesosync.coarse_loop import (
 )
 from mesosync.harness import Simulation
 from mesosync.scenario import defaults_130nm
+from mesosync.timebase import FS_PER_NS
 
-W = WindowComparator(v_low=0.3, v_high=0.9)
+W = WindowComparator(v_low=0.3, v_high=0.9, trip_delay=6 * FS_PER_NS)
 
 
 def test_classify_within():
@@ -40,7 +41,7 @@ def test_classify_above_and_threshold_equality():
 
 def test_comparator_validation():
     with pytest.raises(ValueError):
-        WindowComparator(v_low=0.9, v_high=0.3)
+        WindowComparator(v_low=0.9, v_high=0.3, trip_delay=0)
 
 
 def test_ring_step_basic():

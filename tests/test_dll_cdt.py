@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mesosync.dll_cdt import (
+    IDEAL,
     CdtChain,
     Delivery,
     DllPhases,
     cdt_transfer,
     intermediate_phase,
 )
+from mesosync.scenario import Scenario
 from mesosync.timebase import ClockGen, EvictedEdgeError, JitterSpec, Rng, period_fs
 from test_timebase import _ref_first_edge_at_or_after
 
@@ -112,8 +114,8 @@ def test_complement_identity_arithmetic():
 
 def _run_chain(n_sel, d_fs, n_bits=40, n_phases=10):
     clk = ClockGen(T)
-    phases = DllPhases(clk, n_phases=n_phases)
-    chain = CdtChain(period=T, t_setup=round(0.02 * T))
+    phases = DllPhases(clk, n_phases, IDEAL, 20e6)
+    chain = CdtChain(period=T, t_setup=round(0.02 * T), t_hold=0)
     offset = round(n_sel * T / n_phases) + d_fs
     events = [(k, k & 1, k * T + offset, n_sel) for k in range(2, 2 + n_bits)]
     retime = [ev[2] for ev in events[1:]]
@@ -176,8 +178,8 @@ def test_cdt_capture_miss_is_reported():
     # A retime stream jumping by half a period mid-stream (a coarse hop)
     # must surface as a missed capture, not silent corruption.
     clk = ClockGen(T)
-    phases = DllPhases(clk, n_phases=10)
-    chain = CdtChain(period=T, t_setup=round(0.02 * T))
+    phases = DllPhases(clk, 10, IDEAL, 20e6)
+    chain = CdtChain(period=T, t_setup=round(0.02 * T), t_hold=0)
     times = [2 * T + k * T for k in range(10)]
     times = times[:5] + [t - round(0.6 * T) for t in times[5:]]
     events = [(k, 1, t, 0) for k, t in enumerate(times)]
@@ -325,7 +327,7 @@ def test_cdt_one_pass_matches_two_pass(
     mode, amp_ui, freq_hz, n_phases, t_setup_ui, t_hold_ui, start, stream
 ):
     clk = ClockGen(T, jitter=JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
-    phases = DllPhases(clk, n_phases=n_phases, mode=mode)
+    phases = DllPhases(clk, n_phases, mode, 20e6)
     chain = CdtChain(period=T, t_setup=round(t_setup_ui * T),
                      t_hold=round(t_hold_ui * T))
     events = []
@@ -357,7 +359,7 @@ def test_cdt_blocks_with_lookahead_match_one_pass(
     # Blocks of `block` deliveries that carry the next two events as
     # look-ahead, then the tail with none, deliver what one call does.
     clk = ClockGen(T, jitter=JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
-    phases = DllPhases(clk)
+    phases = Scenario().dll_phases(clk)
     chain = CdtChain(period=T, t_setup=round(t_setup_ui * T),
                      t_hold=round(t_hold_ui * T))
     events = []

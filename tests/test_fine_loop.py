@@ -3,9 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mesosync.fine_loop import (
-    DEFAULT_CORNER_MULT,
     FineLoopState,
-    PumpConfig,
     VcdlCurve,
     pump_integrate,
     vcdl_delay,
@@ -13,7 +11,8 @@ from mesosync.fine_loop import (
 from mesosync.scenario import Scenario
 from mesosync.timebase import FS_PER_NS, period_fs
 
-CFG = PumpConfig()  # 1 uA, x16, 200 fF, 1.2 V
+CFG = Scenario().pump_config()  # 1 uA, x16, 200 fF, 1.2 V
+CORNER_MULT = Scenario().vcdl_curve().corner_mult
 
 
 def test_weak_up_slope_5mv_per_ns():
@@ -93,7 +92,7 @@ def _curve(corner="TT", shape="linear", d_min=0):
     T = period_fs(1.3e9)
     return VcdlCurve(
         d_min=d_min, phase_step=round(T / 10), v_low=0.3, v_high=0.9,
-        corner=corner, shape=shape,
+        corner=corner, shape=shape, corner_mult=CORNER_MULT,
     ), T
 
 
@@ -119,7 +118,7 @@ def test_vcdl_fastest_corner_one_step():
     assert vcdl_delay(0.9, curve) == round(T / 10)
 
 
-@pytest.mark.parametrize("corner", list(DEFAULT_CORNER_MULT))
+@pytest.mark.parametrize("corner", list(CORNER_MULT))
 @pytest.mark.parametrize("shape", ["linear", "saturating"])
 def test_vcdl_monotone_dense_sweep(corner, shape):
     curve, _ = _curve(corner, shape)
@@ -136,7 +135,7 @@ def test_vcdl_monotone_dense_sweep(corner, shape):
 def test_vcdl_corner_ordering():
     T = period_fs(1.3e9)
     spans = {}
-    for corner in DEFAULT_CORNER_MULT:
+    for corner in CORNER_MULT:
         curve, _ = _curve(corner)
         spans[corner] = vcdl_delay(0.9, curve) - vcdl_delay(0.3, curve)
     assert spans["FF"] < spans["FNSP"] <= spans["SNFP"] < spans["SS"]

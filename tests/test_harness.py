@@ -175,8 +175,9 @@ def test_keep_traces_changes_no_metric(i):
 def test_flat_pump_skip_is_exact(monkeypatch):
     # A pump event that keeps the weak levels on a flat Vc segment skips
     # _set_levels; a run that always calls it reports the same figures,
-    # with and without traces, down to the sign of a -0.0 start.  The runs
-    # cover strong pulses, window crossings, a lock and a never-locked run.
+    # with and without traces.  The runs cover strong pulses, window
+    # crossings, a lock, a never-locked run and a -0.0 start, which
+    # Scenario.vc_start turns into 0.0.
     skipped = 0
     pulses = crossings = 0
     runs = [(scn, kw, keep) for scn, kw, _ in BLOCK_RUNS for keep in (False, True)]
@@ -250,18 +251,20 @@ def test_off_grid_alpha_centres(alpha):
     replace(BASE, pattern="ones", duration_us=1.0),
 ], ids=["locking", "ones"])
 def test_lock_gate_running_sums(scn):
-    # The activity and metastability gates read running totals, and the
-    # drift and margin gates the fronts of two monotone deques; after every
-    # lock-detector update they equal a recount of their windows.
+    # The activity and metastability gates read running totals over one
+    # deque of flags, and the drift and margin gates the fronts of two
+    # monotone deques; after every lock-detector update they equal a
+    # recount of their windows.  The Vc the cycle passes in is Vc at now.
     sim = Simulation(scn)
     update = sim._update_lock
     checked = 0
 
-    def update_and_recount(*args):
+    def update_and_recount(t_center, up, dn, v):
         nonlocal checked
-        update(*args)
-        assert sim._act_sum == sum(a for _, a in sim._act_hist)
-        assert sim._meta_sum == sum(f for _, f in sim._meta_hist)
+        assert v == sim._vc_at(sim.now)
+        update(t_center, up, dn, v)
+        assert sim._act_sum == sum(a for _, a, _ in sim._flag_hist)
+        assert sim._meta_sum == sum(f for _, _, f in sim._flag_hist)
         if sim.lock_time is None:
             vs = [v for _, v in sim._vc_hist]
             assert sim._vc_max[0][1] == max(vs)
@@ -272,6 +275,31 @@ def test_lock_gate_running_sums(scn):
     m = sim.run()
     assert checked > 500
     assert m.locked == (scn.pattern != "ones")
+
+
+def test_two_hot_ring_word_is_counted():
+    # RingCounter rejects a word that is not one-hot, so the fault is set
+    # around it on the running simulation's ring.  Vc starts above the
+    # window, so the first divided edge steps the ring.
+    sim = Simulation(replace(BASE, alpha=0.3, vc_init_v=0.93, duration_us=1.0))
+    on_divided = sim._on_divided
+
+    def corrupt_then_step(m):
+        if m == 1:
+            object.__setattr__(sim.ring, "q", 0b11)
+        on_divided(m)
+
+    sim._on_divided = corrupt_then_step
+    m = sim.run()
+    assert m.one_hot_violations >= 1
+    assert m.exit_code in (0, 2, 3)
+
+
+def test_counter_path_reversal_is_not_monotone():
+    assert harness._is_monotone([8, 9, 0, 1], 10)       # up, wrapping
+    assert harness._is_monotone([2, 1, 0, 9], 10)       # down, wrapping
+    assert harness._is_monotone([4], 10)
+    assert not harness._is_monotone([3, 4, 5, 4], 10)   # up, then down
 
 
 def test_zero_duration_is_empty():

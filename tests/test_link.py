@@ -88,12 +88,12 @@ def test_prbs15_seeds_never_map_to_zero_state():
 
 
 def test_bit_source_patterns():
-    alt = BitSource("alternating")
+    alt = BitSource("alternating", 1)
     assert [alt.bit(i) for i in range(6)] == [0, 1, 0, 1, 0, 1]
-    assert BitSource("ones").bit(100) == 1
-    assert BitSource("zeros").bit(100) == 0
+    assert BitSource("ones", 1).bit(100) == 1
+    assert BitSource("zeros", 1).bit(100) == 0
     with pytest.raises(ValueError):
-        BitSource("noise")
+        BitSource("noise", 1)
     # Negative indices are refused, also once bits are stored.
     prbs = BitSource("prbs15", 1)
     prbs.bit(10)
@@ -106,7 +106,7 @@ def _waveform(n=0, alpha=0.0, pattern="prbs15", rate=2.5e9, tt_ui=0.2, swing=0.2
     cfg = ChannelConfig(
         n=n, alpha=alpha, bit_period=T, transition_time=round(tt_ui * T), swing=swing
     )
-    return RxWaveform(BitSource(pattern, 1), cfg), T
+    return RxWaveform(BitSource(pattern, 1), cfg, ClockGen(T)), T
 
 
 def test_constant_ones_level():
@@ -260,7 +260,7 @@ def test_cursor_queries_match_reference(pattern, n, alpha, amp_ui, freq_hz, quer
     T = period_fs(2.5e9)
     cfg = ChannelConfig(n=n, alpha=alpha, bit_period=T,
                         transition_time=round(0.2 * T), swing=0.2)
-    tx = ClockGen(T, 0.0, JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
+    tx = ClockGen(T, JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
     wf = RxWaveform(BitSource(pattern, 1), cfg, tx)
     for method, k, offset in queries:
         t = wf.boundary(k) + offset
@@ -298,7 +298,7 @@ def test_cursor_steps_match_reference(pattern, seed, n, alpha, amp_ui, freq_hz,
     T = period_fs(2.5e9)
     cfg = ChannelConfig(n=n, alpha=alpha, bit_period=T,
                         transition_time=round(0.2 * T), swing=0.2)
-    tx = ClockGen(T, 0.0, JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
+    tx = ClockGen(T, JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
     wf = RxWaveform(BitSource(pattern, seed), cfg, tx)
     for i in range(n_bits):
         k = first + i

@@ -13,7 +13,10 @@ from mesosync.phase_detector import (
     alexander_step,
     sample_comparator,
 )
-from mesosync.timebase import Rng, period_fs
+from mesosync.scenario import Scenario
+from mesosync.timebase import ClockGen, Rng, period_fs
+
+M = Scenario().metastability_model()  # 10 ps, stochastic
 
 
 def _primed(a, b, c):
@@ -72,36 +75,40 @@ def _waveform(pattern="ones", alpha=0.0):
     cfg = ChannelConfig(
         n=0, alpha=alpha, bit_period=T, transition_time=round(0.2 * T), swing=0.2
     )
-    return RxWaveform(BitSource(pattern, 1), cfg), T
+    return RxWaveform(BitSource(pattern, 1), cfg, ClockGen(T)), T
+
+
+def _sample(wf, t, m, rng, previous=0):
+    return sample_comparator(wf, t, m, rng, previous,
+                             wf.nearest_transition_distance(t))
 
 
 def test_sample_far_from_crossing_is_sign():
     wf, T = _waveform("ones")
-    m = MetastabilityModel()
-    assert sample_comparator(wf, 5 * T, m, Rng(1)) == 1
+    assert _sample(wf, 5 * T, M, Rng(1)) == 1
 
 
 def test_sample_at_crossing_hold_returns_previous():
     wf, T = _waveform("alternating")
-    m = MetastabilityModel(resolution_mode=HOLD)
+    m = MetastabilityModel(M.time_window_tw, HOLD)
     t = wf.boundary(4)
-    assert sample_comparator(wf, t, m, Rng(1), previous=0) == 0
-    assert sample_comparator(wf, t, m, Rng(1), previous=1) == 1
+    assert _sample(wf, t, m, Rng(1), previous=0) == 0
+    assert _sample(wf, t, m, Rng(1), previous=1) == 1
 
 
 def test_sample_at_crossing_stochastic_is_fair():
     wf, T = _waveform("alternating")
-    m = MetastabilityModel(resolution_mode=STOCHASTIC)
     rng = Rng(2024)
     t = wf.boundary(4)
     n = 10_000
-    mean = sum(sample_comparator(wf, t, m, rng) for _ in range(n)) / n
+    mean = sum(_sample(wf, t, M, rng) for _ in range(n)) / n
     assert abs(mean - 0.5) <= 0.02
 
 
 def test_sampler_tracks_hold_state_and_metastability():
     wf, T = _waveform("alternating")
-    s = Sampler(MetastabilityModel(resolution_mode=HOLD), initial=1)
+    s = Sampler(MetastabilityModel(M.time_window_tw, HOLD))
+    s.last = 1
     assert s.sample(wf, wf.boundary(3), Rng(1)) == 1
     assert s.last_was_metastable
     mid = wf.boundary(3) + T // 2
@@ -112,9 +119,9 @@ def test_sampler_tracks_hold_state_and_metastability():
 
 def test_metastability_model_validation():
     with pytest.raises(ValueError):
-        MetastabilityModel(time_window_tw=-1)
+        MetastabilityModel(-1, STOCHASTIC)
     with pytest.raises(ValueError):
-        MetastabilityModel(resolution_mode="maybe")
+        MetastabilityModel(M.time_window_tw, "maybe")
 
 
 def test_pd_pipeline_bookkeeping():
@@ -127,7 +134,6 @@ def test_bang_bang_sign_flips_between_early_and_late(offset_ui):
     # amount; the long-run mean of (UP - DN) over a balanced data segment
     # must flip sign between the two.
     wf, T = _waveform("prbs15")
-    m = MetastabilityModel()
     rng = Rng(9)
 
     def mean_updn(phase_ui):
@@ -136,8 +142,8 @@ def test_bang_bang_sign_flips_between_early_and_late(offset_ui):
         for k in range(4, 1200):
             t_center = wf.boundary(k) + round((0.5 + phase_ui) * T)
             t_edge = t_center - T // 2
-            b = sample_comparator(wf, t_edge, m, rng)
-            c = sample_comparator(wf, t_center, m, rng)
+            b = _sample(wf, t_edge, M, rng)
+            c = _sample(wf, t_center, M, rng)
             up, dn, _, st = alexander_step(st, b, c)
             total += up - dn
         return total

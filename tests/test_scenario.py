@@ -84,8 +84,6 @@ def test_validation_rejects_bad_values():
     with pytest.raises(ScenarioError):
         apply_settings(Scenario(), {"dll.n_phases": "9"})
     with pytest.raises(ScenarioError):
-        apply_settings(Scenario(), {"sim.experiment": "teleport"})
-    with pytest.raises(ScenarioError):
         apply_settings(Scenario(), {"snapshot.hot_index": "10"})
 
 
