@@ -18,7 +18,10 @@ summary per workload and metric holds both sides' median and quartiles,
 the median ratio, the number of pairs the change won and whether the gap between the
 medians exceeds the base's interquartile range.  It is written to
 ``BENCH_<label>.json`` at the root of the checkout, with the seed, the
-per-pair values and both commit ids.  Both copies are removed at the end.
+per-pair values and both commit ids.  After the timed pairs, each side
+runs each workload once more with ``--trace 1 --seconds 1``; the report
+keeps that run's per-layer counts and each layer's share of the traced
+wall time.  Both copies are removed at the end.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COPIES = ROOT / ".perfbench"
 RUNNER = Path("perfbench") / "run.py"
+# Length of the one traced run per side and workload, in seconds.
+TRACE_SECONDS = 1
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -96,13 +101,15 @@ def copy_tree(dest: Path, rev: str | None = None) -> str:
         index.unlink(missing_ok=True)
 
 
-def bench_once(root: Path, workload: str, seed: int) -> dict:
-    """One ``perfbench/run.py`` call in checkout ``root``: its JSON line."""
-    proc = subprocess.run(
-        [sys.executable, str(root / RUNNER), "--workload", workload,
-         "--seed", str(seed), "--trace", "0"],
-        cwd=root, capture_output=True, text=True,
-    )
+def bench_once(root: Path, workload: str, seed: int,
+               trace: bool = False) -> dict:
+    """One ``perfbench/run.py`` call in checkout ``root``: its JSON line.
+    A traced call lasts ``TRACE_SECONDS`` and reports per-layer metrics."""
+    cmd = [sys.executable, str(root / RUNNER), "--workload", workload,
+           "--seed", str(seed), "--trace", "1" if trace else "0"]
+    if trace:
+        cmd += ["--seconds", str(TRACE_SECONDS)]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{root / RUNNER} {workload} exited "
@@ -141,6 +148,37 @@ def compare(base_root: Path, change_root: Path, workloads: list[str],
     return summary, runs, correct
 
 
+def layer_profile(metrics: dict) -> dict:
+    """The per-layer counts of one traced run, and each layer's self time
+    as a share of the run's traced wall time."""
+    wall = metrics["trace.wall_s"]["value"]
+    return {
+        "counts": {k: m["value"] for k, m in metrics.items()
+                   if m["unit"] == "count"},
+        "wall_share": {k.split(".")[0]: m["value"] / wall
+                       for k, m in metrics.items() if k.endswith(".self_s")},
+    }
+
+
+def layers(base_root: Path, change_root: Path, workloads: list[str],
+           seed: int) -> tuple[dict, bool]:
+    """One traced run per side and workload: its layer profile."""
+    profiles: dict[str, dict] = {}
+    correct = True
+    for w in workloads:
+        profiles[w] = {}
+        for side, root in (("base", base_root), ("change", change_root)):
+            out = bench_once(root, w, seed, trace=True)
+            correct = correct and out["correct"] and out["failed"] == 0
+            profiles[w][side] = layer_profile(out["metrics"])
+        base, change = (profiles[w][side]["counts"] for side in ("base", "change"))
+        moved = [f"{k} {base[k]} -> {change[k]}" for k in base
+                 if base[k] != change.get(k)]
+        print(f"traced {w}: " + (", ".join(moved) or "every count equal"),
+              flush=True)
+    return profiles, correct
+
+
 def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in benchmark["workloads"]]
@@ -168,6 +206,9 @@ def main(argv: list[str] | None = None) -> int:
         change_src = copy_tree(change_root)
         summary, runs, correct = compare(base_root, change_root, workloads,
                                          args.pairs, args.seed, metrics)
+        profiles, traced_correct = layers(base_root, change_root, workloads,
+                                          args.seed)
+        correct = correct and traced_correct
     finally:
         shutil.rmtree(base_root, ignore_errors=True)
         shutil.rmtree(change_root, ignore_errors=True)
@@ -186,6 +227,8 @@ def main(argv: list[str] | None = None) -> int:
         "correct": correct,
         "summary": summary,
         "runs": runs,
+        "traced_seconds_per_run": TRACE_SECONDS,
+        "layers": profiles,
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

@@ -17,26 +17,37 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from operator import itemgetter
 from typing import NamedTuple
 
-from .timebase import ClockGen, EvictedEdgeError, SimTime, seek_edge
+from .timebase import ClockGen, SimTime
 
 IDEAL = "ideal"
 TRACKING = "tracking"
 
 
+class _TrackedClock(ClockGen):
+    """A reference clock whose edge offsets from the grid pass through a
+    one-pole low-pass: slow jitter is tracked, fast jitter attenuated."""
+
+    def __init__(self, reference: ClockGen, loop_bw_hz: float):
+        super().__init__(reference.period, name=f"{reference.name} tracked")
+        self.reference = reference
+        # Discrete one-pole equivalent of a first-order loop at loop_bw_hz.
+        tsec = self.period / 1e15
+        self._alpha = 1.0 - math.exp(-2.0 * math.pi * loop_bw_hz * tsec)
+        self._y = 0.0
+
+    def _generate(self, k: int) -> SimTime:
+        x = self.reference.edge(k) - k * self.period
+        self._y += self._alpha * (x - self._y)
+        return k * self.period + round(self._y)
+
+
 class DllPhases:
-    """Edge times for the N DLL output phases.
-
-    ``reference`` is the receiver clock generator.  In tracking mode the
-    reference's per-edge phase offsets pass through a one-pole low-pass with
-    the given loop bandwidth before the phase offsets are applied.
-
-    ``first_edge_after`` and its block form ``first_edges_after`` keep a
-    cursor on the (tracked) reference edges, shared by all phases, and walk
-    from it (see :func:`seek_edge`).
-    """
+    """Edge times for the N DLL output phases: phase i is the clock ``ref``
+    delayed by i/N of a period.  ``ref``, which generates, caches and walks
+    the edges, is the receiver clock in ideal mode and its low-passed copy
+    (``_TrackedClock``) in tracking mode."""
 
     def __init__(
         self,
@@ -47,60 +58,33 @@ class DllPhases:
     ):
         if n_phases < 4:
             raise ValueError("need at least 4 DLL phases")
-        if mode not in (IDEAL, TRACKING):
+        if loop_bw_hz <= 0:
+            raise ValueError("DLL loop bandwidth must be positive")
+        if mode == TRACKING:
+            reference = _TrackedClock(reference, loop_bw_hz)
+        elif mode != IDEAL:
             raise ValueError(f"unknown DLL mode: {mode!r}")
         self.ref = reference
         self.n = n_phases
-        self.mode = mode
         self.period = reference.period
         self._offsets = [round(i * self.period / n_phases) for i in range(n_phases)]
-        self._cursor: tuple | None = None
-        # Reference edge k: the receiver clock's own in ideal mode, its
-        # low-passed copy in tracking mode.
-        self._ref_edge = reference.edge
-        if mode == TRACKING:
-            # Discrete one-pole equivalent of a first-order loop at loop_bw_hz.
-            tsec = self.period / 1e15
-            self._alpha = 1.0 - math.exp(-2.0 * math.pi * loop_bw_hz * tsec)
-            # Tracked edges base, base + 1, ... (see forget_before).
-            self._tracked: list[SimTime] = []
-            self._base = 0
-            self._y = 0.0
-            self._ref_edge = self._tracked_edge
 
     def phase_offset(self, i: int) -> SimTime:
         if not 0 <= i < self.n:
             raise IndexError(f"phase index {i} out of range [0, {self.n})")
         return self._offsets[i]
 
-    def _tracked_edge(self, k: int) -> SimTime:
-        tracked = self._tracked
-        i = k - self._base
-        if i < 0:
-            raise EvictedEdgeError(f"tracked edge {k} is below the cache "
-                                   f"base {self._base}")
-        while len(tracked) <= i:
-            j = self._base + len(tracked)
-            x = self.ref.edge(j) - j * self.period
-            self._y += self._alpha * (x - self._y)
-            tracked.append(j * self.period + round(self._y))
-        return tracked[i]
-
     def forget_before(self, index: int) -> None:
-        """Drop the tracked edges below ``index``; the reference clock
-        drops its own (see :meth:`ClockGen.forget_before`)."""
-        if self.mode == TRACKING:
-            drop = min(index - self._base, len(self._tracked))
-            if drop > 0:
-                del self._tracked[:drop]
-                self._base += drop
+        """Drop the reference edges below ``index`` (see
+        :meth:`ClockGen.forget_before`)."""
+        self.ref.forget_before(index)
 
     def edge(self, i: int, k: int) -> SimTime:
         """k-th active edge of DLL phase i."""
         # The range check of phase_offset, inline: one call per cycle.
         if not 0 <= i < self.n:
             raise IndexError(f"phase index {i} out of range [0, {self.n})")
-        return self._ref_edge(k) + self._offsets[i]
+        return self.ref.edge(k) + self._offsets[i]
 
     def first_edge_after(self, i: int, t: SimTime) -> SimTime:
         """Earliest edge of phase i strictly after t."""
@@ -108,14 +92,12 @@ class DllPhases:
 
     def first_edges_after(self, idx, ts) -> list[SimTime]:
         """Earliest edge of phase ``idx[j]`` strictly after ``ts[j]``, for
-        each j, in one walk over the reference edges."""
+        each j, in one walk of the reference's cursor."""
         for i in set(idx):
             self.phase_offset(i)  # range check
         offs = [self._offsets[i] for i in idx]
-        self._cursor, edges = seek_edge(
-            self._ref_edge, self._cursor,
-            (t - off + 1 for t, off in zip(ts, offs)), self.period,
-        )
+        edges = self.ref.first_edges_at_or_after(
+            t - off + 1 for t, off in zip(ts, offs))
         return [e + off for e, off in zip(edges, offs)]
 
 
@@ -174,10 +156,6 @@ class Delivery(NamedTuple):
     violations: tuple[str, ...] = ()
 
 
-# Deliveries sort by (t_center, bit_id).
-_DELIVERY_ORDER = itemgetter(2, 0)
-
-
 def _capture(
     u: SimTime,
     transition: SimTime,
@@ -213,11 +191,11 @@ def cdt_transfer(
     """Run retimed detector outputs through the transfer chain.
 
     ``events`` holds (bit_id, value, t_center, selected_phase) per detector
-    evaluation in time order; ``retime_edges[j]`` is the sampling-clock edge
-    that re-times event j (the following active edge).  Returns one
-    :class:`Delivery` per event, except for the last ``lookahead`` events:
-    they only supply the later transitions that the events before them
-    need.  Stage 2 of event j needs stage 1 of event j+1, which needs the
+    evaluation, with ``t_center`` strictly rising; ``retime_edges[j]`` is
+    the sampling-clock edge that re-times event j (the following active
+    edge).  Returns one :class:`Delivery` per event, in event order, except
+    for the last ``lookahead`` events: they only supply the later
+    transitions that the events before them need.  Stage 2 of event j needs stage 1 of event j+1, which needs the
     retiming edge of event j+2, so with ``lookahead=2`` every delivery
     equals the one a call over the whole stream would make, and a long
     stream can run in blocks that overlap by two events.
@@ -268,5 +246,4 @@ def cdt_transfer(
                 Delivery(bit_id, value, t_center, t_retime, u1, u2,
                          u2 - t_center, viols)
             )
-    out.sort(key=_DELIVERY_ORDER)
     return out

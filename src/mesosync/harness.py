@@ -175,17 +175,15 @@ class Simulation:
         self.keep_traces = keep_traces
 
         self.rng_meta = Rng(derive_seed(scn.seed, 0))
-        rng_tx = Rng(derive_seed(scn.seed, 1))
-        rng_rx = Rng(derive_seed(scn.seed, 2))
         self.bits = BitSource(scn.pattern, derive_seed(scn.seed, 3))
 
-        tx_jit, rx_jit = scn.jitter()
-        self.tx_clock = ClockGen(self.T, tx_jit, rng_tx, name="tx")
+        self.tx_clock = self._new_tx_clock()
         if scn.correlated:
             # Receiver reference shares the transmitter's edge offsets.
             self.rx_clock = self.tx_clock
         else:
-            self.rx_clock = ClockGen(self.T, rx_jit, rng_rx, name="rx")
+            self.rx_clock = ClockGen(self.T, scn.jitter()[1],
+                                     Rng(derive_seed(scn.seed, 2)), name="rx")
 
         self.waveform = RxWaveform(self.bits, scn.channel_config(), self.tx_clock)
         self.window = scn.window_comparator()
@@ -494,8 +492,8 @@ class Simulation:
         declared yet, a later lock instant lies after every sample in the
         block, which then counts only towards ``total_violations``, as in
         one pass over the whole run.  Mid-eye samples rise strictly in
-        detector order, so blocks arrive in the ``(t_center, bit_id)``
-        order that ``cdt_transfer`` sorts each one into.
+        detector order, as ``cdt_transfer`` requires, so deliveries come
+        out in ``(t_center, bit_id)`` order.
         """
         pending = self.pd_pending
         deliveries = cdt_transfer(
@@ -756,13 +754,17 @@ class Simulation:
             m.eye_hist = self._eye_histogram()
         return m
 
+    def _new_tx_clock(self) -> ClockGen:
+        """A transmitter clock from edge 0; every one draws the same edges."""
+        return ClockGen(self.T, self.scn.jitter()[0],
+                        Rng(derive_seed(self.scn.seed, 1)), name="tx")
+
     def _eye_histogram(self) -> list:
         # The run's transmitter clock has dropped its old edges; a fresh one
-        # with the same seed draws the same edges again.
+        # draws the same edges again.
         scn = self.scn
-        tx_clock = ClockGen(self.T, scn.jitter()[0],
-                            Rng(derive_seed(scn.seed, 1)), name="tx")
-        waveform = RxWaveform(self.bits, scn.channel_config(), tx_clock)
+        waveform = RxWaveform(self.bits, scn.channel_config(),
+                              self._new_tx_clock())
         bins = scn.eye_bins
         counts: dict[tuple[float, float], int] = {}
         # (offset into the bit in fs, phase in UI) at each bin centre.

@@ -88,8 +88,8 @@ class ChannelConfig:
             raise ValueError("n must be >= 0")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must be in [0, 1)")
-        if self.transition_time >= self.bit_period:
-            raise ValueError("transition_time must be < bit_period")
+        if not 0 <= self.transition_time < self.bit_period:
+            raise ValueError("transition_time must be in [0, bit_period)")
         if self.swing <= 0:
             raise ValueError("swing must be positive")
 

@@ -187,6 +187,16 @@ class Scenario:
         # The retiming stage settles T/2 - t_setup after its edge.
         if not 0.0 <= self.t_setup_ui <= 0.5:
             raise ScenarioError("cdt.t_setup_ui must be in [0, 0.5]")
+        # Only the harness reads these; a margin of half the window leaves
+        # no interior Vc to lock at.
+        if self.lock_window_divided < 1:
+            raise ScenarioError("lock.window_divided must be >= 1")
+        if self.lock_drift_frac <= 0:
+            raise ScenarioError("lock.drift_frac must be positive")
+        if not 0.0 <= self.lock_vc_margin_frac < 0.5:
+            raise ScenarioError("lock.vc_margin_frac must be in [0, 0.5)")
+        if self.eye_bins < 1:
+            raise ScenarioError("eye.bins must be >= 1")
         # The components check their own values; building each one turns a
         # bad value into a ScenarioError here instead of a crash mid-run.
         try:

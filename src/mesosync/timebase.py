@@ -125,41 +125,17 @@ def jitter_offset(spec: JitterSpec, t: SimTime, rng: Rng | None = None) -> float
     return off
 
 
-def edge_time(
-    period: SimTime,
-    index: int,
-    jitter: JitterSpec = NO_JITTER,
-    rng: Rng | None = None,
-) -> SimTime:
-    """Active-edge instant ``index*T + jitter*T`` in ticks.
-
-    Jitter is evaluated at the nominal grid instant ``index*T``.  Edges are
-    strictly increasing in ``index`` whenever the total excursion per period
-    stays below 0.5 UI; sequence-level checking lives in :class:`ClockGen`.
-    """
-    if period <= 0:
-        raise ValueError("period must be positive")
-    if index < 0:
-        raise ValueError("index must be >= 0")
-    t = index * period
-    if not jitter.is_quiet:
-        t += round(jitter_offset(jitter, index * period, rng) * period)
-    return t
-
-
 class ClockGen:
     """Sequential edge generator for one clock with monotonicity checking.
 
-    Owns the gaussian draw order for its jitter spec: edges are generated
-    in index order, each exactly once, and cached from a base index on, so
-    ``edge(k)`` may be called with any k at or above the base in any order
-    and repeated queries are stable.  The base starts at 0;
-    ``forget_before(k)`` raises it to k (never past the newest generated
-    edge), and ``edge`` below it raises :class:`EvictedEdgeError`.
-
-    ``first_edge_at_or_after`` and its block form ``first_edges_at_or_after``
-    keep the index of the previous answer and the edges on either side of
-    it, and walk from there (see :func:`seek_edge`).
+    The one place that generates, caches, evicts and walks clock edges.
+    ``_generate(k)`` makes edge k, in index order and once per edge, which
+    fixes the gaussian draw order; a clock derived from another overrides
+    it.  Edges are cached from a base index on, so ``edge(k)`` takes any k
+    at or above the base in any order.  ``forget_before(k)`` raises the
+    base to k (never past the newest edge); below it ``edge`` raises
+    :class:`EvictedEdgeError`.  ``first_edges_at_or_after`` walks from a
+    cursor: the index of the previous answer and the edges either side.
     """
 
     def __init__(
@@ -169,6 +145,8 @@ class ClockGen:
         rng: Rng | None = None,
         name: str = "clk",
     ):
+        if period <= 0:
+            raise ValueError("period must be positive")
         self.period = period
         self.jitter = jitter
         self.rng = rng
@@ -176,7 +154,15 @@ class ClockGen:
         # Edges base, base + 1, ... in generation order.
         self._edges: list[SimTime] = []
         self._base = 0
+        # (k, edge(k - 1), edge(k)) of the previous answer, or None.
         self._cursor: tuple | None = None
+
+    def _generate(self, k: int) -> SimTime:
+        """``k*T`` plus the jitter at that nominal instant, in ticks."""
+        t = k * self.period
+        if not self.jitter.is_quiet:
+            t += round(jitter_offset(self.jitter, t, self.rng) * self.period)
+        return t
 
     def edge(self, index: int) -> SimTime:
         edges = self._edges
@@ -188,7 +174,7 @@ class ClockGen:
                                    f"cache base {self._base}")
         while len(edges) <= i:
             k = self._base + len(edges)
-            t = edge_time(self.period, k, self.jitter, self.rng)
+            t = self._generate(k)
             if edges and t <= edges[-1]:
                 raise NonMonotonicEdgeError(
                     f"{self.name}: edge {k} at {t} fs not after edge {k-1} "
@@ -207,47 +193,32 @@ class ClockGen:
 
     def first_edge_at_or_after(self, t: SimTime) -> tuple[int, SimTime]:
         """(index, time) of the earliest edge with time >= t."""
-        self._cursor, _ = seek_edge(self.edge, self._cursor, (t,), self.period)
-        k, _, e = self._cursor
-        return k, e
+        (e,) = self.first_edges_at_or_after((t,))
+        return self._cursor[0], e
 
     def first_edges_at_or_after(self, ts) -> list[SimTime]:
         """Time of the earliest edge at or after each of ``ts``, in one
-        walk."""
-        self._cursor, edges = seek_edge(self.edge, self._cursor, ts,
-                                        self.period)
-        return edges
-
-
-def seek_edge(edge, cursor: tuple | None, ts,
-              period: SimTime) -> tuple[tuple, list[SimTime]]:
-    """Walk to the earliest edge at or after each query instant in ``ts``.
-
-    Returns the final cursor ``(k, edge(k - 1), edge(k))`` and the list of
-    ``edge(k)`` answers, one per query.  ``edge`` maps index k >= 0 to
-    strictly increasing times near the nominal grid ``k * period``;
-    ``cursor`` is the previous result, or None before the first query.
-    Each query walks from the cursor the one before it left, or from the
-    nominal grid when it lands more than ``SEEK_PERIODS`` periods away, so
-    every answer is exact for any query order.  A block of queries about
-    one period apart walks one step each, and a single query is a block
-    of one.  ``edge(k - 1)`` is None at k = 0.
-    """
-    reach = SEEK_PERIODS * period
-    out: list[SimTime] = []
-    k, lo, hi = cursor or (None, None, None)
-    for t in ts:
-        if hi is None or not -reach < t - hi < reach:
-            k = max(int(t // period) - 2, 0)
-            lo, hi = (edge(k - 1) if k else None), edge(k)
-        while hi < t:
-            k += 1
-            lo, hi = hi, edge(k)
-        while k > 0 and lo >= t:
-            k -= 1
-            lo, hi = (edge(k - 1) if k else None), lo
-        out.append(hi)
-    return ((k, lo, hi) if out else cursor), out
+        walk: from the cursor the query before left, or from the nominal
+        grid when more than ``SEEK_PERIODS`` periods away, so every answer
+        is exact for any query order."""
+        edge = self.edge
+        reach = SEEK_PERIODS * self.period
+        out: list[SimTime] = []
+        k, lo, hi = self._cursor or (None, None, None)
+        for t in ts:
+            if hi is None or not -reach < t - hi < reach:
+                k = max(int(t // self.period) - 2, 0)
+                lo, hi = (edge(k - 1) if k else None), edge(k)
+            while hi < t:
+                k += 1
+                lo, hi = hi, edge(k)
+            while k > 0 and lo >= t:
+                k -= 1
+                lo, hi = (edge(k - 1) if k else None), lo
+            out.append(hi)
+        if out:
+            self._cursor = (k, lo, hi)
+        return out
 
 
 def clamp_voltage(v: float, v_dd: float) -> float:

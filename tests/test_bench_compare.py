@@ -1,8 +1,8 @@
 """The summary that bench/compare.py writes into BENCH_*.json.
 
 The summary arithmetic is checked on fixed samples, the pairing of
-``compare()`` and the report ``main()`` writes with ``bench_once`` stubbed
-out; no benchmark runs.
+``compare()``, the traced runs of ``layers()`` and the report ``main()``
+writes with ``bench_once`` stubbed out; no benchmark runs.
 """
 
 import importlib.util
@@ -152,6 +152,56 @@ def test_compare_failed_runs_are_not_correct(monkeypatch, failed_side):
     assert all(len(runs[w]) == 3 for w in ("w1", "w2"))
 
 
+def _layer_metrics(edge_calls, harness_s):
+    """The metrics of a traced perfbench run, cut to a few layers."""
+    values = {
+        "timebase.edge_calls": (edge_calls, "count"),
+        "timebase.self_s": (0.5, "s"),
+        "dll_cdt.edge_calls": (2 * edge_calls, "count"),
+        "dll_cdt.missed_share": (0.0, "share"),
+        "harness.self_s": (harness_s, "s"),
+        "harness.self_s_per_cycle": (harness_s / 100, "s/cycle"),
+        "trace.wall_s": (2.0, "s"),
+        "trace.cycles": (100, "count"),
+    }
+    return {k: {"value": v, "unit": u} for k, (v, u) in values.items()}
+
+
+def test_layer_profile_counts_and_shares():
+    profile = compare.layer_profile(_layer_metrics(7, 1.0))
+    assert profile == {
+        "counts": {"timebase.edge_calls": 7, "dll_cdt.edge_calls": 14,
+                   "trace.cycles": 100},
+        "wall_share": {"timebase": 0.25, "harness": 0.5},
+    }
+
+
+def test_layers_traces_each_side_once(monkeypatch, capsys):
+    base_root = Path("/nonexistent/base")
+    calls = []
+
+    def bench_once(root, workload, seed, trace=False):
+        side = "base" if root == base_root else "change"
+        calls.append((side, workload, seed, trace))
+        edges = 10 if side == "base" or workload == "w1" else 11
+        return {"correct": True, "failed": 1 if workload == "w2" else 0,
+                "metrics": _layer_metrics(edges, 1.0)}
+
+    monkeypatch.setattr(compare, "bench_once", bench_once)
+    profiles, correct = compare.layers(
+        base_root, Path("/nonexistent/work"), ["w1", "w2"], 5)
+    assert calls == [(side, w, 5, True) for w in ("w1", "w2")
+                     for side in ("base", "change")]
+    assert correct is False
+    assert profiles["w2"]["base"]["counts"]["timebase.edge_calls"] == 10
+    assert profiles["w2"]["change"]["counts"]["timebase.edge_calls"] == 11
+    assert profiles["w1"]["change"]["wall_share"]["harness"] == 0.5
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "traced w1: every count equal"
+    assert out[1] == ("traced w2: timebase.edge_calls 10 -> 11, "
+                      "dll_cdt.edge_calls 20 -> 22")
+
+
 def _git(root, *args):
     return subprocess.run(
         ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
@@ -185,9 +235,12 @@ def test_main_runs_twin_copies_and_removes_them(monkeypatch, tmp_path, capsys):
 
     roots = []
 
-    def bench_once(root, workload, seed):
-        roots.append(root)
+    def bench_once(root, workload, seed, trace=False):
+        roots.append((root, trace))
         value = float((root / "src" / "sim.py").read_text().split("=")[1])
+        if trace:
+            return {"correct": True, "failed": 0,
+                    "metrics": _layer_metrics(int(value), 0.1 * value)}
         return {"correct": True, "failed": 0,
                 "metrics": {"wall_norm_s": {"value": value}}}
 
@@ -206,9 +259,14 @@ def test_main_runs_twin_copies_and_removes_them(monkeypatch, tmp_path, capsys):
     assert report["correct"] is True
     s = report["summary"]["w1"]["wall_norm_s"]
     assert s["base"]["median"] == 1.0 and s["change"]["median"] == 3.0
+    # One traced run per side follows the timed pairs.
+    assert [trace for _, trace in roots] == [False] * 4 + [True] * 2
+    assert report["layers"]["w1"]["base"]["counts"]["timebase.edge_calls"] == 1
+    assert report["layers"]["w1"]["change"]["counts"]["timebase.edge_calls"] == 3
     # Two sides, each run from one copy under .perfbench/, never from the
     # checkout; the two paths have the same length.
-    assert len(roots) == 4 and len(set(roots)) == 2
+    roots = [root for root, _ in roots]
+    assert len(set(roots)) == 2 and roots[4:] == roots[:2]
     base_root, change_root = roots[0], roots[1]
     assert base_root.parent == change_root.parent == repo / ".perfbench"
     assert len(str(base_root)) == len(str(change_root))

@@ -95,6 +95,12 @@ BAD_SETTINGS = [
     "vcdl.d_min_ui=-0.1",
     "cdt.t_setup_ui=-0.1",
     "cdt.t_setup_ui=1e9",
+    "channel.transition_time_ui=-0.1",
+    "dll.loop_bw_hz=-1e6",
+    "lock.window_divided=0",
+    "lock.drift_frac=0",
+    "lock.vc_margin_frac=-0.5",
+    "eye.bins=0",
 ]
 
 

@@ -83,6 +83,30 @@ def test_tracking_forget_before_drops_only_older_edges():
     assert [p.edge(3, k) for k in range(120, 400)] == [ref.edge(3, k) for k in range(120, 400)]
 
 
+def test_tracking_edges_follow_one_pole_recurrence():
+    # The tracked reference, bit for bit: the receiver clock's offsets from
+    # its grid through y += alpha * (x - y), before and after a drop.
+    jitter = JitterSpec(sin_amp_ui=0.3, sin_freq_hz=3e6, gauss_sigma_ui=0.02)
+    bw = 20e6
+    p = _phases(mode="tracking", jitter=jitter, bw=bw)
+    rx = ClockGen(T, jitter=jitter, rng=Rng(1))
+    tsec = T / 1e15
+    alpha = 1.0 - math.exp(-2.0 * math.pi * bw * tsec)
+    y = 0.0
+    expect = []
+    for k in range(2000):
+        y += alpha * ((rx.edge(k) - k * T) - y)
+        expect.append(k * T + round(y))
+    assert [p.edge(0, k) for k in range(1200)] == expect[:1200]
+    assert expect != [k * T for k in range(2000)]
+    p.forget_before(1000)
+    with pytest.raises(EvictedEdgeError):
+        p.edge(0, 999)
+    assert [p.edge(0, k) for k in range(1000, 2000)] == expect[1000:]
+    assert [p.edge(7, k) for k in range(1000, 2000)] == [
+        e + round(7 * T / 10) for e in expect[1000:]]
+
+
 def test_intermediate_phase_formula():
     assert intermediate_phase(3, 8) == 1
     assert intermediate_phase(0, 8) == 0

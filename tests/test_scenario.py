@@ -85,6 +85,23 @@ def test_validation_rejects_bad_values():
         apply_settings(Scenario(), {"dll.n_phases": "9"})
     with pytest.raises(ScenarioError):
         apply_settings(Scenario(), {"snapshot.hot_index": "10"})
+    # Each of these ran once: a zero lock window locked on the first
+    # cycle, a negative Vc margin locked early, zero eye bins wrote a
+    # header-only histogram.
+    for settings in (
+        {"channel.transition_time_ui": "-0.1"},
+        {"dll.mode": "tracking", "dll.loop_bw_hz": "-1e6"},
+        {"dll.mode": "tracking", "dll.loop_bw_hz": "0"},
+        {"lock.window_divided": "0"},
+        {"lock.window_divided": "-1"},
+        {"lock.drift_frac": "0"},
+        {"lock.drift_frac": "-0.5"},
+        {"lock.vc_margin_frac": "-0.5"},
+        {"lock.vc_margin_frac": "0.5"},
+        {"eye.bins": "0"},
+    ):
+        with pytest.raises(ScenarioError):
+            apply_settings(Scenario(), settings)
 
 
 def test_vc_start_defaults_to_window_center():

@@ -12,7 +12,6 @@ from mesosync.timebase import (
     NonMonotonicEdgeError,
     Rng,
     derive_seed,
-    edge_time,
     jitter_offset,
     period_fs,
 )
@@ -85,26 +84,29 @@ def test_jitter_spec_rejects_negative():
         JitterSpec(gauss_sigma_ui=-1.0)
 
 
-def test_edge_time_unjittered_grid():
+def test_clockgen_edge_unjittered_grid():
     T = period_fs(1.3e9)
-    assert edge_time(T, 2) == 2 * T
+    assert ClockGen(T).edge(2) == 2 * T
 
 
-def test_edge_time_sinusoidal_formula():
+def test_clockgen_edge_sinusoidal_formula():
     # 2.5 Gb/s: T = 400 ps; 50 MHz sinusoid at 0.1 UI, evaluated at k*T.
     T = period_fs(2.5e9)
     assert T == 400_000
-    spec = JitterSpec(sin_amp_ui=0.1, sin_freq_hz=50e6)
+    gen = ClockGen(T, JitterSpec(sin_amp_ui=0.1, sin_freq_hz=50e6))
     for k in range(0, 12):
         expect = k * T + round(0.1 * T * math.sin(2 * math.pi * 50e6 * k * T / 1e15))
-        assert edge_time(T, k, spec) == expect
+        assert gen.edge(k) == expect
 
 
-def test_edge_time_rejects_bad_args():
+def test_clockgen_rejects_bad_args():
     with pytest.raises(ValueError):
-        edge_time(0, 1)
+        ClockGen(0)
     with pytest.raises(ValueError):
-        edge_time(100, -1)
+        ClockGen(-100)
+    # A negative index lies below every cache base.
+    with pytest.raises(EvictedEdgeError):
+        ClockGen(100).edge(-1)
 
 
 def test_clockgen_monotone_over_1e6_edges():
