@@ -45,8 +45,9 @@ class _TrackedClock(ClockGen):
 
 class DllPhases:
     """Edge times for the N DLL output phases: phase i is the clock ``ref``
-    delayed by i/N of a period.  ``ref``, which generates, caches and walks
-    the edges, is the receiver clock in ideal mode and its low-passed copy
+    delayed by i/N of a period.  ``ref`` answers every edge query (its
+    owner drops its old edges through ``ref.forget_before``); it is the
+    receiver clock in ideal mode and its low-passed copy
     (``_TrackedClock``) in tracking mode."""
 
     def __init__(
@@ -73,11 +74,6 @@ class DllPhases:
         if not 0 <= i < self.n:
             raise IndexError(f"phase index {i} out of range [0, {self.n})")
         return self._offsets[i]
-
-    def forget_before(self, index: int) -> None:
-        """Drop the reference edges below ``index`` (see
-        :meth:`ClockGen.forget_before`)."""
-        self.ref.forget_before(index)
 
     def edge(self, i: int, k: int) -> SimTime:
         """k-th active edge of DLL phase i."""
@@ -195,21 +191,31 @@ def cdt_transfer(
     the sampling-clock edge that re-times event j (the following active
     edge).  Returns one :class:`Delivery` per event, in event order, except
     for the last ``lookahead`` events: they only supply the later
-    transitions that the events before them need.  Stage 2 of event j needs stage 1 of event j+1, which needs the
-    retiming edge of event j+2, so with ``lookahead=2`` every delivery
-    equals the one a call over the whole stream would make, and a long
-    stream can run in blocks that overlap by two events.
+    transitions that the events before them need.  Stage 2 of event j
+    needs stage 1 of event j+1, which needs the retiming edge of event
+    j+2, so with ``lookahead=2`` every delivery equals the one a call over
+    the whole stream would make, and a long stream can run in blocks that
+    overlap by two events.
 
     Each stage runs over the whole block with one walk of its clock's edge
     cursor: stage 1 captures every event at its intermediate DLL phase,
     then stage 2 captures each event at the receiver clock, which needs
-    the next event's stage-1 output as its closing transition.
+    the next event's stage-1 output as its closing transition.  Only a
+    capture that can carry a violation or a miss goes to ``_capture``,
+    which decides and words it: one whose opening transition lies within
+    ``t_setup`` before its edge u, or whose closing transition comes at or
+    before u + ``t_hold``.  Every other capture is ``(u, ())``.
     """
     out: list[Delivery] = []
     n_ev = len(events)
     n_out = n_ev - lookahead
     resolve_retime = chain.resolve_retime
     resolve_stage = chain.resolve_stage
+    # The guard's reach.  An edge is the first strictly after its opening
+    # transition, so that transition can only break setup; a closing one
+    # before the edge is a miss however small t_hold is.
+    setup = chain.t_setup
+    hold = max(chain.t_hold, 0)
     # Stage 1: data transitions at the retiming stage output, captured at
     # the intermediate phase of each event's selected phase.
     taus = [r + resolve_retime for r in retime_edges]
@@ -218,6 +224,8 @@ def cdt_transfer(
     edges = phases.first_edges_after([stage_phase[ev[3]] for ev in events], taus)
     taus.append(None)
     stage1 = [_capture(u, tau, nxt, chain)
+              if u - tau < setup or (nxt is not None and nxt - u <= hold)
+              else (u, ())
               for u, tau, nxt in zip(edges, taus, islice(taus, 1, None))]
     # A sentinel closes the last event.  Only the captures stay alive for
     # stage 2, as two flat tuples.
@@ -234,9 +242,14 @@ def cdt_transfer(
                 Delivery(bit_id, value, t_center, t_retime, -1, -1, -1, viol1)
             )
             continue
+        sigma = u1 + resolve_stage
         nxt = None if next_u1 is None else next_u1 + resolve_stage
-        u2, viol2 = _capture(next(rx_edges), u1 + resolve_stage, nxt, chain)
-        viols = viol1 + viol2
+        u2 = next(rx_edges)
+        viols = viol1
+        # Stage 1's guard.
+        if u2 - sigma < setup or (nxt is not None and nxt - u2 <= hold):
+            u2, viol2 = _capture(u2, sigma, nxt, chain)
+            viols += viol2
         if u2 is None:
             out.append(
                 Delivery(bit_id, value, t_center, t_retime, u1, -1, -1, viols)

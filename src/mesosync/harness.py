@@ -76,7 +76,14 @@ from .phase_detector import (
     alexander_step,
 )
 from .scenario import Scenario, ScenarioError
-from .timebase import ClockGen, Rng, SimTime, clamp_voltage, derive_seed
+from .timebase import (
+    ClockGen,
+    Rng,
+    SimTime,
+    clamp_voltage,
+    derive_seed,
+    make_clock,
+)
 
 # Fixed tiebreak order for simultaneous events (low value runs first).  The
 # heap priorities 1-4 also index the event's handler in Simulation.run;
@@ -182,14 +189,18 @@ class Simulation:
             # Receiver reference shares the transmitter's edge offsets.
             self.rx_clock = self.tx_clock
         else:
-            self.rx_clock = ClockGen(self.T, scn.jitter()[1],
-                                     Rng(derive_seed(scn.seed, 2)), name="rx")
+            self.rx_clock = make_clock(self.T, scn.jitter()[1],
+                                       Rng(derive_seed(scn.seed, 2)), name="rx")
 
         self.waveform = RxWaveform(self.bits, scn.channel_config(), self.tx_clock)
         self.window = scn.window_comparator()
         self.pump = scn.pump_config()
         self.curve = scn.vcdl_curve()
         self.dll = scn.dll_phases(self.rx_clock)
+        # Each clock object once: correlated clocks are one object, and in
+        # ideal mode the DLL's reference is the receiver clock itself.
+        self._clocks = list({id(c): c for c in
+                             (self.tx_clock, self.rx_clock, self.dll.ref)}.values())
 
         preset = scn.snapshot_hot if scn.snapshot_hot >= 0 else 0
         self.ring = RingCounter(self.N, 1 << preset)
@@ -503,9 +514,8 @@ class Simulation:
         del pending[:len(deliveries)]
         start = self._measure_start()
         forget = self.now // self.T - _EDGE_LOOKBACK
-        self.tx_clock.forget_before(forget)
-        self.rx_clock.forget_before(forget)
-        self.dll.forget_before(forget)
+        for clock in self._clocks:
+            clock.forget_before(forget)
         if not self.keep_traces:
             if start is not None:
                 self._fold_vc(start)
@@ -756,8 +766,8 @@ class Simulation:
 
     def _new_tx_clock(self) -> ClockGen:
         """A transmitter clock from edge 0; every one draws the same edges."""
-        return ClockGen(self.T, self.scn.jitter()[0],
-                        Rng(derive_seed(self.scn.seed, 1)), name="tx")
+        return make_clock(self.T, self.scn.jitter()[0],
+                          Rng(derive_seed(self.scn.seed, 1)), name="tx")
 
     def _eye_histogram(self) -> list:
         # The run's transmitter clock has dropped its old edges; a fresh one

@@ -187,6 +187,9 @@ class Scenario:
         # The retiming stage settles T/2 - t_setup after its edge.
         if not 0.0 <= self.t_setup_ui <= 0.5:
             raise ScenarioError("cdt.t_setup_ui must be in [0, 0.5]")
+        # A negative hold would read as no hold check at all.
+        if self.t_hold_ui < 0:
+            raise ScenarioError("cdt.t_hold_ui must be >= 0")
         # Only the harness reads these; a margin of half the window leaves
         # no interior Vc to lock at.
         if self.lock_window_divided < 1:

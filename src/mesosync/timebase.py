@@ -1,9 +1,12 @@
-"""Simulation time base, reproducible randomness and jittered clock edges.
+"""Simulation time base, reproducible randomness and clock edges.
 
 All simulation time is carried as integer femtoseconds so that event
 ordering and phase arithmetic are exact.  Clock phases and jitter are
 expressed in unit intervals (UI, fractions of the clock period) and only
-converted to ticks at the final rounding step.
+converted to ticks at the final rounding step.  ``ClockGen`` generates,
+caches and walks jittered edges; ``GridClock`` answers the edges of a
+clock without jitter in closed form; ``make_clock`` picks one of the two
+from a clock's jitter.
 """
 
 from __future__ import annotations
@@ -128,7 +131,8 @@ def jitter_offset(spec: JitterSpec, t: SimTime, rng: Rng | None = None) -> float
 class ClockGen:
     """Sequential edge generator for one clock with monotonicity checking.
 
-    The one place that generates, caches, evicts and walks clock edges.
+    The one place that generates, caches, evicts and walks jittered clock
+    edges (a quiet clock gives the edges of :class:`GridClock`).
     ``_generate(k)`` makes edge k, in index order and once per edge, which
     fixes the gaussian draw order; a clock derived from another overrides
     it.  Edges are cached from a base index on, so ``edge(k)`` takes any k
@@ -219,6 +223,44 @@ class ClockGen:
         if out:
             self._cursor = (k, lo, hi)
         return out
+
+
+class GridClock(ClockGen):
+    """A clock without jitter: edge k is ``k * period``, answered in closed
+    form.  It gives every answer ``ClockGen(period)`` gives, and the tests
+    compare the two; nothing is cached, so ``forget_before`` drops nothing
+    and an edge below index 0 is the only one that raises."""
+
+    def edge(self, index: int) -> SimTime:
+        if index < 0:
+            raise EvictedEdgeError(f"{self.name}: edge {index} is below the "
+                                   f"cache base 0")
+        return index * self.period
+
+    def forget_before(self, index: int) -> None:
+        pass
+
+    def first_edge_at_or_after(self, t: SimTime) -> tuple[int, SimTime]:
+        k = max(-(-t // self.period), 0)
+        return k, k * self.period
+
+    def first_edges_at_or_after(self, ts) -> list[SimTime]:
+        # max(ceil(t / T), 0) * T: the next multiple of T, or edge 0.
+        period = self.period
+        return [t + -t % period if t > 0 else 0 for t in ts]
+
+
+def make_clock(
+    period: SimTime,
+    jitter: JitterSpec,
+    rng: Rng | None = None,
+    name: str = "clk",
+) -> ClockGen:
+    """A clock with ``jitter``: a :class:`GridClock` when it is quiet, else a
+    :class:`ClockGen` drawing from ``rng``."""
+    if jitter.is_quiet:
+        return GridClock(period, name=name)
+    return ClockGen(period, jitter, rng, name)
 
 
 def clamp_voltage(v: float, v_dd: float) -> float:

@@ -95,6 +95,7 @@ BAD_SETTINGS = [
     "vcdl.d_min_ui=-0.1",
     "cdt.t_setup_ui=-0.1",
     "cdt.t_setup_ui=1e9",
+    "cdt.t_hold_ui=-0.5",
     "channel.transition_time_ui=-0.1",
     "dll.loop_bw_hz=-1e6",
     "lock.window_divided=0",

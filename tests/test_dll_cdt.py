@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mesosync.dll_cdt import (
@@ -13,7 +13,14 @@ from mesosync.dll_cdt import (
     intermediate_phase,
 )
 from mesosync.scenario import Scenario
-from mesosync.timebase import ClockGen, EvictedEdgeError, JitterSpec, Rng, period_fs
+from mesosync.timebase import (
+    ClockGen,
+    EvictedEdgeError,
+    JitterSpec,
+    Rng,
+    make_clock,
+    period_fs,
+)
 from test_timebase import _ref_first_edge_at_or_after
 
 T = period_fs(1.3e9)
@@ -77,7 +84,7 @@ def test_tracking_forget_before_drops_only_older_edges():
     ref = _phases(mode="tracking", jitter=jitter)
     p = _phases(mode="tracking", jitter=jitter)
     p.edge(3, 199)
-    p.forget_before(120)
+    p.ref.forget_before(120)
     with pytest.raises(EvictedEdgeError):
         p.edge(3, 119)
     assert [p.edge(3, k) for k in range(120, 400)] == [ref.edge(3, k) for k in range(120, 400)]
@@ -99,7 +106,7 @@ def test_tracking_edges_follow_one_pole_recurrence():
         expect.append(k * T + round(y))
     assert [p.edge(0, k) for k in range(1200)] == expect[:1200]
     assert expect != [k * T for k in range(2000)]
-    p.forget_before(1000)
+    p.ref.forget_before(1000)
     with pytest.raises(EvictedEdgeError):
         p.edge(0, 999)
     assert [p.edge(0, k) for k in range(1000, 2000)] == expect[1000:]
@@ -347,10 +354,25 @@ _STEPS = (
         max_size=40,
     ),
 )
+# The guard's edges, on a quiet clock with all events at phase 0, whose
+# intermediate phase is 0: event 0 is captured at u = 4 T.  Its closing
+# transition lands exactly on u with no setup time (a hold violation) ...
+@example(mode="ideal", amp_ui=0.0, freq_hz=1e6, n_phases=10, t_setup_ui=0.0,
+         t_hold_ui=0.05, start=0,
+         stream=[(0, 1, 0), (0, 0, -(T // 2)), (0, 1, 0), (0, 0, 0)])
+# ... its opening transition exactly t_setup before u (no violation) ...
+@example(mode="ideal", amp_ui=0.0, freq_hz=1e6, n_phases=10, t_setup_ui=0.02,
+         t_hold_ui=0.0, start=0,
+         stream=[(0, 1, T - T // 2), (0, 0, 0), (0, 1, 0)])
+# ... or its closing transition exactly on u (not a miss).
+@example(mode="ideal", amp_ui=0.0, freq_hz=1e6, n_phases=10, t_setup_ui=0.02,
+         t_hold_ui=0.0, start=0,
+         stream=[(0, 1, 0), (0, 0, round(0.02 * T) - T // 2), (0, 1, 0)])
 def test_cdt_one_pass_matches_two_pass(
     mode, amp_ui, freq_hz, n_phases, t_setup_ui, t_hold_ui, start, stream
 ):
-    clk = ClockGen(T, jitter=JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
+    # A quiet clock is a GridClock, a jittered one a ClockGen.
+    clk = make_clock(T, JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
     phases = DllPhases(clk, n_phases, mode, 20e6)
     chain = CdtChain(period=T, t_setup=round(t_setup_ui * T),
                      t_hold=round(t_hold_ui * T))
@@ -382,7 +404,7 @@ def test_cdt_blocks_with_lookahead_match_one_pass(
 ):
     # Blocks of `block` deliveries that carry the next two events as
     # look-ahead, then the tail with none, deliver what one call does.
-    clk = ClockGen(T, jitter=JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
+    clk = make_clock(T, JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
     phases = Scenario().dll_phases(clk)
     chain = CdtChain(period=T, t_setup=round(t_setup_ui * T),
                      t_hold=round(t_hold_ui * T))

@@ -10,7 +10,8 @@ from mesosync import defaults_130nm, defaults_65nm, harness, phase_detector, run
 from mesosync.dll_cdt import cdt_transfer
 from mesosync.fine_loop import vcdl_delay
 from mesosync.harness import Simulation
-from mesosync.timebase import FS_PER_NS, derive_seed
+from mesosync.scenario import apply_settings
+from mesosync.timebase import FS_PER_NS, ClockGen, GridClock, derive_seed
 
 
 BASE = defaults_130nm()
@@ -434,6 +435,52 @@ def test_correlated_clocks_share_edges():
     scn2 = replace(scn, correlated=False)
     sim2 = Simulation(scn2)
     assert sim2.rx_clock is not sim2.tx_clock
+
+
+def test_quiet_clocks_are_grid_clocks():
+    sim = Simulation(BASE)
+    assert type(sim.tx_clock) is GridClock
+    assert type(sim.rx_clock) is GridClock
+    # The settings of the jittered 65 nm benchmark run: only the transmit
+    # clock has jitter, and the receiver clock is its own.
+    scn = apply_settings(defaults_65nm(), {
+        "jitter.correlated": "false",
+        "jitter.tx.sin_amp_ui": "0.4",
+        "jitter.tx.sin_freq_hz": "200e6",
+        "channel.alpha": "0.62",
+    })
+    sim = Simulation(scn)
+    assert type(sim.tx_clock) is ClockGen
+    assert type(sim.rx_clock) is GridClock
+
+
+@pytest.mark.parametrize("correlated", [True, False])
+def test_transfer_evicts_each_clock_once(correlated):
+    # Correlated clocks are one object, and in ideal mode the DLL's
+    # reference is the receiver clock: each object is evicted once a block.
+    scn = replace(BASE, alpha=0.3, duration_us=3.0, correlated=correlated,
+                  tx_sin_amp_ui=0.2, tx_sin_freq_hz=5e6)
+    sim = Simulation(scn)
+    clocks = {id(c): c for c in (sim.tx_clock, sim.rx_clock, sim.dll.ref)}
+    assert len(clocks) == (1 if correlated else 2)
+    calls = dict.fromkeys(clocks, 0)
+    for key, clock in clocks.items():
+        def counted(index, key=key, forget=clock.forget_before):
+            calls[key] += 1
+            forget(index)
+        clock.forget_before = counted
+    blocks = 0
+    transfer = sim._transfer
+
+    def counted_transfer(lookahead):
+        nonlocal blocks
+        blocks += 1
+        transfer(lookahead)
+
+    sim._transfer = counted_transfer
+    sim.run()
+    assert blocks >= 2
+    assert list(calls.values()) == [blocks] * len(clocks)
 
 
 def test_snapshot_restore_locks_adjacent(locked_run):

@@ -13,7 +13,7 @@ from mesosync.link import (
     RxWaveform,
 )
 from mesosync.oracle import eye_center_phase, wrap_ui
-from mesosync.timebase import ClockGen, JitterSpec, derive_seed, period_fs
+from mesosync.timebase import ClockGen, JitterSpec, derive_seed, make_clock, period_fs
 
 
 # sha256 of bits 0-69,999 (one byte per bit) of the PRBS-15 source, recorded
@@ -260,7 +260,7 @@ def test_cursor_queries_match_reference(pattern, n, alpha, amp_ui, freq_hz, quer
     T = period_fs(2.5e9)
     cfg = ChannelConfig(n=n, alpha=alpha, bit_period=T,
                         transition_time=round(0.2 * T), swing=0.2)
-    tx = ClockGen(T, JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
+    tx = make_clock(T, JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
     wf = RxWaveform(BitSource(pattern, 1), cfg, tx)
     for method, k, offset in queries:
         t = wf.boundary(k) + offset
@@ -298,7 +298,7 @@ def test_cursor_steps_match_reference(pattern, seed, n, alpha, amp_ui, freq_hz,
     T = period_fs(2.5e9)
     cfg = ChannelConfig(n=n, alpha=alpha, bit_period=T,
                         transition_time=round(0.2 * T), swing=0.2)
-    tx = ClockGen(T, JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
+    tx = make_clock(T, JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
     wf = RxWaveform(BitSource(pattern, seed), cfg, tx)
     for i in range(n_bits):
         k = first + i

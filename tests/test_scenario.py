@@ -87,7 +87,7 @@ def test_validation_rejects_bad_values():
         apply_settings(Scenario(), {"snapshot.hot_index": "10"})
     # Each of these ran once: a zero lock window locked on the first
     # cycle, a negative Vc margin locked early, zero eye bins wrote a
-    # header-only histogram.
+    # header-only histogram, a negative hold time turned the hold check off.
     for settings in (
         {"channel.transition_time_ui": "-0.1"},
         {"dll.mode": "tracking", "dll.loop_bw_hz": "-1e6"},
@@ -99,6 +99,7 @@ def test_validation_rejects_bad_values():
         {"lock.vc_margin_frac": "-0.5"},
         {"lock.vc_margin_frac": "0.5"},
         {"eye.bins": "0"},
+        {"cdt.t_hold_ui": "-0.5"},
     ):
         with pytest.raises(ScenarioError):
             apply_settings(Scenario(), settings)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mesosync.timebase import (
     ClockGen,
     EvictedEdgeError,
+    GridClock,
     JitterSpec,
     NO_JITTER,
     NonMonotonicEdgeError,
@@ -231,3 +232,26 @@ def test_block_walk_matches_reference(amp_ui, freq_hz, blocks):
             _ref_first_edge_at_or_after(gen, t)[1] for t in ts]
         t = gen.edge(block[-1][0] if block else 0) + 1
         assert gen.first_edge_at_or_after(t) == _ref_first_edge_at_or_after(gen, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    period=st.sampled_from([1000, period_fs(1.3e9), period_fs(4e9)]),
+    ks=st.lists(st.integers(min_value=0, max_value=6)
+                | st.integers(min_value=0, max_value=300), max_size=20),
+    queries=st.lists(_QUERIES, max_size=40),
+)
+def test_grid_clock_matches_clockgen(period, ks, queries):
+    # The closed form against the generated, cached and walked edges of a
+    # quiet ClockGen: edges in any order, then unsorted query blocks and
+    # single queries on each, instants at or before edge 0 included.
+    grid, ref = GridClock(period), ClockGen(period)
+    assert [grid.edge(k) for k in ks] == [ref.edge(k) for k in ks]
+    ts = [k * period + offset for k, offset in queries]
+    assert grid.first_edges_at_or_after(ts) == ref.first_edges_at_or_after(ts)
+    assert grid.first_edges_at_or_after([0, -1, -period]) == [0, 0, 0]
+    for t in ts + [0, -1]:
+        assert grid.first_edge_at_or_after(t) == ref.first_edge_at_or_after(t), t
+    for clock in (grid, ref):
+        with pytest.raises(EvictedEdgeError):
+            clock.edge(-1)
