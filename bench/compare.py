@@ -4,21 +4,24 @@
     python3 bench/compare.py --label NAME --pairs 10 --workload steady_130nm
     python3 bench/compare.py --label NAME --base REV --seed 29
 
-Both sides run from twin copies under ``.perfbench/``, at paths of equal
-length: ``base`` holds the base revision (``--base``, default ``HEAD~1``)
-and ``work`` this checkout's files as they are on disk, uncommitted ones
-included.  A run's peak RSS depends on the directory it starts from, so
-neither side runs from the checkout itself.  Each pair runs
-``perfbench/run.py`` once on each side, per workload, alternating which
-side goes first so that a slow drift of the host does not favour one side;
-each run lasts perfbench's own default run length, which is
+Both sides run from twin copies under ``.perfbench/``, at the two paths
+``copy0`` and ``copy1``: one holds the base revision (``--base``, default
+``HEAD~1``), the other this checkout's files as they were on disk at the
+start, uncommitted ones included.  A run's peak RSS depends on the
+directory it starts from, so neither side runs from the checkout itself,
+and the two sides swap paths from one pair to the next (both trees are
+copied afresh), so that each side's median covers both paths.  Each pair
+runs ``perfbench/run.py`` once on each side, per workload, alternating
+which side goes first so that a slow drift of the host does not favour
+one side; each run lasts perfbench's own default run length, which is
 ``run_seconds`` in ``BENCHMARK.json``.  The workloads, the end-to-end
 metrics and their better direction also come from ``BENCHMARK.json``.  The
 summary per workload and metric holds both sides' median and quartiles,
 the median ratio, the number of pairs the change won and whether the gap between the
 medians exceeds the base's interquartile range.  It is written to
 ``BENCH_<label>.json`` at the root of the checkout, with the seed, the
-per-pair values and both commit ids.  After the timed pairs, each side
+per-pair values and copy paths, and both commit ids.  After the timed
+pairs, each side
 runs each workload once more with ``--trace 1 --seconds 1``; the report
 keeps that run's per-layer counts and each layer's share of the traced
 wall time.  Both copies are removed at the end.
@@ -81,22 +84,32 @@ def git(*args: str, env: dict | None = None) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def copy_tree(dest: Path, rev: str | None = None) -> str:
-    """Write the files of ``rev``, or of the working tree as it is on disk
-    (untracked files included, ignored ones left out), to ``dest``; return
-    the tree id of their ``src/``.  The copy goes through a scratch index,
-    so the checkout's own index is not touched."""
-    index = COPIES / f"{dest.name}.index"
+def _temp_index(name: str) -> tuple[Path, dict]:
+    """A fresh index file under ``COPIES`` and the git environment using it,
+    so that the checkout's own index is not touched."""
+    index = COPIES / f"{name}.index"
     index.unlink(missing_ok=True)
-    shutil.rmtree(dest, ignore_errors=True)
-    env = {**os.environ, "GIT_INDEX_FILE": str(index)}
+    return index, {**os.environ, "GIT_INDEX_FILE": str(index)}
+
+
+def working_tree() -> str:
+    """The tree id of the checkout's files as they are on disk (untracked
+    files included, ignored ones left out)."""
+    index, env = _temp_index("work")
     try:
-        if rev is None:
-            git("add", "-A", ".", env=env)
-        else:
-            git("read-tree", rev, env=env)
+        git("add", "-A", ".", env=env)
+        return git("write-tree", env=env)
+    finally:
+        index.unlink(missing_ok=True)
+
+
+def copy_tree(dest: Path, tree: str) -> None:
+    """Replace ``dest`` with the files of ``tree`` (a tree or commit id)."""
+    index, env = _temp_index(dest.name)
+    shutil.rmtree(dest, ignore_errors=True)
+    try:
+        git("read-tree", tree, env=env)
         git("checkout-index", "-a", f"--prefix={dest}/", env=env)
-        return git("rev-parse", git("write-tree", env=env) + ":src")
     finally:
         index.unlink(missing_ok=True)
 
@@ -117,19 +130,23 @@ def bench_once(root: Path, workload: str, seed: int,
     return json.loads(lines[-1])
 
 
-def compare(base_root: Path, change_root: Path, workloads: list[str],
-            pairs: int, seed: int, metrics: list[dict]
-            ) -> tuple[dict, dict, bool]:
-    """Alternate the two sides for ``pairs`` pairs per workload."""
+def compare(place, workloads: list[str], pairs: int, seed: int,
+            metrics: list[dict]) -> tuple[dict, dict, bool]:
+    """Alternate the two sides for ``pairs`` pairs per workload.
+
+    ``place(i)`` puts both trees in place for pair i and returns their
+    roots, (base, change).
+    """
     runs: dict[str, list] = {w: [] for w in workloads}
     correct = True
     for i in range(pairs):
+        roots = dict(zip(("base", "change"), place(i)))
+        paths = {side: os.path.relpath(root, ROOT) for side, root in roots.items()}
         for w in workloads:
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            pair = {"order": order[0] + "-first"}
+            pair = {"order": order[0] + "-first", "paths": paths}
             for side in order:
-                out = bench_once(base_root if side == "base" else change_root,
-                                 w, seed)
+                out = bench_once(roots[side], w, seed)
                 correct = correct and out["correct"] and out["failed"] == 0
                 pair[side] = {m["name"]: out["metrics"][m["name"]]["value"]
                               for m in metrics}
@@ -198,20 +215,28 @@ def main(argv: list[str] | None = None) -> int:
     change_commit = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain"))
     COPIES.mkdir(exist_ok=True)
-    base_root, change_root = COPIES / "base", COPIES / "work"
+    change_tree = working_tree()
+    # The src/ tree names the simulator that ran, also when the change is
+    # not committed yet.
+    base_src = git("rev-parse", f"{base_commit}:src")
+    change_src = git("rev-parse", f"{change_tree}:src")
+    copies = (COPIES / "copy0", COPIES / "copy1")
+
+    def place(i: int) -> tuple[Path, Path]:
+        """Even pairs run the base from copy0, odd pairs from copy1."""
+        base_root, change_root = copies if i % 2 == 0 else copies[::-1]
+        copy_tree(base_root, base_commit)
+        copy_tree(change_root, change_tree)
+        return base_root, change_root
+
     try:
-        base_src = copy_tree(base_root, base_commit)
-        # The src/ tree names the simulator that ran, also when the change
-        # is not committed yet.
-        change_src = copy_tree(change_root)
-        summary, runs, correct = compare(base_root, change_root, workloads,
-                                         args.pairs, args.seed, metrics)
-        profiles, traced_correct = layers(base_root, change_root, workloads,
-                                          args.seed)
+        summary, runs, correct = compare(place, workloads, args.pairs,
+                                         args.seed, metrics)
+        profiles, traced_correct = layers(*place(0), workloads, args.seed)
         correct = correct and traced_correct
     finally:
-        shutil.rmtree(base_root, ignore_errors=True)
-        shutil.rmtree(change_root, ignore_errors=True)
+        for copy in copies:
+            shutil.rmtree(copy, ignore_errors=True)
 
     report = {
         "label": args.label,

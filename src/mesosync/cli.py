@@ -2,7 +2,8 @@
 
 Exit codes: 0 all assertions passed, 2 non-convergence, scenario error or
 jitter error (a jittered clock edge generated behind its predecessor),
-3 timing violation.
+3 timing violation.  A bad ``--set``, ``--settle`` or ``--out`` (not a
+directory) is a scenario error, reported before anything is simulated.
 """
 
 from __future__ import annotations
@@ -39,8 +40,18 @@ def _load(args) -> "Scenario":
     return scn.validate()
 
 
+def _make_out(args) -> None:
+    """Create the --out directory before anything is simulated."""
+    try:
+        if args.out is not None:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ScenarioError(f"--out {args.out}: {e.strerror}") from None
+
+
 def cmd_run(args) -> int:
     scn = _load(args)
+    _make_out(args)
     m = run(scn, keep_traces=args.out is not None)
     for key, value in summary_items(m):
         print(f"{key} = {value}")
@@ -52,6 +63,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     scn = _load(args)
+    _make_out(args)
     grid = [g.strip() for g in args.grid.split(",") if g.strip()]
     if not grid:
         print("empty grid")

@@ -4,13 +4,14 @@ Direction convention: the ring's ``up`` direction advances the hot index by
 one, which selects the next-later DLL phase.  A control voltage above the
 window therefore commands an up count paired with a strong discharge
 (``dn_strong``); below the window, a down count paired with ``up_strong``.
-The paired strong pulse lasts one divided cycle unless the comparator
-reports re-entry first (asynchronous reset path).
+``STRONG_PULSE`` is the one home of that pairing.  The paired strong pulse
+lasts one divided cycle unless the comparator reports re-entry first
+(asynchronous reset path); the harness holds the pump levels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .timebase import SimTime
 
@@ -82,41 +83,37 @@ def ring_step(r: RingCounter, direction: str) -> RingCounter:
     return RingCounter(r.n, 1 << idx)
 
 
+# (up_strong, dn_strong) fired with each ring step; no step (None), none.
+STRONG_PULSE = {None: (0, 0), UP: (0, 1), DOWN: (1, 0)}
+
+
 @dataclass(frozen=True)
 class CoarseFsm:
     """State of the divided-clock control logic.
 
     ``enable`` mirrors the comparator being out of window (after its trip
     delay); ``up_dn`` is the direction flag, asserted for the above-window
-    case.  At most one strong signal is ever asserted.
+    case.
     """
 
     enable: int = 0
     up_dn: int = 0
-    up_strong: int = 0
-    dn_strong: int = 0
 
 
-def fsm_step(
-    f: CoarseFsm, classification: str, divided_clock_edge: bool
-) -> tuple[CoarseFsm, bool, str | None, int, int]:
-    """Advance the control logic.
+def fsm_step(classification: str, divided_clock_edge: bool
+             ) -> tuple[CoarseFsm, str | None]:
+    """Advance the control logic; the next state depends on the inputs only.
 
     Call on every divided-clock active edge (``divided_clock_edge=True``)
     and on comparator transitions (False) for the asynchronous reset path.
-    Returns (state', ring_enable, ring_dir, up_strong, dn_strong); the ring
-    steps only on divided edges while out of window.
+    Returns (state', ring_dir); the ring steps, and ``STRONG_PULSE[ring_dir]``
+    fires, only on divided edges while out of window (else ring_dir is None).
     """
     if classification == WITHIN:
-        new = replace(f, enable=0, up_dn=0, up_strong=0, dn_strong=0)
-        return new, False, None, 0, 0
+        return CoarseFsm(), None
     above = classification == ABOVE
+    new = CoarseFsm(enable=1, up_dn=1 if above else 0)
     if not divided_clock_edge:
         # Comparator asserted between edges: arm the FSM only.
-        new = replace(f, enable=1, up_dn=1 if above else 0)
-        return new, False, None, f.up_strong, f.dn_strong
-    if above:
-        new = replace(f, enable=1, up_dn=1, up_strong=0, dn_strong=1)
-        return new, True, UP, 0, 1
-    new = replace(f, enable=1, up_dn=0, up_strong=1, dn_strong=0)
-    return new, True, DOWN, 1, 0
+        return new, None
+    return new, UP if above else DOWN

@@ -7,7 +7,11 @@ Sign conventions used throughout the simulator (fixed here, in one place):
 * consequently the loop charges Vc when the sampling clock is early
   (needs more delay) and discharges when late, and a Vc excursion above
   the window selects the next-later DLL phase together with a strong
-  discharge pulse (the mirror case below the window).
+  discharge pulse (the mirror case below the window; the pairing lives in
+  ``coarse_loop.STRONG_PULSE``).
+
+The loop filter's state is Vc alone: ``pump_integrate`` takes and returns
+a plain float, with a flag for a supply-rail clamp.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 from .timebase import FS_PER_SECOND, SimTime, clamp_voltage
 
@@ -38,11 +41,6 @@ class PumpConfig:
         return self.i_weak / self.c_filter / FS_PER_SECOND
 
 
-class FineLoopState(NamedTuple):
-    v_c: float
-    clamped: bool = False  # the last integration ran into a supply rail
-
-
 def pump_current(
     cfg: PumpConfig, up: int, dn: int, up_strong: int, dn_strong: int
 ) -> float:
@@ -60,26 +58,27 @@ def pump_current(
 
 
 def pump_integrate(
-    state: FineLoopState,
+    v_c: float,
     up: int,
     dn: int,
     up_strong: int,
     dn_strong: int,
     dt: SimTime,
     cfg: PumpConfig,
-) -> FineLoopState:
+) -> tuple[float, bool]:
     """Advance Vc over ``dt`` ticks of constant pump drive, then clamp.
 
-    Exact over any segmentation of the interval: integrating dt1 then dt2
-    equals integrating dt1+dt2 while Vc stays off the rails.
+    Returns (Vc', clamped), ``clamped`` true when the integration ran into
+    a supply rail.  Exact over any segmentation of the interval: integrating
+    dt1 then dt2 equals integrating dt1+dt2 while Vc stays off the rails.
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
     if up_strong and dn_strong:
         raise ValueError("up_strong and dn_strong may not be asserted together")
     i = pump_current(cfg, up, dn, up_strong, dn_strong)
-    v = state.v_c + i * dt / FS_PER_SECOND / cfg.c_filter
-    return FineLoopState(clamp_voltage(v, cfg.v_dd), not 0.0 <= v <= cfg.v_dd)
+    v = v_c + i * dt / FS_PER_SECOND / cfg.c_filter
+    return clamp_voltage(v, cfg.v_dd), not 0.0 <= v <= cfg.v_dd
 
 
 LINEAR = "linear"

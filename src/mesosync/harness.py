@@ -56,6 +56,7 @@ from . import oracle as _oracle
 from .coarse_loop import (
     ABOVE,
     BELOW,
+    STRONG_PULSE,
     WITHIN,
     CoarseFsm,
     RingCounter,
@@ -64,7 +65,7 @@ from .coarse_loop import (
     window_classify,
 )
 from .dll_cdt import CdtChain, cdt_transfer
-from .fine_loop import FineLoopState, pump_current, pump_integrate, vcdl_delay
+from .fine_loop import pump_current, pump_integrate, vcdl_delay
 from .link import BitSource, RxWaveform
 from .phase_detector import (
     HOLD,
@@ -262,7 +263,7 @@ class Simulation:
         self.last_ring_change: SimTime = 0
         self.last_nonwithin: SimTime = 0
         self.first_clean_sample: SimTime | None = None
-        self._edge_sample: int | None = None
+        self._edge_sample = 0  # set by each cycle's OPP, read by its CYCLE
         self._vc_hist: deque = deque()
         # Monotone deques over _vc_hist: their fronts are its max and min.
         self._vc_max: deque = deque()
@@ -292,17 +293,11 @@ class Simulation:
         return clamp_voltage(v, self.pump.v_dd)
 
     def _advance_vc(self, t: SimTime):
-        state = pump_integrate(
-            FineLoopState(self.vc),
-            self.w_up,
-            self.w_dn,
-            self.s_up,
-            self.s_dn,
-            t - self.t_vc,
-            self.pump,
+        self.vc, clamped = pump_integrate(
+            self.vc, self.w_up, self.w_dn, self.s_up, self.s_dn,
+            t - self.t_vc, self.pump,
         )
-        self.vc = state.v_c
-        if state.clamped:
+        if clamped:
             self.vc_bound_violations += 1
         self.t_vc = t
 
@@ -369,7 +364,7 @@ class Simulation:
 
     def _on_publish(self, region: str):
         self.published = region
-        fsm, _, _, s_up, s_dn = fsm_step(self.fsm, region, False)
+        fsm, _ = fsm_step(region, False)
         changed = fsm != self.fsm
         self.fsm = fsm
         if region == WITHIN and (self.s_up or self.s_dn):
@@ -388,9 +383,8 @@ class Simulation:
             self._trace_counter()
 
     def _on_divided(self, m: int):
-        fsm, stepped, direction, s_up, s_dn = fsm_step(self.fsm, self.published, True)
-        self.fsm = fsm
-        if stepped and direction is not None:
+        self.fsm, direction = fsm_step(self.published, True)
+        if direction is not None:
             # ring_step rejects a word that is not one-hot; RingCounter
             # already rejects one at construction, so only a word set
             # around it (object.__setattr__) reaches this branch.
@@ -400,6 +394,7 @@ class Simulation:
                 self.one_hot_violations += 1
             self.last_ring_change = self.now
             self.counter_path.append(self.ring.hot_index)
+        s_up, s_dn = STRONG_PULSE[direction]
         if (s_up, s_dn) != (self.s_up, self.s_dn):
             self.strong_gen += 1
             self._set_levels(self.w_up, self.w_dn, s_up, s_dn)
@@ -454,9 +449,8 @@ class Simulation:
         if self.first_clean_sample is None and not self.center_sampler.last_was_metastable:
             if self.hold_until_fs is None or self.now >= self.hold_until_fs:
                 self.first_clean_sample = t_center
-        edge_val = self._edge_sample if self._edge_sample is not None else center_val
-        self._edge_sample = None
-        up, dn, retimed, self.alex = alexander_step(self.alex, edge_val, center_val)
+        up, dn, retimed, self.alex = alexander_step(self.alex, self._edge_sample,
+                                                    center_val)
 
         bit_id = self.waveform.bit_at(t_center)
         self.pd_event_count += 1
@@ -804,6 +798,11 @@ def _circular_mean(phases: list[float]) -> float:
     return (math.atan2(s, c) / (2 * math.pi)) % 1.0
 
 
+def _check_stop_after_lock(us: float | None) -> None:
+    if us is not None and not 0.0 <= us < math.inf:
+        raise ScenarioError(f"stop_after_lock_us must be finite and >= 0, got {us}")
+
+
 def run(
     scn: Scenario,
     *,
@@ -820,6 +819,7 @@ def run(
     later than the detector's lock instant (useful when jitter makes the
     lock instant itself fuzzy but the steady state is what matters).
     """
+    _check_stop_after_lock(stop_after_lock_us)
     sim = Simulation(
         scn,
         hold_until_fs=None if hold_until_us is None else round(hold_until_us * 1e9),
@@ -848,6 +848,7 @@ def sweep(
     """
     from .scenario import apply_settings
 
+    _check_stop_after_lock(stop_after_lock_us)
     results = []
     for i, value in enumerate(grid):
         try:

@@ -3,7 +3,8 @@
 Metastability is keyed on time-to-crossing: a sample taken within ``tw`` of
 a data transition midpoint resolves either to a fair coin (stochastic mode)
 or to the sampler's previous output (deterministic-hold mode, used to pin
-the half-period false-lock equilibrium).
+the half-period false-lock equilibrium).  Between cycles the Alexander
+detector keeps only its last mid-eye sample and warmup count.
 """
 
 from __future__ import annotations
@@ -75,42 +76,30 @@ def sample_comparator(
 
 
 class AlexanderState(NamedTuple):
-    """Three most recent samples in time order (a oldest) plus last outputs.
+    """Last mid-eye sample, and samples seen up to 3 (no decision before)."""
 
-    ``a`` and ``c`` are mid-eye samples from consecutive active edges, ``b``
-    the boundary sample between them.  ``primed`` counts warmup samples so
-    no decision is emitted until the window is full.
-    """
-
-    a: int = 0
-    b: int = 0
-    c: int = 0
-    up: int = 0
-    dn: int = 0
+    center: int = 0
     primed: int = 0
 
 
 def alexander_step(
     state: AlexanderState, edge_sample: int, center_sample: int
 ) -> tuple[int, int, int, AlexanderState]:
-    """Advance one full clock cycle.
+    """Advance one full clock cycle; returns (up, dn, retimed, state').
 
-    ``edge_sample`` is the boundary sample taken half a cycle before the
-    active edge, ``center_sample`` the mid-eye sample taken on the active
-    edge itself.  UP = a XOR b flags a late clock, DN = b XOR c an early
-    one; a = b = c yields no action.
+    The window holds, in time order, a = the last cycle's mid-eye sample,
+    b = ``edge_sample`` (half a cycle before the active edge) and c =
+    ``center_sample`` (on the edge; also the retimed output).  UP = a XOR b
+    flags a late clock, DN = b XOR c an early one; a = b = c yields no action.
     """
-    a = state.c
+    a = state.center
     b = edge_sample & 1
     c = center_sample & 1
     primed = min(state.primed + 1, 3)
+    new = AlexanderState(c, primed)
     if primed < 3:
-        new = AlexanderState(a, b, c, 0, 0, primed)
         return 0, 0, c, new
-    up = a ^ b
-    dn = b ^ c
-    new = AlexanderState(a, b, c, up, dn, primed)
-    return up, dn, c, new
+    return a ^ b, b ^ c, c, new
 
 
 # Latency of the detector's retimed outputs, in clock cycles: one cycle for

@@ -7,6 +7,7 @@ writes with ``bench_once`` stubbed out; no benchmark runs.
 
 import importlib.util
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -106,10 +107,15 @@ def _stub_runs(monkeypatch, failed_side=None):
     return base_root, calls
 
 
+def _fixed(base_root, change_root=Path("/nonexistent/work")):
+    """A ``place`` that keeps both sides at the same roots for every pair."""
+    return lambda i: (base_root, change_root)
+
+
 def test_compare_alternates_sides_per_pair(monkeypatch):
     base_root, calls = _stub_runs(monkeypatch)
     summary, runs, correct = compare.compare(
-        base_root, Path("/nonexistent/work"), ["w1", "w2"], 3, 7, METRICS)
+        _fixed(base_root), ["w1", "w2"], 3, 7, METRICS)
     assert correct is True
     # Each pair runs every workload on both sides; the side that goes first
     # alternates from one pair to the next.
@@ -124,12 +130,14 @@ def test_compare_alternates_sides_per_pair(monkeypatch):
     for w in ("w1", "w2"):
         assert [p["order"] for p in runs[w]] == [f + "-first" for f in firsts]
         for p in runs[w]:
-            assert set(p) == {"order", "base", "change"}
+            assert set(p) == {"order", "paths", "base", "change"}
             assert set(p["base"]) == set(p["change"]) == {
                 "cycles_per_norm_s", "wall_norm_s"}
     # Pair 2 of w2 (the 7th and 8th calls) ran the change first.
     assert runs["w2"][1] == {
         "order": "change-first",
+        "paths": {"base": os.path.relpath(base_root, compare.ROOT),
+                  "change": os.path.relpath("/nonexistent/work", compare.ROOT)},
         "base": {"cycles_per_norm_s": 8.0, "wall_norm_s": 108.0},
         "change": {"cycles_per_norm_s": 7.0, "wall_norm_s": 107.0},
     }
@@ -145,11 +153,43 @@ def test_compare_alternates_sides_per_pair(monkeypatch):
 def test_compare_failed_runs_are_not_correct(monkeypatch, failed_side):
     base_root, calls = _stub_runs(monkeypatch, failed_side)
     _, runs, correct = compare.compare(
-        base_root, Path("/nonexistent/work"), ["w1", "w2"], 3, 1, METRICS)
+        _fixed(base_root), ["w1", "w2"], 3, 1, METRICS)
     assert correct is False
     # A failed run does not stop the comparison.
     assert len(calls) == 12
     assert all(len(runs[w]) == 3 for w in ("w1", "w2"))
+
+
+def test_compare_swaps_copy_paths_per_pair(monkeypatch):
+    # The sides trade copy paths from one pair to the next, so each side's
+    # median covers both; every pair records where each side ran.
+    copies = (compare.COPIES / "copy0", compare.COPIES / "copy1")
+    placed = []
+
+    def place(i):
+        placed.append(i)
+        return copies if i % 2 == 0 else copies[::-1]
+
+    ran = []
+
+    def bench_once(root, workload, seed):
+        ran.append(root)
+        return {"correct": True, "failed": 0,
+                "metrics": {"cycles_per_norm_s": {"value": 1.0},
+                            "wall_norm_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(compare, "bench_once", bench_once)
+    _, runs, _ = compare.compare(place, ["w1", "w2"], 4, 1, METRICS)
+    assert placed == [0, 1, 2, 3]
+    # Even pairs run the base first, odd ones the change; either way copy0
+    # goes first here, and each side ran from both copies.
+    assert ran == [copies[0], copies[1]] * 8
+    names = {"copy0": ".perfbench/copy0", "copy1": ".perfbench/copy1"}
+    for w in ("w1", "w2"):
+        assert [p["paths"] for p in runs[w]] == [
+            {"base": names["copy0"], "change": names["copy1"]},
+            {"base": names["copy1"], "change": names["copy0"]},
+        ] * 2
 
 
 def _layer_metrics(edge_calls, harness_s):
@@ -263,13 +303,17 @@ def test_main_runs_twin_copies_and_removes_them(monkeypatch, tmp_path, capsys):
     assert [trace for _, trace in roots] == [False] * 4 + [True] * 2
     assert report["layers"]["w1"]["base"]["counts"]["timebase.edge_calls"] == 1
     assert report["layers"]["w1"]["change"]["counts"]["timebase.edge_calls"] == 3
-    # Two sides, each run from one copy under .perfbench/, never from the
-    # checkout; the two paths have the same length.
+    # Two copies under .perfbench/, never the checkout, with paths of the
+    # same length; the sides swap them on the second pair, each copied
+    # afresh, and the traced runs go back to the first pair's paths.
     roots = [root for root, _ in roots]
     assert len(set(roots)) == 2 and roots[4:] == roots[:2]
     base_root, change_root = roots[0], roots[1]
     assert base_root.parent == change_root.parent == repo / ".perfbench"
     assert len(str(base_root)) == len(str(change_root))
+    paths = [p["paths"] for p in report["runs"]["w1"]]
+    first = {"base": ".perfbench/copy0", "change": ".perfbench/copy1"}
+    assert paths == [first, {"base": first["change"], "change": first["base"]}]
     # Both copies are gone, and no worktree or index was left behind.
     assert not base_root.exists() and not change_root.exists()
     assert list((repo / ".perfbench").iterdir()) == []

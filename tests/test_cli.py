@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mesosync import cli
 from mesosync.cli import main
 from mesosync.scenario import _FIELD_TYPES, _KEYMAP
 
@@ -34,6 +36,17 @@ GOLDEN_JITTER_SHA256 = {
     "counter_trace.csv": "1912b9202f2a9cc34f73d726f7d0e4212bf1b2230d92d86e75368f19ead59811",
     "eye_hist.csv": "322d816a8c0fd2894fdd2229cd72950dba479a9e25fd1459825dd80146d49337",
     "metrics.txt": "a4e639a0f94fa2bc4fa2741eaa38b1878aafaf1ae1a2e0b0193bae94d81680da",
+}
+
+
+# Golden output of a run whose coarse loop hunts: the comparator's 20 ns trip
+# delay lets Vc overshoot the window both ways, so the ring steps up and back
+# down and both strong pulses fire.
+GOLDEN_HUNTING_SHA256 = {
+    "vc_trace.csv": "e0681825f39a8f8db8a31b2ea92ebdd858b3e87e1616037d73018acaa099ec2f",
+    "counter_trace.csv": "465fb82cb6504b4e220eebb7800f494bdbc9f0c5ba58597ca64b353d5d91ce4e",
+    "eye_hist.csv": "ae10a773f5cd003d1d68bc59fdd618726ebcda1f0f530f4356701082713a9e0b",
+    "metrics.txt": "8674d6f3d47b242dd8f42807b4898b2c5be511de3721264c19e6e1a11007c7ea",
 }
 
 
@@ -66,6 +79,22 @@ def test_run_jittered_golden(tmp_path, capsys):
     assert code == 0
     assert "locked = true" in out
     _assert_golden(tmp_path, GOLDEN_JITTER_SHA256)
+
+
+def test_run_hunting_golden(tmp_path, capsys):
+    code = main([
+        "run", SCN, "--duration", "3",
+        "--set", "window.trip_delay_ns=20", "--set", "channel.alpha=0.05",
+        "--out", str(tmp_path),
+    ])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert "counter_monotone = false" in out
+    rows = [r.split(",") for r in
+            (tmp_path / "counter_trace.csv").read_text().splitlines()[1:]]
+    assert sum(r[4:] == ["1", "0"] for r in rows) == 77  # up_strong
+    assert sum(r[4:] == ["0", "1"] for r in rows) == 78  # dn_strong
+    _assert_golden(tmp_path, GOLDEN_HUNTING_SHA256)
 
 
 # Each bad value must end as a scenario error, never as a traceback or a run.
@@ -193,6 +222,45 @@ def test_sweep_subcommand(tmp_path, capsys):
     for point in ("point_000", "point_001"):
         for name in ("vc_trace.csv", "counter_trace.csv", "eye_hist.csv"):
             assert len((tmp_path / point / name).read_text().splitlines()) > 1
+
+
+@pytest.mark.parametrize("settle", ["-1", "nan", "inf"])
+def test_sweep_bad_settle_exits_2(settle, capsys):
+    code = main([
+        "sweep", SCN, "--duration", "1", "--param", "channel.alpha",
+        "--grid", "0.1,0.3", "--settle", settle,
+    ])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err.startswith("scenario error:")
+    assert len(out.err.splitlines()) == 1
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep", "--param", "channel.alpha", "--grid", "0.1"],
+])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch, command, below):
+    # An --out path that is a file, or lies under one, is refused before
+    # anything is simulated.
+    f = tmp_path / "f"
+    f.write_text("keep")
+    out_dir = f / "sub" if below else f
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated despite a bad --out")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(cli, "sweep", no_run)
+    code = main([command[0], SCN, "--duration", "0.3", *command[1:],
+                 "--out", str(out_dir)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err.startswith("scenario error:")
+    assert len(out.err.splitlines()) == 1
+    assert out.out == ""
+    assert f.read_text() == "keep"
 
 
 def test_run_negative_zero_start_prints_zero(tmp_path, capsys):

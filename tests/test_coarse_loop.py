@@ -8,6 +8,7 @@ from mesosync.coarse_loop import (
     ABOVE,
     BELOW,
     DOWN,
+    STRONG_PULSE,
     UP,
     WITHIN,
     CoarseFsm,
@@ -95,39 +96,36 @@ def test_ring_one_hot_invariant(n, start, steps):
 
 
 def test_fsm_within_holds_state():
-    f = CoarseFsm(enable=1, up_dn=1, dn_strong=1)
-    f2, stepped, direction, su, sd = fsm_step(f, WITHIN, True)
-    assert not stepped and direction is None
-    assert (f2.enable, f2.up_dn, su, sd) == (0, 0, 0, 0)
+    f, direction = fsm_step(WITHIN, True)
+    assert direction is None
+    assert f == CoarseFsm(enable=0, up_dn=0)
+    assert STRONG_PULSE[direction] == (0, 0)
 
 
 def test_fsm_above_steps_to_next_later_phase_with_strong_down():
     # Control voltage over the top of the window: the fine delay is
     # exhausted long, so the coarse loop advances to the next-later phase
     # while the strong pump discharges for one divided cycle.
-    f = CoarseFsm()
-    f2, stepped, direction, su, sd = fsm_step(f, ABOVE, True)
-    assert stepped and direction == UP
-    assert (su, sd) == (0, 1)
-    assert (f2.enable, f2.up_dn) == (1, 1)
+    f, direction = fsm_step(ABOVE, True)
+    assert direction == UP
+    assert STRONG_PULSE[direction] == (0, 1)
+    assert (f.enable, f.up_dn) == (1, 1)
     r = ring_step(RingCounter(10, 1 << 3), direction)
     assert r.hot_index == 4
 
 
 def test_fsm_below_steps_to_next_earlier_phase_with_strong_up():
-    f = CoarseFsm()
-    f2, stepped, direction, su, sd = fsm_step(f, BELOW, True)
-    assert stepped and direction == DOWN
-    assert (su, sd) == (1, 0)
-    assert (f2.enable, f2.up_dn) == (1, 0)
+    f, direction = fsm_step(BELOW, True)
+    assert direction == DOWN
+    assert STRONG_PULSE[direction] == (1, 0)
+    assert (f.enable, f.up_dn) == (1, 0)
 
 
 def test_fsm_async_path_arms_without_stepping():
-    f = CoarseFsm()
-    f2, stepped, direction, su, sd = fsm_step(f, ABOVE, False)
-    assert not stepped and direction is None
-    assert f2.enable == 1 and f2.up_dn == 1
-    assert (su, sd) == (0, 0)
+    f, direction = fsm_step(ABOVE, False)
+    assert direction is None
+    assert f.enable == 1 and f.up_dn == 1
+    assert STRONG_PULSE[direction] == (0, 0)
 
 
 def test_restore_window_center():

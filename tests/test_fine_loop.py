@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mesosync.fine_loop import (
-    FineLoopState,
     VcdlCurve,
     pump_integrate,
     vcdl_delay,
@@ -16,38 +15,36 @@ CORNER_MULT = Scenario().vcdl_curve().corner_mult
 
 
 def test_weak_up_slope_5mv_per_ns():
-    s = pump_integrate(FineLoopState(0.5), 1, 0, 0, 0, FS_PER_NS, CFG)
-    assert s.v_c == pytest.approx(0.505, abs=1e-12)
+    v, _ = pump_integrate(0.5, 1, 0, 0, 0, FS_PER_NS, CFG)
+    assert v == pytest.approx(0.505, abs=1e-12)
 
 
 def test_balanced_pump_is_zero():
-    s = pump_integrate(FineLoopState(0.5), 1, 1, 0, 0, FS_PER_NS, CFG)
-    assert s.v_c == pytest.approx(0.5)
+    v, _ = pump_integrate(0.5, 1, 1, 0, 0, FS_PER_NS, CFG)
+    assert v == pytest.approx(0.5)
 
 
 def test_strong_down_gates_weak():
     # Weak up is gated off while the strong sink discharges at 16x.
-    s = pump_integrate(FineLoopState(0.5), 1, 0, 0, 1, FS_PER_NS, CFG)
-    assert s.v_c == pytest.approx(0.5 - 0.080, abs=1e-12)
+    v, _ = pump_integrate(0.5, 1, 0, 0, 1, FS_PER_NS, CFG)
+    assert v == pytest.approx(0.5 - 0.080, abs=1e-12)
 
 
 def test_simultaneous_strong_rejected():
     with pytest.raises(ValueError):
-        pump_integrate(FineLoopState(0.5), 0, 0, 1, 1, 1000, CFG)
+        pump_integrate(0.5, 0, 0, 1, 1, 1000, CFG)
 
 
 def test_negative_dt_rejected():
     with pytest.raises(ValueError):
-        pump_integrate(FineLoopState(0.5), 0, 0, 0, 0, -1, CFG)
+        pump_integrate(0.5, 0, 0, 0, 0, -1, CFG)
 
 
 def test_clamps_to_rails():
-    s = pump_integrate(FineLoopState(1.19), 0, 0, 1, 0, 1000 * FS_PER_NS, CFG)
-    assert s.v_c == CFG.v_dd and s.clamped
-    s = pump_integrate(FineLoopState(0.01), 0, 0, 0, 1, 1000 * FS_PER_NS, CFG)
-    assert s.v_c == 0.0 and s.clamped
-    s = pump_integrate(FineLoopState(0.6), 1, 0, 0, 0, FS_PER_NS, CFG)
-    assert not s.clamped
+    assert pump_integrate(1.19, 0, 0, 1, 0, 1000 * FS_PER_NS, CFG) == (CFG.v_dd, True)
+    assert pump_integrate(0.01, 0, 0, 0, 1, 1000 * FS_PER_NS, CFG) == (0.0, True)
+    _, clamped = pump_integrate(0.6, 1, 0, 0, 0, FS_PER_NS, CFG)
+    assert not clamped
 
 
 @settings(max_examples=100, deadline=None)
@@ -60,13 +57,11 @@ def test_clamps_to_rails():
 )
 def test_integration_additivity(v0, up, dn, dt1, dt2):
     # Splitting an interval changes nothing while Vc stays off the rails.
-    one = pump_integrate(FineLoopState(v0), up, dn, 0, 0, dt1 + dt2, CFG)
-    two = pump_integrate(
-        pump_integrate(FineLoopState(v0), up, dn, 0, 0, dt1, CFG),
-        up, dn, 0, 0, dt2, CFG,
-    )
-    if 0.0 < one.v_c < CFG.v_dd:
-        assert two.v_c == pytest.approx(one.v_c, abs=1e-15)
+    one, _ = pump_integrate(v0, up, dn, 0, 0, dt1 + dt2, CFG)
+    half, _ = pump_integrate(v0, up, dn, 0, 0, dt1, CFG)
+    two, _ = pump_integrate(half, up, dn, 0, 0, dt2, CFG)
+    if 0.0 < one < CFG.v_dd:
+        assert two == pytest.approx(one, abs=1e-15)
 
 
 @settings(max_examples=50, deadline=None)
@@ -82,10 +77,10 @@ def test_integration_additivity(v0, up, dn, dt1, dt2):
     )
 )
 def test_clamp_safety_any_command_sequence(cmds):
-    s = FineLoopState(0.6)
+    v = 0.6
     for up, dn, (su, sd), dt in cmds:
-        s = pump_integrate(s, up, dn, su, sd, dt, CFG)
-        assert 0.0 <= s.v_c <= CFG.v_dd
+        v, _ = pump_integrate(v, up, dn, su, sd, dt, CFG)
+        assert 0.0 <= v <= CFG.v_dd
 
 
 def _curve(corner="TT", shape="linear", d_min=0):

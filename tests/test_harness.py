@@ -1,6 +1,7 @@
 """Closed-loop behavior of the full simulation."""
 
 import gc
+import math
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -10,7 +11,7 @@ from mesosync import defaults_130nm, defaults_65nm, harness, phase_detector, run
 from mesosync.dll_cdt import cdt_transfer
 from mesosync.fine_loop import vcdl_delay
 from mesosync.harness import Simulation
-from mesosync.scenario import apply_settings
+from mesosync.scenario import ScenarioError, apply_settings
 from mesosync.timebase import FS_PER_NS, ClockGen, GridClock, derive_seed
 
 
@@ -523,6 +524,15 @@ def test_sweep_propagates_failures_without_aborting():
     assert res[0].error is None
     assert res[1].error is not None and res[1].exit_code == 2
     assert res[2].error is None
+
+
+@pytest.mark.parametrize("settle", [-1.0, math.nan, math.inf])
+def test_bad_stop_after_lock_is_a_scenario_error(settle):
+    # Refused before the first point, not recorded as one error per point.
+    with pytest.raises(ScenarioError):
+        sweep(BASE, "channel.alpha", ["0.1", "0.3"], stop_after_lock_us=settle)
+    with pytest.raises(ScenarioError):
+        run(BASE, stop_after_lock_us=settle)
 
 
 def test_65nm_scenario_locks():

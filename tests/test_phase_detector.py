@@ -19,15 +19,10 @@ from mesosync.timebase import ClockGen, Rng, period_fs
 M = Scenario().metastability_model()  # 10 ps, stochastic
 
 
-def _primed(a, b, c):
-    """State holding samples (a, b, c) with the warmup already done."""
-    return AlexanderState(a=0, b=a, c=b, primed=3), c
-
-
 def _step_full(a, b, c):
     # Drive the stated triple through a primed detector: previous center = a,
     # boundary = b, current center = c.
-    st = AlexanderState(a=0, b=0, c=a, primed=3)
+    st = AlexanderState(center=a, primed=3)
     return alexander_step(st, b, c)
 
 
@@ -65,9 +60,13 @@ def test_alexander_warmup_suppresses_output():
 
 
 def test_alexander_window_shifts_in_time_order():
-    st = AlexanderState(a=0, b=0, c=1, primed=3)
-    _, _, _, st2 = alexander_step(st, 0, 1)
-    assert (st2.a, st2.b, st2.c) == (1, 0, 1)
+    # Each cycle's mid-eye sample c becomes the next cycle's oldest sample a:
+    # a = 1, b = 0 flags UP; then a = 0 (the last c), b = 1, c = 0 flags both.
+    st = AlexanderState(center=1, primed=3)
+    up, dn, retimed, st2 = alexander_step(st, 0, 0)
+    assert (up, dn, retimed) == (1, 0, 0)
+    assert st2 == AlexanderState(center=0, primed=3)
+    assert alexander_step(st2, 1, 0)[:3] == (1, 1, 0)
 
 
 def _waveform(pattern="ones", alpha=0.0):
