@@ -3,7 +3,8 @@
 Exit codes: 0 all assertions passed, 2 non-convergence, scenario error or
 jitter error (a jittered clock edge generated behind its predecessor),
 3 timing violation.  A bad ``--set``, ``--settle`` or ``--out`` (not a
-directory) is a scenario error, reported before anything is simulated.
+directory, or a sweep point directory that is a file) is a scenario error,
+reported before anything is simulated.
 """
 
 from __future__ import annotations
@@ -40,18 +41,29 @@ def _load(args) -> "Scenario":
     return scn.validate()
 
 
-def _make_out(args) -> None:
-    """Create the --out directory before anything is simulated."""
+def _make_out(args, points: int) -> None:
+    """Create the --out directory before anything is simulated, and refuse
+    one where the directory of a sweep point (``points`` of them) is a
+    file."""
+    if args.out is None:
+        return
     try:
-        if args.out is not None:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ScenarioError(f"--out {args.out}: {e.strerror}") from None
+    for i in range(points):
+        path = _point_dir(args.out, i)
+        if path.exists() and not path.is_dir():
+            raise ScenarioError(f"--out {path}: File exists")
+
+
+def _point_dir(out: str, i: int) -> Path:
+    return Path(out) / f"point_{i:03d}"
 
 
 def cmd_run(args) -> int:
     scn = _load(args)
-    _make_out(args)
+    _make_out(args, 0)
     m = run(scn, keep_traces=args.out is not None)
     for key, value in summary_items(m):
         print(f"{key} = {value}")
@@ -63,8 +75,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     scn = _load(args)
-    _make_out(args)
     grid = [g.strip() for g in args.grid.split(",") if g.strip()]
+    _make_out(args, len(grid))
     if not grid:
         print("empty grid")
         return 0
@@ -85,7 +97,7 @@ def cmd_sweep(args) -> int:
             f"{m.ber_errors}/{m.ber_bits},{lmax},{m.post_lock_violations}"
         )
         if args.out:
-            write_outputs(m, Path(args.out) / f"point_{i:03d}")
+            write_outputs(m, _point_dir(args.out, i))
         worst = max(worst, m.exit_code)
     return worst
 

@@ -6,7 +6,9 @@ window therefore commands an up count paired with a strong discharge
 (``dn_strong``); below the window, a down count paired with ``up_strong``.
 ``STRONG_PULSE`` is the one home of that pairing.  The paired strong pulse
 lasts one divided cycle unless the comparator reports re-entry first
-(asynchronous reset path); the harness holds the pump levels.
+(asynchronous reset path).  The harness holds the pump levels and the
+published comparator region; the FSM's outputs are functions of that region
+(``fsm_step``).
 """
 
 from __future__ import annotations
@@ -87,33 +89,16 @@ def ring_step(r: RingCounter, direction: str) -> RingCounter:
 STRONG_PULSE = {None: (0, 0), UP: (0, 1), DOWN: (1, 0)}
 
 
-@dataclass(frozen=True)
-class CoarseFsm:
-    """State of the divided-clock control logic.
+def fsm_step(region: str) -> str | None:
+    """Ring direction at a divided-clock active edge, from the published
+    comparator region: up above the window, down below, None within.
 
-    ``enable`` mirrors the comparator being out of window (after its trip
-    delay); ``up_dn`` is the direction flag, asserted for the above-window
-    case.
+    The control logic holds no state of its own: its ``enable`` (out of
+    window) and ``up_dn`` (above) outputs are functions of the published
+    region, which the harness keeps.  The ring steps, and
+    ``STRONG_PULSE[direction]`` fires, only on divided edges; a publication
+    between edges changes those outputs alone (the asynchronous path).
     """
-
-    enable: int = 0
-    up_dn: int = 0
-
-
-def fsm_step(classification: str, divided_clock_edge: bool
-             ) -> tuple[CoarseFsm, str | None]:
-    """Advance the control logic; the next state depends on the inputs only.
-
-    Call on every divided-clock active edge (``divided_clock_edge=True``)
-    and on comparator transitions (False) for the asynchronous reset path.
-    Returns (state', ring_dir); the ring steps, and ``STRONG_PULSE[ring_dir]``
-    fires, only on divided edges while out of window (else ring_dir is None).
-    """
-    if classification == WITHIN:
-        return CoarseFsm(), None
-    above = classification == ABOVE
-    new = CoarseFsm(enable=1, up_dn=1 if above else 0)
-    if not divided_clock_edge:
-        # Comparator asserted between edges: arm the FSM only.
-        return new, None
-    return new, UP if above else DOWN
+    if region == WITHIN:
+        return None
+    return UP if region == ABOVE else DOWN

@@ -142,13 +142,14 @@ class CdtChain:
 
 
 class Delivery(NamedTuple):
+    """One event through the chain; its retiming edge is the next event's
+    ``t_center``, and its latency ``t_deliver - t_center``."""
+
     bit_id: int
     value: int
     t_center: SimTime       # mid-eye sample instant of this bit
-    t_retime: SimTime       # sampling-clock retiming edge
     t_stage_i: SimTime      # intermediate-phase capture edge
     t_deliver: SimTime      # receiver-clock capture edge
-    latency: SimTime        # t_deliver - t_center
     violations: tuple[str, ...] = ()
 
 
@@ -178,7 +179,6 @@ def _capture(
 
 def cdt_transfer(
     events: list[tuple[int, int, SimTime, int]],
-    retime_edges: list[SimTime],
     phases: DllPhases,
     rx_clock: ClockGen,
     chain: CdtChain,
@@ -187,15 +187,16 @@ def cdt_transfer(
     """Run retimed detector outputs through the transfer chain.
 
     ``events`` holds (bit_id, value, t_center, selected_phase) per detector
-    evaluation, with ``t_center`` strictly rising; ``retime_edges[j]`` is
-    the sampling-clock edge that re-times event j (the following active
-    edge).  Returns one :class:`Delivery` per event, in event order, except
-    for the last ``lookahead`` events: they only supply the later
-    transitions that the events before them need.  Stage 2 of event j
-    needs stage 1 of event j+1, which needs the retiming edge of event
-    j+2, so with ``lookahead=2`` every delivery equals the one a call over
-    the whole stream would make, and a long stream can run in blocks that
-    overlap by two events.
+    evaluation, with ``t_center`` strictly rising.  Event j is re-timed at
+    the sampling-clock edge that follows it, the mid-eye sample of event
+    j+1, so the last event only supplies that edge.  Returns one
+    :class:`Delivery` per event, in event order, except for the last
+    ``lookahead`` + 1 events: the ``lookahead`` before the last only supply
+    the later transitions that the events before them need.  Stage 2 of
+    event j needs stage 1 of event j+1, which needs the retiming edge of
+    event j+2, so with ``lookahead=2`` every delivery equals the one a call
+    over the whole stream would make, and a long stream can run in blocks
+    that overlap by three events.
 
     Each stage runs over the whole block with one walk of its clock's edge
     cursor: stage 1 captures every event at its intermediate DLL phase,
@@ -207,8 +208,6 @@ def cdt_transfer(
     before u + ``t_hold``.  Every other capture is ``(u, ())``.
     """
     out: list[Delivery] = []
-    n_ev = len(events)
-    n_out = n_ev - lookahead
     resolve_retime = chain.resolve_retime
     resolve_stage = chain.resolve_stage
     # The guard's reach.  An edge is the first strictly after its opening
@@ -216,12 +215,14 @@ def cdt_transfer(
     # before the edge is a miss however small t_hold is.
     setup = chain.t_setup
     hold = max(chain.t_hold, 0)
-    # Stage 1: data transitions at the retiming stage output, captured at
-    # the intermediate phase of each event's selected phase.
-    taus = [r + resolve_retime for r in retime_edges]
-    stage_phase = {sel: intermediate_phase(sel, phases.n)
-                   for sel in {ev[3] for ev in events}}
-    edges = phases.first_edges_after([stage_phase[ev[3]] for ev in events], taus)
+    # Stage 1: data transitions at the retiming stage output, one per event
+    # but the last, captured at the intermediate phase of each event's
+    # selected phase.
+    taus = [ev[2] + resolve_retime for ev in islice(events, 1, None)]
+    n_out = len(taus) - lookahead
+    sels = [ev[3] for ev in islice(events, len(taus))]
+    stage_phase = {sel: intermediate_phase(sel, phases.n) for sel in set(sels)}
+    edges = phases.first_edges_after([stage_phase[sel] for sel in sels], taus)
     taus.append(None)
     stage1 = [_capture(u, tau, nxt, chain)
               if u - tau < setup or (nxt is not None and nxt - u <= hold)
@@ -235,12 +236,10 @@ def cdt_transfer(
     # Stage 2: stage-1 outputs, captured at the receiver clock.
     rx_edges = iter(rx_clock.first_edges_at_or_after(
         u + resolve_stage + 1 for u in islice(u1s, n_out) if u is not None))
-    for (bit_id, value, t_center, _), t_retime, u1, next_u1, viol1 in zip(
-            islice(events, n_out), retime_edges, u1s, islice(u1s, 1, None), viol1s):
+    for (bit_id, value, t_center, _), u1, next_u1, viol1 in zip(
+            islice(events, n_out), u1s, islice(u1s, 1, None), viol1s):
         if u1 is None:
-            out.append(
-                Delivery(bit_id, value, t_center, t_retime, -1, -1, -1, viol1)
-            )
+            out.append(Delivery(bit_id, value, t_center, -1, -1, viol1))
             continue
         sigma = u1 + resolve_stage
         nxt = None if next_u1 is None else next_u1 + resolve_stage
@@ -250,13 +249,6 @@ def cdt_transfer(
         if u2 - sigma < setup or (nxt is not None and nxt - u2 <= hold):
             u2, viol2 = _capture(u2, sigma, nxt, chain)
             viols += viol2
-        if u2 is None:
-            out.append(
-                Delivery(bit_id, value, t_center, t_retime, u1, -1, -1, viols)
-            )
-        else:
-            out.append(
-                Delivery(bit_id, value, t_center, t_retime, u1, u2,
-                         u2 - t_center, viols)
-            )
+        out.append(Delivery(bit_id, value, t_center, u1,
+                            -1 if u2 is None else u2, viols))
     return out

@@ -11,7 +11,9 @@ Sign conventions used throughout the simulator (fixed here, in one place):
   ``coarse_loop.STRONG_PULSE``).
 
 The loop filter's state is Vc alone: ``pump_integrate`` takes and returns
-a plain float, with a flag for a supply-rail clamp.
+a plain float, with a flag for a supply-rail clamp.  The pump levels enter
+it only as the net current ``pump_current`` gives, which stays constant
+over a Vc segment, so a caller computes it once per segment.
 """
 
 from __future__ import annotations
@@ -46,8 +48,11 @@ def pump_current(
 ) -> float:
     """Net current into the loop filter in amperes.
 
-    The weak pump is gated off whenever either strong signal is asserted.
+    The weak pump is gated off whenever either strong signal is asserted;
+    the two strong signals may not be asserted together.
     """
+    if up_strong and dn_strong:
+        raise ValueError("up_strong and dn_strong may not be asserted together")
     i = 0.0
     if not (up_strong or dn_strong):
         i += cfg.i_weak * ((1 if up else 0) - (1 if dn else 0))
@@ -58,15 +63,10 @@ def pump_current(
 
 
 def pump_integrate(
-    v_c: float,
-    up: int,
-    dn: int,
-    up_strong: int,
-    dn_strong: int,
-    dt: SimTime,
-    cfg: PumpConfig,
+    v_c: float, i: float, dt: SimTime, cfg: PumpConfig
 ) -> tuple[float, bool]:
-    """Advance Vc over ``dt`` ticks of constant pump drive, then clamp.
+    """Advance Vc over ``dt`` ticks of the constant pump current ``i``
+    (amperes, from ``pump_current``), then clamp.
 
     Returns (Vc', clamped), ``clamped`` true when the integration ran into
     a supply rail.  Exact over any segmentation of the interval: integrating
@@ -74,9 +74,6 @@ def pump_integrate(
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
-    if up_strong and dn_strong:
-        raise ValueError("up_strong and dn_strong may not be asserted together")
-    i = pump_current(cfg, up, dn, up_strong, dn_strong)
     v = v_c + i * dt / FS_PER_SECOND / cfg.c_filter
     return clamp_voltage(v, cfg.v_dd), not 0.0 <= v <= cfg.v_dd
 

@@ -25,15 +25,20 @@ discharge input, while DN (early) drives the charge input.  The control
 voltage rises when more delay is needed; leaving the comparator window
 upward selects the next-later DLL phase with a strong discharge pulse.
 
-Two exact shortcuts spare the fine loop work whose result is known.  A
-pump event that keeps the weak levels while the segment is flat (slope
-0.0) only records its trace point: a zero-current segment leaves Vc
-bit-identical and no crossing is pending, so no new segment starts.  OPP
-and CYCLE reuse the last VCDL delay while Vc equals the value it was
-computed for.
+Each Vc segment carries one pump current, computed when it starts
+(``_set_levels``); ``pump_integrate`` defines Vc along it.  Two exact
+shortcuts spare the fine loop work whose result is known.  A pump event
+that keeps the weak levels on a zero-current segment only records its
+trace point: such a segment leaves Vc bit-identical and no crossing is
+pending, so no new segment starts.  OPP and CYCLE reuse the last VCDL
+delay while Vc equals the value it was computed for.
+
+The coarse loop's state is the published comparator region
+(``published``): the ring direction at a divided edge (``fsm_step``) and
+the control FSM's ``enable``/``up_dn`` outputs are functions of it.
 
 The transfer chain runs during the simulation: every ``_CDT_BLOCK``
-detector events pass through ``cdt_transfer`` together with the two
+detector events pass through ``cdt_transfer`` together with the three
 events after them that their deliveries depend on; each of its stages
 walks its clock's edges once per block.  BER, violation and
 latency figures are folded into running totals, so memory does not hold
@@ -58,7 +63,6 @@ from .coarse_loop import (
     BELOW,
     STRONG_PULSE,
     WITHIN,
-    CoarseFsm,
     RingCounter,
     fsm_step,
     ring_step,
@@ -78,6 +82,7 @@ from .phase_detector import (
 )
 from .scenario import Scenario, ScenarioError
 from .timebase import (
+    FS_PER_SECOND,
     ClockGen,
     Rng,
     SimTime,
@@ -205,14 +210,14 @@ class Simulation:
 
         preset = scn.snapshot_hot if scn.snapshot_hot >= 0 else 0
         self.ring = RingCounter(self.N, 1 << preset)
-        self.fsm = CoarseFsm()
         self.vc = scn.vc_start()
         self.t_vc: SimTime = 0
         self.w_up = self.w_dn = 0
         self.s_up = self.s_dn = 0
         self.strong_gen = 0
-        # Vc slope of the current pump levels: flat while every level is off.
-        self.slope = 0.0
+        # Net pump current of the current Vc segment (amperes): zero while
+        # every level is off.
+        self.i = 0.0
         # The last VCDL delay and the Vc it was computed for (see _on_opp).
         self._delay_vc: float | None = None
         self._delay_fs: SimTime = 0
@@ -289,14 +294,13 @@ class Simulation:
     # -- control voltage segments ----------------------------------------
 
     def _vc_at(self, t: SimTime) -> float:
-        v = self.vc + self.slope * (t - self.t_vc)
+        # pump_integrate's expression, the one definition, inline: OPP and
+        # CYCLE read Vc once each per cycle.
+        v = self.vc + self.i * (t - self.t_vc) / FS_PER_SECOND / self.pump.c_filter
         return clamp_voltage(v, self.pump.v_dd)
 
     def _advance_vc(self, t: SimTime):
-        self.vc, clamped = pump_integrate(
-            self.vc, self.w_up, self.w_dn, self.s_up, self.s_dn,
-            t - self.t_vc, self.pump,
-        )
+        self.vc, clamped = pump_integrate(self.vc, self.i, t - self.t_vc, self.pump)
         if clamped:
             self.vc_bound_violations += 1
         self.t_vc = t
@@ -309,8 +313,7 @@ class Simulation:
         self.w_dn = w_dn
         self.s_up = s_up
         self.s_dn = s_dn
-        i = pump_current(self.pump, w_up, w_dn, s_up, s_dn)
-        self.slope = i / self.pump.c_filter / 1e15
+        self.i = pump_current(self.pump, w_up, w_dn, s_up, s_dn)
         self.vc_trace.append((self.now, self.vc))
         self._predict_crossing()
 
@@ -323,9 +326,9 @@ class Simulation:
         ever valid: it is kept in ``cross`` rather than on the heap.
         """
         self.cross = None
-        slope = self.slope
-        if slope == 0.0:
+        if self.i == 0.0:
             return
+        slope = self.i / self.pump.c_filter / 1e15
         v = self.vc
         w = self.window
         # The nearest threshold ahead of Vc, and the region beyond it.
@@ -363,10 +366,10 @@ class Simulation:
         self._predict_crossing()
 
     def _on_publish(self, region: str):
+        # A crossing predicted into the region Vc already occupies publishes
+        # it again: only a new region or a cut strong pulse writes a row.
+        changed = region != self.published
         self.published = region
-        fsm, _ = fsm_step(region, False)
-        changed = fsm != self.fsm
-        self.fsm = fsm
         if region == WITHIN and (self.s_up or self.s_dn):
             # Asynchronous reset truncates the strong pulse at window entry.
             self.strong_gen += 1
@@ -383,7 +386,7 @@ class Simulation:
             self._trace_counter()
 
     def _on_divided(self, m: int):
-        self.fsm, direction = fsm_step(self.published, True)
+        direction = fsm_step(self.published)
         if direction is not None:
             # ring_step rejects a word that is not one-hot; RingCounter
             # already rejects one at construction, so only a word set
@@ -413,8 +416,9 @@ class Simulation:
             (
                 self.now,
                 self.ring.hot_index,
-                self.fsm.enable,
-                self.fsm.up_dn,
+                # The control FSM's enable and up_dn outputs.
+                int(self.published != WITHIN),
+                int(self.published == ABOVE),
                 self.s_up,
                 self.s_dn,
             )
@@ -469,7 +473,7 @@ class Simulation:
         self.next_cycle = (self.dll.edge(n_next, k + 1), k + 1, n_next)
 
     def _on_pump(self, drive_up: int, drive_dn: int):
-        if self.slope == 0.0 and drive_up == self.w_up and drive_dn == self.w_dn:
+        if self.i == 0.0 and drive_up == self.w_up and drive_dn == self.w_dn:
             # A flat segment needs no new one: integrating it would leave Vc
             # bit-identical (it never starts at -0.0, see Scenario.vc_start),
             # the stale segment origin is read only as 0.0 * dt, and no
@@ -501,10 +505,8 @@ class Simulation:
         out in ``(t_center, bit_id)`` order.
         """
         pending = self.pd_pending
-        deliveries = cdt_transfer(
-            pending[:-1], [ev[2] for ev in pending[1:]], self.dll,
-            self.rx_clock, self.chain, lookahead=lookahead,
-        )
+        deliveries = cdt_transfer(pending, self.dll, self.rx_clock, self.chain,
+                                  lookahead=lookahead)
         del pending[:len(deliveries)]
         start = self._measure_start()
         forget = self.now // self.T - _EDGE_LOOKBACK
@@ -533,7 +535,7 @@ class Simulation:
                 continue
             if d.value != bit(d.bit_id):
                 m.ber_errors += 1
-            x = d.latency / self.T
+            x = (d.t_deliver - d.t_center) / self.T
             # Summed left to right in delivery order, so the mean does not
             # depend on the block size.
             self._lat_sum += x
@@ -798,9 +800,13 @@ def _circular_mean(phases: list[float]) -> float:
     return (math.atan2(s, c) / (2 * math.pi)) % 1.0
 
 
-def _check_stop_after_lock(us: float | None) -> None:
-    if us is not None and not 0.0 <= us < math.inf:
-        raise ScenarioError(f"stop_after_lock_us must be finite and >= 0, got {us}")
+def _fs(name: str, us: float | None) -> SimTime | None:
+    """The keyword ``name``'s instant in fs; None stays None."""
+    if us is None:
+        return None
+    if not 0.0 <= us < math.inf:
+        raise ScenarioError(f"{name} must be finite and >= 0, got {us}")
+    return round(us * 1e9)
 
 
 def run(
@@ -818,17 +824,14 @@ def run(
     ``measure_from_us`` pushes the start of the post-lock measurement window
     later than the detector's lock instant (useful when jitter makes the
     lock instant itself fuzzy but the steady state is what matters).
+    Each of the three instants must be finite and >= 0 (else
+    ``ScenarioError``).
     """
-    _check_stop_after_lock(stop_after_lock_us)
     sim = Simulation(
         scn,
-        hold_until_fs=None if hold_until_us is None else round(hold_until_us * 1e9),
-        stop_after_lock_fs=(
-            None if stop_after_lock_us is None else round(stop_after_lock_us * 1e9)
-        ),
-        measure_from_fs=(
-            None if measure_from_us is None else round(measure_from_us * 1e9)
-        ),
+        hold_until_fs=_fs("hold_until_us", hold_until_us),
+        stop_after_lock_fs=_fs("stop_after_lock_us", stop_after_lock_us),
+        measure_from_fs=_fs("measure_from_us", measure_from_us),
         keep_traces=keep_traces,
     )
     return sim.run()
@@ -848,7 +851,7 @@ def sweep(
     """
     from .scenario import apply_settings
 
-    _check_stop_after_lock(stop_after_lock_us)
+    _fs("stop_after_lock_us", stop_after_lock_us)  # refused before any point
     results = []
     for i, value in enumerate(grid):
         try:

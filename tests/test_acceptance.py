@@ -13,7 +13,7 @@ import pytest
 
 from conftest import record_acceptance
 from mesosync import defaults_130nm, false_lock_experiment, load_scenario, run
-from mesosync.fine_loop import pump_integrate
+from mesosync.fine_loop import pump_current, pump_integrate
 from mesosync.reports import write_outputs
 from mesosync.timebase import derive_seed
 
@@ -172,13 +172,14 @@ def test_criterion_6_strong_pump_recentering(sweep_results, jitter_results):
 def test_criterion_7_charge_pump_slope_oracle():
     # Constant UP for 0.2 us, integrated exactly as the simulator does.
     cfg = defaults_130nm().pump_config()
+    i = pump_current(cfg, 1, 0, 0, 0)
     period = 769_231
     v = 0.0
     t = 0
     target = 200_000_000  # 0.2 us in fs
     while t < target:
         dt = min(period, target - t)
-        v, _ = pump_integrate(v, 1, 0, 0, 0, dt, cfg)
+        v, _ = pump_integrate(v, i, dt, cfg)
         t += dt
     slope_v_per_us = v / (target / 1e9)
     err = abs(slope_v_per_us - 5.0) / 5.0

@@ -242,25 +242,44 @@ def test_sweep_bad_settle_exits_2(settle, capsys):
 ])
 @pytest.mark.parametrize("below", [False, True])
 def test_out_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch, command, below):
-    # An --out path that is a file, or lies under one, is refused before
-    # anything is simulated.
+    # An --out path that is a file, or lies under one, or (sweep) whose
+    # point directory is a file, is refused before anything is simulated.
     f = tmp_path / "f"
     f.write_text("keep")
-    out_dir = f / "sub" if below else f
+    bad = [f / "sub" if below else f]
+    if command[0] == "sweep":
+        (tmp_path / "point_000").write_text("keep")
+        bad.append(tmp_path)
 
     def no_run(*args, **kwargs):
         raise AssertionError("simulated despite a bad --out")
 
     monkeypatch.setattr(cli, "run", no_run)
     monkeypatch.setattr(cli, "sweep", no_run)
-    code = main([command[0], SCN, "--duration", "0.3", *command[1:],
-                 "--out", str(out_dir)])
-    out = capsys.readouterr()
-    assert code == 2
-    assert out.err.startswith("scenario error:")
-    assert len(out.err.splitlines()) == 1
-    assert out.out == ""
+    for out_dir in bad:
+        code = main([command[0], SCN, "--duration", "0.3", *command[1:],
+                     "--out", str(out_dir)])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.err.startswith(f"scenario error: --out {out_dir}")
+        assert len(out.err.splitlines()) == 1
+        assert out.out == ""
     assert f.read_text() == "keep"
+    assert all(p.read_text() == "keep" for p in tmp_path.glob("point_*"))
+
+
+def test_run_reentry_before_first_divided_edge_writes_a_row(tmp_path, capsys):
+    # Vc starts just below the window and the weak pump brings it back in
+    # before the first divided edge: the publication of "within" changes
+    # the FSM's enable output, so it writes a counter_trace row.
+    code = main([
+        "run", SCN, "--set", "loop.vc_init_v=0.2999", "--duration", "0.5",
+        "--out", str(tmp_path),
+    ])
+    capsys.readouterr()
+    assert code in (0, 2)
+    rows = (tmp_path / "counter_trace.csv").read_text().splitlines()
+    assert "10635386,0,0,0,0,0" in rows
 
 
 def test_run_negative_zero_start_prints_zero(tmp_path, capsys):

@@ -11,7 +11,6 @@ from mesosync.coarse_loop import (
     STRONG_PULSE,
     UP,
     WITHIN,
-    CoarseFsm,
     RingCounter,
     WindowComparator,
     fsm_step,
@@ -96,9 +95,8 @@ def test_ring_one_hot_invariant(n, start, steps):
 
 
 def test_fsm_within_holds_state():
-    f, direction = fsm_step(WITHIN, True)
+    direction = fsm_step(WITHIN)
     assert direction is None
-    assert f == CoarseFsm(enable=0, up_dn=0)
     assert STRONG_PULSE[direction] == (0, 0)
 
 
@@ -106,26 +104,29 @@ def test_fsm_above_steps_to_next_later_phase_with_strong_down():
     # Control voltage over the top of the window: the fine delay is
     # exhausted long, so the coarse loop advances to the next-later phase
     # while the strong pump discharges for one divided cycle.
-    f, direction = fsm_step(ABOVE, True)
+    direction = fsm_step(ABOVE)
     assert direction == UP
     assert STRONG_PULSE[direction] == (0, 1)
-    assert (f.enable, f.up_dn) == (1, 1)
     r = ring_step(RingCounter(10, 1 << 3), direction)
     assert r.hot_index == 4
 
 
 def test_fsm_below_steps_to_next_earlier_phase_with_strong_up():
-    f, direction = fsm_step(BELOW, True)
+    direction = fsm_step(BELOW)
     assert direction == DOWN
     assert STRONG_PULSE[direction] == (1, 0)
-    assert (f.enable, f.up_dn) == (1, 0)
 
 
 def test_fsm_async_path_arms_without_stepping():
-    f, direction = fsm_step(ABOVE, False)
-    assert direction is None
-    assert f.enable == 1 and f.up_dn == 1
-    assert STRONG_PULSE[direction] == (0, 0)
+    # A publication between divided edges sets the FSM's enable and up_dn
+    # outputs (derived from the published region) but steps no ring and
+    # fires no strong pulse.
+    sim = Simulation(defaults_130nm(), keep_traces=True)
+    sim.now = 1_000
+    sim._on_publish(ABOVE)
+    assert sim.counter_trace == [(1_000, 0, 1, 1, 0, 0)]
+    assert sim.counter_path == [0]
+    assert (sim.s_up, sim.s_dn) == (0, 0)
 
 
 def test_restore_window_center():

@@ -149,8 +149,7 @@ def _run_chain(n_sel, d_fs, n_bits=40, n_phases=10):
     chain = CdtChain(period=T, t_setup=round(0.02 * T), t_hold=0)
     offset = round(n_sel * T / n_phases) + d_fs
     events = [(k, k & 1, k * T + offset, n_sel) for k in range(2, 2 + n_bits)]
-    retime = [ev[2] for ev in events[1:]]
-    return cdt_transfer(events[:-1], retime, phases, clk, chain)
+    return cdt_transfer(events, phases, clk, chain)
 
 
 def test_cdt_aligned_case_three_cycles_exact():
@@ -161,7 +160,7 @@ def test_cdt_aligned_case_three_cycles_exact():
     for d in deliveries:
         assert not d.violations
         assert d.t_deliver > 0
-        assert d.latency == 3 * T
+        assert d.t_deliver - d.t_center == 3 * T
 
 
 def test_cdt_values_and_order_preserved():
@@ -170,7 +169,8 @@ def test_cdt_values_and_order_preserved():
     assert ids == sorted(ids)
     for d in deliveries:
         assert d.value == d.bit_id & 1
-        assert d.t_deliver > d.t_stage_i > d.t_retime
+        # The retiming edge is the next event's mid-eye sample, T later.
+        assert d.t_deliver > d.t_stage_i > d.t_center + T
 
 
 def test_cdt_exhaustive_position_sweep():
@@ -189,8 +189,9 @@ def test_cdt_exhaustive_position_sweep():
             for d in deliveries:
                 assert not d.violations, (n_sel, d_frac, d.violations)
                 assert d.t_deliver > 0, (n_sel, d_frac)
-                assert d.latency <= 3 * T, (n_sel, d_frac, d.latency / T)
-                worst = max(worst, d.latency)
+                latency = d.t_deliver - d.t_center
+                assert latency <= 3 * T, (n_sel, d_frac, latency / T)
+                worst = max(worst, latency)
     assert worst == 3 * T  # the aligned corner attains the bound exactly
 
 
@@ -214,7 +215,7 @@ def test_cdt_capture_miss_is_reported():
     times = [2 * T + k * T for k in range(10)]
     times = times[:5] + [t - round(0.6 * T) for t in times[5:]]
     events = [(k, 1, t, 0) for k, t in enumerate(times)]
-    deliveries = cdt_transfer(events[:-1], [e[2] for e in events[1:]], phases, clk, chain)
+    deliveries = cdt_transfer(events, phases, clk, chain)
     assert any(d.violations or d.t_deliver <= 0 for d in deliveries)
 
 
@@ -288,9 +289,12 @@ def _ref_capture(u, transition, next_transition, chain):
     return u, viol
 
 
-def _ref_cdt_transfer(events, retime_edges, phases, rx_clock, chain):
+def _ref_cdt_transfer(events, phases, rx_clock, chain):
     # Two passes over parallel per-event lists, with nominal-grid searches:
     # every intermediate-stage capture first, then every receiver capture.
+    # Each event is re-timed at the next one's mid-eye sample.
+    retime_edges = [ev[2] for ev in events[1:]]
+    events = events[:-1]
     out = []
     n_ev = len(events)
     taus = [r + chain.resolve_retime for r in retime_edges]
@@ -309,8 +313,7 @@ def _ref_cdt_transfer(events, retime_edges, phases, rx_clock, chain):
         if u1 is not None:
             sigmas[j] = u1 + chain.resolve_stage
         else:
-            out.append(Delivery(bit_id, value, t_center, retime_edges[j],
-                                -1, -1, -1, tuple(viol1)))
+            out.append(Delivery(bit_id, value, t_center, -1, -1, tuple(viol1)))
     for j in range(n_ev):
         if sigmas[j] is None:
             continue
@@ -320,11 +323,9 @@ def _ref_cdt_transfer(events, retime_edges, phases, rx_clock, chain):
         u2, viol2 = _ref_capture(rx_edge, sigmas[j], nxt, chain)
         viols = tuple(viol1s[j] + viol2)
         if u2 is None:
-            out.append(Delivery(bit_id, value, t_center, retime_edges[j],
-                                u1s[j], -1, -1, viols))
+            out.append(Delivery(bit_id, value, t_center, u1s[j], -1, viols))
         else:
-            out.append(Delivery(bit_id, value, t_center, retime_edges[j],
-                                u1s[j], u2, u2 - t_center, viols))
+            out.append(Delivery(bit_id, value, t_center, u1s[j], u2, viols))
     out.sort(key=lambda d: (d.t_center, d.bit_id))
     return out
 
@@ -381,7 +382,7 @@ def test_cdt_one_pass_matches_two_pass(
     for bit_id, (n_sel, value, step) in enumerate(stream):
         events.append((bit_id, value, t, n_sel))
         t += T + step
-    args = (events[:-1], [ev[2] for ev in events[1:]], phases, clk, chain)
+    args = (events, phases, clk, chain)
     assert cdt_transfer(*args) == _ref_cdt_transfer(*args)
 
 
@@ -415,8 +416,7 @@ def test_cdt_blocks_with_lookahead_match_one_pass(
         t += T + step
 
     def transfer(evs, lookahead=0):
-        return cdt_transfer(evs[:-1], [ev[2] for ev in evs[1:]], phases, clk,
-                            chain, lookahead=lookahead)
+        return cdt_transfer(evs, phases, clk, chain, lookahead=lookahead)
 
     blocked, pending = [], []
     for ev in events:

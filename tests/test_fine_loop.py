@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from mesosync.fine_loop import (
     VcdlCurve,
+    pump_current,
     pump_integrate,
     vcdl_delay,
 )
@@ -15,35 +16,37 @@ CORNER_MULT = Scenario().vcdl_curve().corner_mult
 
 
 def test_weak_up_slope_5mv_per_ns():
-    v, _ = pump_integrate(0.5, 1, 0, 0, 0, FS_PER_NS, CFG)
+    v, _ = pump_integrate(0.5, pump_current(CFG, 1, 0, 0, 0), FS_PER_NS, CFG)
     assert v == pytest.approx(0.505, abs=1e-12)
 
 
 def test_balanced_pump_is_zero():
-    v, _ = pump_integrate(0.5, 1, 1, 0, 0, FS_PER_NS, CFG)
+    v, _ = pump_integrate(0.5, pump_current(CFG, 1, 1, 0, 0), FS_PER_NS, CFG)
     assert v == pytest.approx(0.5)
 
 
 def test_strong_down_gates_weak():
     # Weak up is gated off while the strong sink discharges at 16x.
-    v, _ = pump_integrate(0.5, 1, 0, 0, 1, FS_PER_NS, CFG)
+    v, _ = pump_integrate(0.5, pump_current(CFG, 1, 0, 0, 1), FS_PER_NS, CFG)
     assert v == pytest.approx(0.5 - 0.080, abs=1e-12)
 
 
 def test_simultaneous_strong_rejected():
     with pytest.raises(ValueError):
-        pump_integrate(0.5, 0, 0, 1, 1, 1000, CFG)
+        pump_current(CFG, 0, 0, 1, 1)
 
 
 def test_negative_dt_rejected():
     with pytest.raises(ValueError):
-        pump_integrate(0.5, 0, 0, 0, 0, -1, CFG)
+        pump_integrate(0.5, 0.0, -1, CFG)
 
 
 def test_clamps_to_rails():
-    assert pump_integrate(1.19, 0, 0, 1, 0, 1000 * FS_PER_NS, CFG) == (CFG.v_dd, True)
-    assert pump_integrate(0.01, 0, 0, 0, 1, 1000 * FS_PER_NS, CFG) == (0.0, True)
-    _, clamped = pump_integrate(0.6, 1, 0, 0, 0, FS_PER_NS, CFG)
+    up_strong = pump_current(CFG, 0, 0, 1, 0)
+    dn_strong = pump_current(CFG, 0, 0, 0, 1)
+    assert pump_integrate(1.19, up_strong, 1000 * FS_PER_NS, CFG) == (CFG.v_dd, True)
+    assert pump_integrate(0.01, dn_strong, 1000 * FS_PER_NS, CFG) == (0.0, True)
+    _, clamped = pump_integrate(0.6, pump_current(CFG, 1, 0, 0, 0), FS_PER_NS, CFG)
     assert not clamped
 
 
@@ -57,9 +60,10 @@ def test_clamps_to_rails():
 )
 def test_integration_additivity(v0, up, dn, dt1, dt2):
     # Splitting an interval changes nothing while Vc stays off the rails.
-    one, _ = pump_integrate(v0, up, dn, 0, 0, dt1 + dt2, CFG)
-    half, _ = pump_integrate(v0, up, dn, 0, 0, dt1, CFG)
-    two, _ = pump_integrate(half, up, dn, 0, 0, dt2, CFG)
+    i = pump_current(CFG, up, dn, 0, 0)
+    one, _ = pump_integrate(v0, i, dt1 + dt2, CFG)
+    half, _ = pump_integrate(v0, i, dt1, CFG)
+    two, _ = pump_integrate(half, i, dt2, CFG)
     if 0.0 < one < CFG.v_dd:
         assert two == pytest.approx(one, abs=1e-15)
 
@@ -79,7 +83,7 @@ def test_integration_additivity(v0, up, dn, dt1, dt2):
 def test_clamp_safety_any_command_sequence(cmds):
     v = 0.6
     for up, dn, (su, sd), dt in cmds:
-        v, _ = pump_integrate(v, up, dn, su, sd, dt, CFG)
+        v, _ = pump_integrate(v, pump_current(CFG, up, dn, su, sd), dt, CFG)
         assert 0.0 <= v <= CFG.v_dd
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from mesosync import defaults_130nm, defaults_65nm, harness, phase_detector, run, sweep
 from mesosync.dll_cdt import cdt_transfer
-from mesosync.fine_loop import vcdl_delay
+from mesosync.fine_loop import pump_integrate, vcdl_delay
 from mesosync.harness import Simulation
 from mesosync.scenario import ScenarioError, apply_settings
 from mesosync.timebase import FS_PER_NS, ClockGen, GridClock, derive_seed
@@ -131,10 +131,8 @@ def test_transfer_blocks_match_default(monkeypatch, default_block_runs, block):
     # mid-eye samples for the per-block sort to equal one sort of the run.
     t_centers = []
 
-    def recording_transfer(events, retime_edges, phases, rx_clock, chain,
-                           lookahead=0):
-        out = cdt_transfer(events, retime_edges, phases, rx_clock, chain,
-                           lookahead=lookahead)
+    def recording_transfer(events, phases, rx_clock, chain, lookahead=0):
+        out = cdt_transfer(events, phases, rx_clock, chain, lookahead=lookahead)
         t_centers.extend(ev[2] for ev in events[:len(out)])
         return out
 
@@ -188,7 +186,7 @@ def test_flat_pump_skip_is_exact(monkeypatch):
 
     def always_set_levels(self, drive_up, drive_dn):
         nonlocal skipped
-        if (self.slope == 0.0 and drive_up == self.w_up
+        if (self.i == 0.0 and drive_up == self.w_up
                 and drive_dn == self.w_dn):
             skipped += 1
         self._set_levels(drive_up, drive_dn, self.s_up, self.s_dn)
@@ -213,14 +211,17 @@ def test_flat_pump_skip_is_exact(monkeypatch):
 ], ids=["cold-start", "jittered", "hold-then-stochastic"])
 def test_delay_memo_never_stale(monkeypatch, scn, kw):
     # Every sample that OPP or CYCLE takes sits one VCDL delay after the
-    # event, and that delay is the curve's value at the current Vc.
+    # event, and that delay is the curve's value at the current Vc, which
+    # is pump_integrate's over the segment so far.
     sim = Simulation(scn, **kw)
     sample = phase_detector.Sampler.sample
     checked = computed = 0
 
     def checking_sample(self, waveform, t, rng):
         nonlocal checked
-        assert t - sim.now == vcdl_delay(sim._vc_at(sim.now), sim.curve), sim.now
+        v = sim._vc_at(sim.now)
+        assert v == pump_integrate(sim.vc, sim.i, sim.now - sim.t_vc, sim.pump)[0]
+        assert t - sim.now == vcdl_delay(v, sim.curve), sim.now
         checked += 1
         return sample(self, waveform, t, rng)
 
@@ -529,10 +530,12 @@ def test_sweep_propagates_failures_without_aborting():
 @pytest.mark.parametrize("settle", [-1.0, math.nan, math.inf])
 def test_bad_stop_after_lock_is_a_scenario_error(settle):
     # Refused before the first point, not recorded as one error per point.
+    # run's other two instants share the check.
     with pytest.raises(ScenarioError):
         sweep(BASE, "channel.alpha", ["0.1", "0.3"], stop_after_lock_us=settle)
-    with pytest.raises(ScenarioError):
-        run(BASE, stop_after_lock_us=settle)
+    for key in ("stop_after_lock_us", "hold_until_us", "measure_from_us"):
+        with pytest.raises(ScenarioError, match=key):
+            run(BASE, **{key: settle})
 
 
 def test_65nm_scenario_locks():
