@@ -148,7 +148,6 @@ class Delivery(NamedTuple):
     bit_id: int
     value: int
     t_center: SimTime       # mid-eye sample instant of this bit
-    t_stage_i: SimTime      # intermediate-phase capture edge
     t_deliver: SimTime      # receiver-clock capture edge
     violations: tuple[str, ...] = ()
 
@@ -239,7 +238,7 @@ def cdt_transfer(
     for (bit_id, value, t_center, _), u1, next_u1, viol1 in zip(
             islice(events, n_out), u1s, islice(u1s, 1, None), viol1s):
         if u1 is None:
-            out.append(Delivery(bit_id, value, t_center, -1, -1, viol1))
+            out.append(Delivery(bit_id, value, t_center, -1, viol1))
             continue
         sigma = u1 + resolve_stage
         nxt = None if next_u1 is None else next_u1 + resolve_stage
@@ -249,6 +248,5 @@ def cdt_transfer(
         if u2 - sigma < setup or (nxt is not None and nxt - u2 <= hold):
             u2, viol2 = _capture(u2, sigma, nxt, chain)
             viols += viol2
-        out.append(Delivery(bit_id, value, t_center, u1,
-                            -1 if u2 is None else u2, viols))
+        out.append(Delivery(bit_id, value, t_center, -1 if u2 is None else u2, viols))
     return out

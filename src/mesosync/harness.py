@@ -35,7 +35,9 @@ delay while Vc equals the value it was computed for.
 
 The coarse loop's state is the published comparator region
 (``published``): the ring direction at a divided edge (``fsm_step``) and
-the control FSM's ``enable``/``up_dn`` outputs are functions of it.
+the control FSM's ``enable``/``up_dn`` outputs are functions of it.  Until
+lock, each cycle passes Vc, its decision and the end of the last window
+excursion to the lock detector (``lock.LockDetector``).
 
 The transfer chain runs during the simulation: every ``_CDT_BLOCK``
 detector events pass through ``cdt_transfer`` together with the three
@@ -71,6 +73,7 @@ from .coarse_loop import (
 from .dll_cdt import CdtChain, cdt_transfer
 from .fine_loop import pump_current, pump_integrate, vcdl_delay
 from .link import BitSource, RxWaveform
+from .lock import LockDetector
 from .phase_detector import (
     HOLD,
     PD_PIPELINE_CYCLES,
@@ -264,20 +267,9 @@ class Simulation:
         self.excursions: list[tuple[SimTime, SimTime | None]] = []
         self.one_hot_violations = 0
         self.vc_bound_violations = 0
-        self.lock_time: SimTime | None = None
-        self.last_ring_change: SimTime = 0
-        self.last_nonwithin: SimTime = 0
+        self.lock = LockDetector(scn, self.window, self.pump)
         self.first_clean_sample: SimTime | None = None
         self._edge_sample = 0  # set by each cycle's OPP, read by its CYCLE
-        self._vc_hist: deque = deque()
-        # Monotone deques over _vc_hist: their fronts are its max and min.
-        self._vc_max: deque = deque()
-        self._vc_min: deque = deque()
-        # (t, active decision, metastable sample) per pre-lock cycle, and
-        # running totals of both flags.
-        self._flag_hist: deque = deque()
-        self._act_sum = 0
-        self._meta_sum = 0
         self._phase_hist: deque = deque(maxlen=_PHASE_HISTORY)
 
         self.actual_region = window_classify(self.vc, self.window)
@@ -329,23 +321,23 @@ class Simulation:
         if self.i == 0.0:
             return
         slope = self.i / self.pump.c_filter / 1e15
-        v = self.vc
+        region = self.actual_region
         w = self.window
-        # The nearest threshold ahead of Vc, and the region beyond it.
+        # The threshold ahead of Vc's region, and the region beyond it.
         if slope > 0.0:
-            if v <= w.v_low:
+            if region == BELOW:
                 target, after = w.v_low, WITHIN
-            elif v <= w.v_high:
+            elif region == WITHIN:
                 target, after = w.v_high, ABOVE
             else:
                 return
-        elif v >= w.v_high:
+        elif region == ABOVE:
             target, after = w.v_high, WITHIN
-        elif v >= w.v_low:
+        elif region == WITHIN:
             target, after = w.v_low, BELOW
         else:
             return
-        dt = (target - v) / slope
+        dt = (target - self.vc) / slope
         self.cross = (self.t_vc + max(1, math.ceil(dt)), after)
 
     # -- event handlers ---------------------------------------------------
@@ -361,22 +353,16 @@ class Simulation:
         elif prev != WITHIN and after == WITHIN:
             if self.excursions and self.excursions[-1][1] is None:
                 self.excursions[-1] = (self.excursions[-1][0], self.now)
-            self.last_nonwithin = self.now
         self._push(self.now + self.window.trip_delay, PRIO_PUBLISH, (after,))
         self._predict_crossing()
 
     def _on_publish(self, region: str):
-        # A crossing predicted into the region Vc already occupies publishes
-        # it again: only a new region or a cut strong pulse writes a row.
-        changed = region != self.published
         self.published = region
         if region == WITHIN and (self.s_up or self.s_dn):
             # Asynchronous reset truncates the strong pulse at window entry.
             self.strong_gen += 1
             self._set_levels(self.w_up, self.w_dn, 0, 0)
-            changed = True
-        if changed:
-            self._trace_counter()
+        self._trace_counter()
 
     def _on_strong_end(self, gen: int):
         if gen != self.strong_gen:
@@ -395,7 +381,7 @@ class Simulation:
                 self.ring = ring_step(self.ring, direction)
             except ValueError:
                 self.one_hot_violations += 1
-            self.last_ring_change = self.now
+            self.lock.last_ring_change = self.now
             self.counter_path.append(self.ring.hot_index)
         s_up, s_dn = STRONG_PULSE[direction]
         if (s_up, s_dn) != (self.s_up, self.s_dn):
@@ -467,7 +453,14 @@ class Simulation:
         # two cycles after the mid-eye sample.
         self._push(t_center + PD_PIPELINE_CYCLES * self.T, PRIO_PUMP, (dn, up))
 
-        self._update_lock(t_center, up, dn, v)
+        self._phase_hist.append((t_center % self.T) / self.T)
+        if self.lock.time is None:
+            # Vc's last re-entry into the window ends the last excursion.
+            reentry = None
+            if self.published == WITHIN and self.actual_region == WITHIN:
+                reentry = self.excursions[-1][1] if self.excursions else 0
+            self.lock.update(self.now, v, up, dn,
+                             self.center_sampler.last_was_metastable, reentry)
 
         n_next = self.ring.hot_index
         self.next_cycle = (self.dll.edge(n_next, k + 1), k + 1, n_next)
@@ -487,9 +480,9 @@ class Simulation:
 
     def _measure_start(self) -> SimTime | None:
         """Start of the post-lock measurement window, None before lock."""
-        if self.lock_time is None or self.measure_from_fs is None:
-            return self.lock_time
-        return max(self.lock_time, self.measure_from_fs)
+        if self.lock.time is None or self.measure_from_fs is None:
+            return self.lock.time
+        return max(self.lock.time, self.measure_from_fs)
 
     def _transfer(self, lookahead: int):
         """Deliver the pending events but the last ``lookahead`` + 1.
@@ -557,73 +550,6 @@ class Simulation:
                     lo = v
         self._vc_hi, self._vc_lo = hi, lo
 
-    # -- lock detection ----------------------------------------------------
-
-    def _update_lock(self, t_center: SimTime, up: int, dn: int, v: float):
-        """One lock-detector update per cycle; ``v`` is Vc at ``now``."""
-        self._phase_hist.append((t_center % self.T) / self.T)
-        if self.lock_time is not None:
-            return  # the gate histories below are read only before lock
-        win = self.scn.lock_window_divided * self.K * self.T
-        point = (self.now, v)
-        self._vc_hist.append(point)
-        vc_max, vc_min = self._vc_max, self._vc_min
-        while vc_max and vc_max[-1][1] <= v:
-            vc_max.pop()
-        vc_max.append(point)
-        while vc_min and vc_min[-1][1] >= v:
-            vc_min.pop()
-        vc_min.append(point)
-        act = 1 if (up ^ dn) else 0
-        meta = 1 if self.center_sampler.last_was_metastable else 0
-        flags = self._flag_hist
-        flags.append((self.now, act, meta))
-        self._act_sum += act
-        self._meta_sum += meta
-        horizon = self.now - win
-        while len(self._vc_hist) > 2 and self._vc_hist[1][0] <= horizon:
-            self._vc_hist.popleft()
-        oldest = self._vc_hist[0][0]
-        while vc_max[0][0] < oldest:
-            vc_max.popleft()
-        while vc_min[0][0] < oldest:
-            vc_min.popleft()
-        while flags and flags[0][0] < horizon:
-            _, old_act, old_meta = flags.popleft()
-            self._act_sum -= old_act
-            self._meta_sum -= old_meta
-        if self.published != WITHIN or self.actual_region != WITHIN:
-            return
-        if self.now - self.last_ring_change < win:
-            return
-        if self.now - self.last_nonwithin < win and self.last_nonwithin > 0:
-            return
-        if self._vc_hist[0][0] > horizon + self.T:
-            return  # not enough history yet
-        activity = self._act_sum
-        if activity < max(1, len(flags) // 4):
-            return
-        # A one-directional acquisition creep moves Vc by one pump step per
-        # active decision, whatever the data transition density; the locked
-        # limit cycle stays well under that.  Bounding the window excursion
-        # by a fraction of the activity-driven maximum separates the two.
-        v_max = vc_max[0][1]
-        v_min = vc_min[0][1]
-        step_v = self.pump.weak_slope_v_per_fs * self.T
-        drift_bound = self.scn.lock_drift_frac * activity * step_v
-        if v_max - v_min > drift_bound:
-            return
-        # Equilibria hugging a comparator threshold are one dither step from
-        # a coarse hop: only an interior control voltage counts as locked.
-        margin = self.scn.lock_vc_margin_frac * (self.window.v_high - self.window.v_low)
-        if v_min < self.window.v_low + margin or v_max > self.window.v_high - margin:
-            return
-        # Mid-eye samples landing in the metastability window mean the loop
-        # is parked on a data edge, not in the eye.
-        if self._meta_sum:
-            return
-        self.lock_time = self.now
-
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> RunMetrics:
@@ -686,8 +612,8 @@ class Simulation:
                 opp_next = False
                 continue
             on_cycle(k, n_used)
-            if self.lock_time is not None and self.stop_after_lock_fs is not None:
-                end = min(end, self.lock_time + self.stop_after_lock_fs)
+            if self.lock.time is not None and self.stop_after_lock_fs is not None:
+                end = min(end, self.lock.time + self.stop_after_lock_fs)
             es, k, n_used = self.next_cycle
             due = es - half
             opp_next = True
@@ -708,8 +634,8 @@ class Simulation:
         scn = self.scn
         m = self.totals
         m.duration_fs = end
-        m.locked = self.lock_time is not None
-        m.lock_time_fs = self.lock_time
+        m.lock_time_fs = self.lock.time
+        m.locked = m.lock_time_fs is not None
         m.vc_trace = self.vc_trace if self.keep_traces else []
         m.counter_trace = self.counter_trace
         m.counter_path = self.counter_path
@@ -728,7 +654,7 @@ class Simulation:
         # Sampling phase and oracle comparison (locked runs with clean
         # clocks only): before lock the phase history is acquisition, not a
         # centring error.
-        if self.lock_time is not None and len(self._phase_hist) >= 8:
+        if m.locked and len(self._phase_hist) >= 8:
             m.sampling_phase_ui = _circular_mean(list(self._phase_hist))
         tx_jit, rx_jit = scn.jitter()
         quiet = tx_jit.is_quiet and (scn.correlated or rx_jit.is_quiet)
@@ -756,7 +682,7 @@ class Simulation:
                 if self._vc_hi is not None:
                     m.vc_peak_to_peak_post_lock = self._vc_hi - self._vc_lo
 
-        if self.keep_traces and self.lock_time is not None:
+        if self.keep_traces and m.locked:
             m.eye_hist = self._eye_histogram()
         return m
 
@@ -778,7 +704,7 @@ class Simulation:
             (round((b + 0.5) * self.T / bins), round((b + 0.5) / bins, 4))
             for b in range(bins)
         ]
-        start_bit = waveform.bit_at(self.lock_time) + 1
+        start_bit = waveform.bit_at(self.lock.time) + 1
         for j in range(start_bit, start_bit + _EYE_BITS):
             base = waveform.boundary(j)
             for offset, phase in centres:

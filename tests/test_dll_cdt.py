@@ -167,10 +167,16 @@ def test_cdt_values_and_order_preserved():
     deliveries = _run_chain(4, 11_111)
     ids = [d.bit_id for d in deliveries]
     assert ids == sorted(ids)
+    # _run_chain's DLL and chain, and its events' intermediate phase.
+    phases = DllPhases(ClockGen(T), 10, IDEAL, 20e6)
+    chain = CdtChain(period=T, t_setup=round(0.02 * T), t_hold=0)
+    stage = intermediate_phase(4, 10)
     for d in deliveries:
         assert d.value == d.bit_id & 1
-        # The retiming edge is the next event's mid-eye sample, T later.
-        assert d.t_deliver > d.t_stage_i > d.t_center + T
+        # The retiming edge is the next event's mid-eye sample, T later; the
+        # intermediate stage captures its settled output.
+        tau = d.t_center + T + chain.resolve_retime
+        assert d.t_deliver > _ref_first_edge_after(phases, stage, tau) > d.t_center + T
 
 
 def test_cdt_exhaustive_position_sweep():
@@ -299,7 +305,6 @@ def _ref_cdt_transfer(events, phases, rx_clock, chain):
     n_ev = len(events)
     taus = [r + chain.resolve_retime for r in retime_edges]
     sigmas = [None] * n_ev
-    u1s = [None] * n_ev
     viol1s = [[] for _ in range(n_ev)]
     for j in range(n_ev):
         bit_id, value, t_center, n_sel = events[j]
@@ -308,12 +313,11 @@ def _ref_cdt_transfer(events, phases, rx_clock, chain):
         u1, viol1 = _ref_capture(
             _ref_first_edge_after(phases, m, taus[j]), taus[j], nxt, chain
         )
-        u1s[j] = u1
         viol1s[j] = viol1
         if u1 is not None:
             sigmas[j] = u1 + chain.resolve_stage
         else:
-            out.append(Delivery(bit_id, value, t_center, -1, -1, tuple(viol1)))
+            out.append(Delivery(bit_id, value, t_center, -1, tuple(viol1)))
     for j in range(n_ev):
         if sigmas[j] is None:
             continue
@@ -323,9 +327,9 @@ def _ref_cdt_transfer(events, phases, rx_clock, chain):
         u2, viol2 = _ref_capture(rx_edge, sigmas[j], nxt, chain)
         viols = tuple(viol1s[j] + viol2)
         if u2 is None:
-            out.append(Delivery(bit_id, value, t_center, u1s[j], -1, viols))
+            out.append(Delivery(bit_id, value, t_center, -1, viols))
         else:
-            out.append(Delivery(bit_id, value, t_center, u1s[j], u2, viols))
+            out.append(Delivery(bit_id, value, t_center, u2, viols))
     out.sort(key=lambda d: (d.t_center, d.bit_id))
     return out
 

@@ -4,6 +4,7 @@ import gc
 import math
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +12,12 @@ from mesosync import defaults_130nm, defaults_65nm, harness, phase_detector, run
 from mesosync.dll_cdt import cdt_transfer
 from mesosync.fine_loop import pump_integrate, vcdl_delay
 from mesosync.harness import Simulation
-from mesosync.scenario import ScenarioError, apply_settings
+from mesosync.scenario import ScenarioError, apply_settings, load_scenario
 from mesosync.timebase import FS_PER_NS, ClockGen, GridClock, derive_seed
 
 
 BASE = defaults_130nm()
+SCN_FILE = Path(__file__).resolve().parent.parent / "scenarios" / "defaults-130nm.scn"
 
 
 @pytest.fixture(scope="module")
@@ -259,22 +261,24 @@ def test_lock_gate_running_sums(scn):
     # monotone deques; after every lock-detector update they equal a
     # recount of their windows.  The Vc the cycle passes in is Vc at now.
     sim = Simulation(scn)
-    update = sim._update_lock
+    lock = sim.lock
+    update = lock.update
     checked = 0
 
-    def update_and_recount(t_center, up, dn, v):
+    def update_and_recount(now, v, *args):
         nonlocal checked
-        assert v == sim._vc_at(sim.now)
-        update(t_center, up, dn, v)
-        assert sim._act_sum == sum(a for _, a, _ in sim._flag_hist)
-        assert sim._meta_sum == sum(f for _, _, f in sim._flag_hist)
-        if sim.lock_time is None:
-            vs = [v for _, v in sim._vc_hist]
-            assert sim._vc_max[0][1] == max(vs)
-            assert sim._vc_min[0][1] == min(vs)
+        assert now == sim.now and v == sim._vc_at(now)
+        gate = update(now, v, *args)
+        assert lock.act_sum == sum(a for _, a, _ in lock.flags)
+        assert lock.meta_sum == sum(f for _, _, f in lock.flags)
+        if gate is not None:
+            vs = [v for _, v in lock.vc_hist]
+            assert lock.vc_max[0][1] == max(vs)
+            assert lock.vc_min[0][1] == min(vs)
         checked += 1
+        return gate
 
-    sim._update_lock = update_and_recount
+    lock.update = update_and_recount
     m = sim.run()
     assert checked > 500
     assert m.locked == (scn.pattern != "ones")
@@ -417,6 +421,33 @@ def test_crossings_never_enter_the_heap():
     assert cycles > 1000 and crossings > 0
     assert sim.heap
     assert all(entry[1] not in slot_prios for entry in sim.heap)
+
+
+def test_crossings_and_publications_leave_their_region():
+    # A crossing's target comes from the region Vc occupies, so none is
+    # predicted into that region again, and every publication changes the
+    # published region.  The hunting golden's walk (tests/test_cli.py)
+    # crosses the window thresholds many times.
+    scn = apply_settings(load_scenario(SCN_FILE), {
+        "window.trip_delay_ns": "20", "channel.alpha": "0.05"})
+    sim = Simulation(replace(scn, duration_us=3.0))
+    on_crossing, on_publish = sim._on_crossing, sim._on_publish
+    crossings, publications = [], []
+
+    def recorded_crossing(after):
+        crossings.append((sim.actual_region, after))
+        on_crossing(after)
+
+    def recorded_publish(region):
+        publications.append((sim.published, region))
+        on_publish(region)
+
+    sim._on_crossing = recorded_crossing
+    sim._on_publish = recorded_publish
+    sim.run()
+    assert [c for c in crossings if c[0] == c[1]] == []
+    assert [p for p in publications if p[0] == p[1]] == []
+    assert len(crossings) == 156 and len(publications) == 155
 
 
 def test_cold_start_shows_strong_pump_resets(locked_run):
