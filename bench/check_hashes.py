@@ -4,10 +4,11 @@
     python3 bench/check_hashes.py
 
 Runs seeds 0-31 of every workload in ``perfbench/workloads.py`` through
-``inputs``, ``execute`` and ``outputs_hash``, and compares each hash with
-``perfbench/expected.json``.  Prints one line per mismatch and a total, and
-exits 1 if any hash differs.  It only reads ``perfbench/``; the 128 runs
-take about 90 s on one core.
+``inputs`` and ``execute``, applies the workload's gates (``check``) to the
+collected runs, and compares their ``outputs_hash`` with
+``perfbench/expected.json``.  Prints one line per mismatch or failed gate
+and a total, and exits 1 if any hash differs or any gate fails.  It only
+reads ``perfbench/``; the 128 runs take about 90 s on one core.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEEDS = range(32)
 
 
-def _load_workloads():
+def load_workloads():
+    """``perfbench/workloads.py`` as a module."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", PERFBENCH / "workloads.py")
     module = importlib.util.module_from_spec(spec)
@@ -30,24 +32,40 @@ def _load_workloads():
     return module
 
 
+def load_expected() -> dict:
+    """The recorded output hashes, by workload name and seed."""
+    text = (PERFBENCH / "expected.json").read_text(encoding="utf-8")
+    return json.loads(text)["hashes"]
+
+
+def run_seed(workloads, name: str, seed: int, outdir: Path) -> tuple[str, list]:
+    """Run one seed of a workload: its output hash and the failures its
+    gates report, one list per collected run."""
+    scns = workloads.inputs(name, seed)
+    with workloads.collect_runs() as runs:
+        outcome = workloads.execute(name, scns, outdir)
+    return workloads.outputs_hash(runs), workloads.check(name, runs, outcome)
+
+
 def main() -> int:
-    workloads = _load_workloads()
-    expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
-    checked = mismatches = 0
+    workloads = load_workloads()
+    expected = load_expected()
+    checked = mismatches = failed = 0
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
-            scns = workloads.inputs(name, seed)
-            with tempfile.TemporaryDirectory() as out, \
-                    workloads.collect_runs() as runs:
-                workloads.execute(name, scns, Path(out))
-            got = workloads.outputs_hash(runs)
-            want = expected["hashes"][name][str(seed)]
+            with tempfile.TemporaryDirectory() as out:
+                got, failures = run_seed(workloads, name, seed, Path(out))
+            want = expected[name][str(seed)]
             checked += 1
             if got != want:
                 mismatches += 1
                 print(f"MISMATCH {name} seed {seed}: {got} != {want}")
-    print(f"{mismatches} mismatches out of {checked}")
-    return 1 if mismatches else 0
+            if any(failures):
+                failed += 1
+                print(f"FAILED {name} seed {seed}: {failures}")
+    print(f"{mismatches} mismatches out of {checked}; "
+          f"{failed} failed their gates")
+    return 1 if mismatches or failed else 0
 
 
 if __name__ == "__main__":

@@ -39,6 +39,15 @@ the control FSM's ``enable``/``up_dn`` outputs are functions of it.  Until
 lock, each cycle passes Vc, its decision and the end of the last window
 excursion to the lock detector (``lock.LockDetector``).
 
+Each run keeps one record, its ``RunMetrics`` (``Simulation.totals``),
+and each fact in it once.  The invariant counters, ``counter_path`` and
+``counter_trace`` are written by the handlers where they happen, and the
+transfer chain's totals by ``_transfer``; ``_finalize`` adds only what
+needs the end of the run.  What follows from another fact is derived:
+the detector-event count from the cycle index, and the latency mean's
+divisor from the BER counts.  A run of zero duration takes the same path
+and ends at t = 0.
+
 The transfer chain runs during the simulation: every ``_CDT_BLOCK``
 detector events pass through ``cdt_transfer`` together with the three
 events after them that their deliveries depend on; each of its stages
@@ -221,7 +230,7 @@ class Simulation:
         # Net pump current of the current Vc segment (amperes): zero while
         # every level is off.
         self.i = 0.0
-        # The last VCDL delay and the Vc it was computed for (see _on_opp).
+        # The last VCDL delay and the Vc it was computed for (see _vc_at).
         self._delay_vc: float | None = None
         self._delay_fs: SimTime = 0
 
@@ -243,30 +252,26 @@ class Simulation:
         self.seq = 0
         self.now: SimTime = 0
 
+        # The run's one record (see the module docstring).
+        self.totals = RunMetrics(scenario=scn,
+                                 counter_path=[self.ring.hot_index])
         # Traces and bookkeeping.  Without keep_traces each transfer block
         # folds vc_trace into the post-lock extremes and empties it.
         self.vc_trace: list[tuple[SimTime, float]] = [(0, self.vc)]
         self._vc_hi: float | None = None
         self._vc_lo: float | None = None
-        self.counter_trace: list = []
-        self.counter_path: list[int] = [self.ring.hot_index]
         # Detector events not yet delivered, (bit_id, value, t_center,
         # phase), at most _CDT_BLOCK + 3; running totals of the delivered
         # ones (see _transfer).
         self.pd_pending: list[tuple[int, int, SimTime, int]] = []
-        self.pd_event_count = 0
         self.chain = CdtChain(
             period=self.T,
             t_setup=round(scn.t_setup_ui * self.T),
             t_hold=round(scn.t_hold_ui * self.T),
         )
-        self.totals = RunMetrics(scenario=scn)
         self._lat_sum = 0.0
-        self._lat_count = 0
         self._lat_hist: dict[float, int] = {}
         self.excursions: list[tuple[SimTime, SimTime | None]] = []
-        self.one_hot_violations = 0
-        self.vc_bound_violations = 0
         self.lock = LockDetector(scn, self.window, self.pump)
         self.first_clean_sample: SimTime | None = None
         self._edge_sample = 0  # set by each cycle's OPP, read by its CYCLE
@@ -287,14 +292,19 @@ class Simulation:
 
     def _vc_at(self, t: SimTime) -> float:
         # pump_integrate's expression, the one definition, inline: OPP and
-        # CYCLE read Vc once each per cycle.
+        # CYCLE read Vc once each per cycle, and reuse the last VCDL delay
+        # (_delay_fs) while Vc has not moved (the curve is a function of Vc).
         v = self.vc + self.i * (t - self.t_vc) / FS_PER_SECOND / self.pump.c_filter
-        return clamp_voltage(v, self.pump.v_dd)
+        v = clamp_voltage(v, self.pump.v_dd)
+        if v != self._delay_vc:
+            self._delay_vc = v
+            self._delay_fs = vcdl_delay(v, self.curve)
+        return v
 
     def _advance_vc(self, t: SimTime):
         self.vc, clamped = pump_integrate(self.vc, self.i, t - self.t_vc, self.pump)
         if clamped:
-            self.vc_bound_violations += 1
+            self.totals.vc_bound_violations += 1
         self.t_vc = t
 
     def _set_levels(self, w_up: int, w_dn: int, s_up: int, s_dn: int):
@@ -380,9 +390,9 @@ class Simulation:
             try:
                 self.ring = ring_step(self.ring, direction)
             except ValueError:
-                self.one_hot_violations += 1
+                self.totals.one_hot_violations += 1
             self.lock.last_ring_change = self.now
-            self.counter_path.append(self.ring.hot_index)
+            self.totals.counter_path.append(self.ring.hot_index)
         s_up, s_dn = STRONG_PULSE[direction]
         if (s_up, s_dn) != (self.s_up, self.s_dn):
             self.strong_gen += 1
@@ -398,7 +408,7 @@ class Simulation:
     def _trace_counter(self):
         if not self.keep_traces:
             return
-        self.counter_trace.append(
+        self.totals.counter_trace.append(
             (
                 self.now,
                 self.ring.hot_index,
@@ -411,12 +421,7 @@ class Simulation:
         )
 
     def _on_opp(self):
-        # OPP and CYCLE reuse the last VCDL delay while Vc has not moved
-        # (the curve is a pure function of Vc).
-        v = self._vc_at(self.now)
-        if v != self._delay_vc:
-            self._delay_vc = v
-            self._delay_fs = vcdl_delay(v, self.curve)
+        self._vc_at(self.now)
         t_sample = self.now + self._delay_fs
         self._edge_sample = self.edge_sampler.sample(
             self.waveform, t_sample, self.rng_meta
@@ -431,9 +436,6 @@ class Simulation:
                 self.center_sampler.model = stoch
                 self.edge_sampler.model = stoch
         v = self._vc_at(self.now)
-        if v != self._delay_vc:
-            self._delay_vc = v
-            self._delay_fs = vcdl_delay(v, self.curve)
         t_center = self.now + self._delay_fs
         center_val = self.center_sampler.sample(self.waveform, t_center, self.rng_meta)
         if self.first_clean_sample is None and not self.center_sampler.last_was_metastable:
@@ -443,7 +445,6 @@ class Simulation:
                                                     center_val)
 
         bit_id = self.waveform.bit_at(t_center)
-        self.pd_event_count += 1
         self.pd_pending.append((bit_id, retimed, t_center, n_used))
         if len(self.pd_pending) == _CDT_BLOCK + 3:
             self._transfer(lookahead=2)
@@ -532,7 +533,6 @@ class Simulation:
             # Summed left to right in delivery order, so the mean does not
             # depend on the block size.
             self._lat_sum += x
-            self._lat_count += 1
             if m.latency_max_t is None or x > m.latency_max_t:
                 m.latency_max_t = x
             b = round(int(x * 10) / 10, 1)
@@ -553,12 +553,7 @@ class Simulation:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> RunMetrics:
-        scn = self.scn
-        end = scn.duration_fs
-        if end <= 0:
-            return RunMetrics(scenario=scn, final_hot=self.ring.hot_index,
-                              vc_final=self.vc)
-
+        end = self.scn.duration_fs
         self._push(self.rx_clock.edge(self.K), PRIO_DIVIDED, (1,))
         self._predict_crossing()
 
@@ -626,7 +621,7 @@ class Simulation:
     # -- metrics -----------------------------------------------------------
 
     def _finalize(self, end: SimTime) -> RunMetrics:
-        """Complete the running totals into the run's metrics.
+        """Complete the run's record with what needs the end of the run.
 
         The last transfer-chain call delivers the pending tail with no
         look-ahead, so the end of the run is treated as in one pass.
@@ -637,19 +632,16 @@ class Simulation:
         m.lock_time_fs = self.lock.time
         m.locked = m.lock_time_fs is not None
         m.vc_trace = self.vc_trace if self.keep_traces else []
-        m.counter_trace = self.counter_trace
-        m.counter_path = self.counter_path
         m.final_hot = self.ring.hot_index
         m.vc_final = self.vc
-        m.one_hot_violations = self.one_hot_violations
-        m.vc_bound_violations = self.vc_bound_violations
-        m.pd_event_count = self.pd_event_count
+        # Cycles are numbered from 2 (see __init__), one per detector event.
+        m.pd_event_count = self.next_cycle[1] - 2
         m.first_clean_sample_fs = self.first_clean_sample
         m.excursions = [e for e in self.excursions if e[1] is not None]
         if m.excursions:
             div = self.K * self.T
             m.excursion_max_divided = max((b - a) / div for a, b in m.excursions)
-        m.counter_monotone = _is_monotone(self.counter_path, self.N)
+        m.counter_monotone = _is_monotone(m.counter_path, self.N)
 
         # Sampling phase and oracle comparison (locked runs with clean
         # clocks only): before lock the phase history is acquisition, not a
@@ -670,11 +662,13 @@ class Simulation:
                 m.phase_error_ui = _oracle.wrap_ui(m.sampling_phase_ui - center)
 
         # Transfer chain tail, BER and latency over the delivered stream.
-        if self.pd_event_count >= 2:
+        if m.pd_event_count >= 2:
             self._transfer(lookahead=0)
             m.ber_errors += m.missed_deliveries_post_lock
-            if self._lat_count:
-                m.latency_mean_t = self._lat_sum / self._lat_count
+            # Every post-lock bit that was delivered has one latency.
+            delivered = m.ber_bits - m.missed_deliveries_post_lock
+            if delivered:
+                m.latency_mean_t = self._lat_sum / delivered
                 m.latency_hist = sorted(self._lat_hist.items())
             start = self._measure_start()
             if start is not None:
@@ -805,7 +799,8 @@ class FalseLockReport:
 
     @property
     def restored_never_false_locked(self) -> bool:
-        return all(
+        # An empty leg (the reference run did not lock) restored no seed.
+        return bool(self.restored_runs) and all(
             (dw is not None and dw < 0.05 and l is not None)
             for _, dw, l in self.restored_runs
         )
@@ -822,28 +817,24 @@ def false_lock_experiment(
     *,
     phase1_us: float = 2.0,
     n_seeds: int = 20,
-    run_us: float = 8.0,
 ) -> FalseLockReport:
     """Three-legged study of the half-period unstable equilibrium.
 
-    Leg 1 holds every metastable sample at its previous value, pinning the
-    loop at the wrong edge: the control voltage must stay put and no lock
-    may be declared.  Leg 2 repeats the hold phase, then switches the
-    comparators to random resolution: every seed must escape the
-    equilibrium and lock.  Leg 3 restores a snapshot near the correct
-    lock: the loop must never dwell at the false equilibrium.  Legs 2
-    and 3 need at least one seed each.
+    Leg 1 holds every metastable sample at its previous value for
+    ``phase1_us``, pinning the loop at the wrong edge: the control voltage
+    must stay put and no lock may be declared.  Leg 2 repeats the hold
+    phase, then switches the comparators to random resolution for the
+    scenario's duration: every seed must escape the equilibrium and lock.
+    Leg 3 restores a snapshot near the correct lock, taken from a reference
+    run of the scenario's duration: the loop must never dwell at the false
+    equilibrium.  Legs 2 and 3 need at least one seed each; a reference run
+    that does not lock leaves leg 3 empty, which fails the study.
     """
     if n_seeds < 1:
         raise ScenarioError(f"the false-lock study needs at least one seed, "
                             f"got {n_seeds}")
     alpha = false_lock_alpha(scn)
-    base = replace(
-        scn,
-        alpha=alpha,
-        pattern="alternating",
-        duration_us=max(phase1_us, scn.duration_us),
-    )
+    base = replace(scn, alpha=alpha, pattern="alternating")
 
     hold_scn = replace(base, resolution="hold", duration_us=phase1_us)
     hold_m = run(hold_scn, keep_traces=True)
@@ -854,7 +845,7 @@ def false_lock_experiment(
     for i in range(n_seeds):
         s = replace(
             base,
-            duration_us=phase1_us + run_us,
+            duration_us=phase1_us + scn.duration_us,
             seed=derive_seed(scn.seed, 100 + i),
         )
         mm = run(s, hold_until_us=phase1_us, stop_after_lock_us=0.5)
@@ -871,8 +862,7 @@ def false_lock_experiment(
 
     # Reference lock for the snapshot leg: same channel, random resolution.
     ref = run(
-        replace(base, resolution="stochastic", duration_us=run_us,
-                seed=derive_seed(scn.seed, 99)),
+        replace(base, resolution="stochastic", seed=derive_seed(scn.seed, 99)),
         stop_after_lock_us=0.5,
     )
     restored_runs = []
@@ -881,7 +871,6 @@ def false_lock_experiment(
             s = replace(
                 base,
                 resolution="stochastic",
-                duration_us=run_us,
                 seed=derive_seed(scn.seed, 200 + i),
                 snapshot_hot=ref.final_hot,
             )

@@ -303,6 +303,18 @@ def test_falselock_subcommand(capsys):
     assert "hold_dvc_max_mv = 0.000" in out
 
 
+@pytest.mark.parametrize("duration", ["0.3", "0.7"])
+def test_falselock_legs_run_the_duration(duration, capsys):
+    # --duration sets the length of each leg.  In 0.3 us no leg locks; in
+    # 0.7 us the stochastic leg locks but the reference run does not, so
+    # the snapshot leg restores no seed, which fails the study.
+    code = main(["falselock", SCN, "--seeds", "1", "--duration", duration])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "ok = false" in out
+    assert "restored seed=" not in out
+
+
 def test_falselock_needs_a_seed(capsys):
     # With no stochastic or snapshot seed the study would check only the
     # hold leg and still report ok.

@@ -124,8 +124,8 @@ def test_fsm_async_path_arms_without_stepping():
     sim = Simulation(defaults_130nm(), keep_traces=True)
     sim.now = 1_000
     sim._on_publish(ABOVE)
-    assert sim.counter_trace == [(1_000, 0, 1, 1, 0, 0)]
-    assert sim.counter_path == [0]
+    assert sim.totals.counter_trace == [(1_000, 0, 1, 1, 0, 0)]
+    assert sim.totals.counter_path == [0]
     assert (sim.s_up, sim.s_dn) == (0, 0)
 
 

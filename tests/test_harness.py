@@ -131,20 +131,32 @@ def test_transfer_blocks_match_default(monkeypatch, default_block_runs, block):
     # any block size gives the metrics of the default one, exactly.  The
     # blocks arrive in detector order, which must also be the order of the
     # mid-eye samples for the per-block sort to equal one sort of the run.
+    # The detector-event count, derived from the cycle index, is the
+    # number of cycles run.
     t_centers = []
+    cycles = 0
+    on_cycle = Simulation._on_cycle
 
     def recording_transfer(events, phases, rx_clock, chain, lookahead=0):
         out = cdt_transfer(events, phases, rx_clock, chain, lookahead=lookahead)
         t_centers.extend(ev[2] for ev in events[:len(out)])
         return out
 
+    def counted_cycle(self, k, n_used):
+        nonlocal cycles
+        cycles += 1
+        on_cycle(self, k, n_used)
+
     monkeypatch.setattr(harness, "_CDT_BLOCK", block)
     monkeypatch.setattr(harness, "cdt_transfer", recording_transfer)
+    monkeypatch.setattr(Simulation, "_on_cycle", counted_cycle)
     for (scn, kw, code), ref in zip(BLOCK_RUNS, default_block_runs):
         t_centers.clear()
+        cycles = 0
         m = run(scn, **kw)
         assert ref.exit_code == code
         assert _run_fields(m) == _run_fields(ref)
+        assert m.pd_event_count == cycles > 0
         assert len(t_centers) == m.pd_event_count - 1
         assert all(a < b for a, b in zip(t_centers, t_centers[1:]))
 
@@ -161,10 +173,14 @@ TRACE_RUNS = BLOCK_RUNS + (
 def test_keep_traces_changes_no_metric(i):
     # Without traces the post-lock Vc peak-to-peak is folded block by block
     # and the clocks drop their old edges; every other figure is the same.
+    # Every post-lock bit but the missed ones has one latency, the count
+    # the latency mean divides by.
     scn, kw, code = TRACE_RUNS[i]
     kept = run(scn, keep_traces=True, **kw)
     lean = run(scn, **kw)
     assert kept.exit_code == code
+    assert (sum(c for _, c in kept.latency_hist)
+            == kept.ber_bits - kept.missed_deliveries_post_lock)
     assert kept.vc_trace and kept.counter_trace
     assert (kept.eye_hist is not None) == kept.locked
     assert lean.vc_trace == [] and lean.counter_trace == []
@@ -221,8 +237,8 @@ def test_delay_memo_never_stale(monkeypatch, scn, kw):
 
     def checking_sample(self, waveform, t, rng):
         nonlocal checked
-        v = sim._vc_at(sim.now)
-        assert v == pump_integrate(sim.vc, sim.i, sim.now - sim.t_vc, sim.pump)[0]
+        v = pump_integrate(sim.vc, sim.i, sim.now - sim.t_vc, sim.pump)[0]
+        assert sim._delay_vc == v, sim.now
         assert t - sim.now == vcdl_delay(v, sim.curve), sim.now
         checked += 1
         return sample(self, waveform, t, rng)
@@ -267,7 +283,8 @@ def test_lock_gate_running_sums(scn):
 
     def update_and_recount(now, v, *args):
         nonlocal checked
-        assert now == sim.now and v == sim._vc_at(now)
+        assert now == sim.now
+        assert v == pump_integrate(sim.vc, sim.i, now - sim.t_vc, sim.pump)[0]
         gate = update(now, v, *args)
         assert lock.act_sum == sum(a for _, a, _ in lock.flags)
         assert lock.meta_sum == sum(f for _, _, f in lock.flags)
@@ -310,10 +327,15 @@ def test_counter_path_reversal_is_not_monotone():
 
 
 def test_zero_duration_is_empty():
-    m = run(replace(BASE, duration_us=0.0))
-    assert not m.locked
-    assert m.vc_trace == [] and m.counter_trace == []
-    assert m.ber_bits == 0 and m.ber_errors == 0
+    # A zero-duration run takes the path of any other run and ends at
+    # t = 0: the ring's start is its one counter_path entry.
+    scn = replace(BASE, duration_us=0.0)
+    lean = run(scn)
+    assert lean.vc_trace == [] and lean.counter_trace == []
+    assert lean.ber_bits == 0 and lean.ber_errors == 0
+    for m in (lean, run(scn, keep_traces=True)):
+        assert not m.locked and m.pd_event_count == 0
+        assert m.counter_path == [0]
 
 
 def test_comparator_trip_delay_visible():
