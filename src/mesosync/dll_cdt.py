@@ -207,6 +207,7 @@ def cdt_transfer(
     before u + ``t_hold``.  Every other capture is ``(u, ())``.
     """
     out: list[Delivery] = []
+    new = tuple.__new__  # a Delivery per bit, without its Python-level __new__
     resolve_retime = chain.resolve_retime
     resolve_stage = chain.resolve_stage
     # The guard's reach.  An edge is the first strictly after its opening
@@ -238,7 +239,7 @@ def cdt_transfer(
     for (bit_id, value, t_center, _), u1, next_u1, viol1 in zip(
             islice(events, n_out), u1s, islice(u1s, 1, None), viol1s):
         if u1 is None:
-            out.append(Delivery(bit_id, value, t_center, -1, viol1))
+            out.append(new(Delivery, (bit_id, value, t_center, -1, viol1)))
             continue
         sigma = u1 + resolve_stage
         nxt = None if next_u1 is None else next_u1 + resolve_stage
@@ -248,5 +249,6 @@ def cdt_transfer(
         if u2 - sigma < setup or (nxt is not None and nxt - u2 <= hold):
             u2, viol2 = _capture(u2, sigma, nxt, chain)
             viols += viol2
-        out.append(Delivery(bit_id, value, t_center, -1 if u2 is None else u2, viols))
+        out.append(new(Delivery, (bit_id, value, t_center,
+                                  -1 if u2 is None else u2, viols)))
     return out

@@ -122,6 +122,13 @@ class VcdlCurve:
 
 def vcdl_delay(v_c: float, curve: VcdlCurve) -> SimTime:
     """Delay through the line at control voltage ``v_c`` (input clamped)."""
-    v = min(max(v_c, curve.v_low), curve.v_high)
-    x = (v - curve.v_low) / (curve.v_high - curve.v_low)
-    return curve.d_min + round(curve.range_fs * _shape(curve.shape, x))
+    v_low = curve.v_low
+    v_high = curve.v_high
+    if v_c < v_low:
+        v_c = v_low
+    elif v_c > v_high:
+        v_c = v_high
+    x = (v_c - v_low) / (v_high - v_low)
+    if curve.shape != LINEAR:
+        x = _shape(curve.shape, x)
+    return curve.d_min + round(curve.range_fs * x)

@@ -92,14 +92,17 @@ def alexander_step(
     ``center_sample`` (on the edge; also the retimed output).  UP = a XOR b
     flags a late clock, DN = b XOR c an early one; a = b = c yields no action.
     """
-    a = state.center
+    a, primed = state
     b = edge_sample & 1
     c = center_sample & 1
-    primed = min(state.primed + 1, 3)
-    new = AlexanderState(c, primed)
-    if primed < 3:
-        return 0, 0, c, new
-    return a ^ b, b ^ c, c, new
+    if primed < 2:
+        # Fewer than three samples seen, this one included: no decision yet.
+        return 0, 0, c, _STATES[c][primed + 1]
+    return a ^ b, b ^ c, c, _STATES[c][3]
+
+
+# _STATES[center][primed], built once so a cycle picks a state, not builds one.
+_STATES = tuple(tuple(AlexanderState(c, p) for p in range(4)) for c in (0, 1))
 
 
 # Latency of the detector's retimed outputs, in clock cycles: one cycle for

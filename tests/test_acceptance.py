@@ -14,6 +14,7 @@ import pytest
 from conftest import record_acceptance
 from mesosync import defaults_130nm, false_lock_experiment, load_scenario, run
 from mesosync.fine_loop import pump_current, pump_integrate
+from mesosync.harness import HOLD_DVC_MAX_V
 from mesosync.reports import write_outputs
 from mesosync.timebase import derive_seed
 
@@ -196,19 +197,13 @@ def test_criterion_8_false_lock_study():
     base = replace(load_scenario(SCENARIO_FILE), duration_us=8.0)
     rep = false_lock_experiment(base, phase1_us=2.0, n_seeds=20)
     escapes = [r for r in rep.stochastic_runs if r[1]]
-    ok = (
-        rep.hold_dvc_max < 0.010
-        and not rep.hold_locked
-        and rep.all_stochastic_escaped_and_locked
-        and len(rep.stochastic_runs) == 20
-        and len(rep.restored_runs) == 20
-        and rep.restored_never_false_locked
-    )
+    ok = rep.ok and len(rep.stochastic_runs) == 20 and len(rep.restored_runs) == 20
     spread = sorted(r[2] for r in escapes)
     record_acceptance(
         "8 false edge lock study",
         ok,
-        f"hold dVc {rep.hold_dvc_max * 1e3:.3f} mV over 2 us (< 10 mV); "
+        f"hold dVc {rep.hold_dvc_max * 1e3:.3f} mV over 2 us "
+        f"(< {HOLD_DVC_MAX_V * 1e3:g} mV); "
         f"stochastic 20/20 escape+lock (escape {spread[0]:.3f}-{spread[-1]:.3f} us); "
         f"restored 20/20 clean",
     )

@@ -387,7 +387,9 @@ def test_cdt_one_pass_matches_two_pass(
         events.append((bit_id, value, t, n_sel))
         t += T + step
     args = (events, phases, clk, chain)
-    assert cdt_transfer(*args) == _ref_cdt_transfer(*args)
+    out = cdt_transfer(*args)
+    assert out == _ref_cdt_transfer(*args)
+    assert all(type(d) is Delivery for d in out)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,6 +131,15 @@ def test_vcdl_monotone_dense_sweep(corner, shape):
     # Strictly increasing at 10 mV granularity.
     vals = [vcdl_delay(v / 100.0, curve) for v in range(30, 91)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+    # Below, at and above the window [v_low, v_high]: the input clamp, then
+    # the curve's shape over the normalised input.
+    lo, hi = curve.v_low, curve.v_high
+    for v in (-0.5, 0.0, lo - 1e-9, lo, lo + 1e-9, 0.45, 0.6, 0.8,
+              hi - 1e-9, hi, hi + 1e-9, 1.2, 5.0):
+        x = (min(max(v, lo), hi) - lo) / (hi - lo)
+        if shape == "saturating":
+            x = (math.tanh(2.0 * (x - 0.5)) + math.tanh(1.0)) / (2.0 * math.tanh(1.0))
+        assert vcdl_delay(v, curve) == curve.d_min + round(curve.range_fs * x)
 
 
 def test_vcdl_corner_ordering():

@@ -13,7 +13,14 @@ from mesosync.dll_cdt import cdt_transfer
 from mesosync.fine_loop import pump_integrate, vcdl_delay
 from mesosync.harness import Simulation
 from mesosync.scenario import ScenarioError, apply_settings, load_scenario
-from mesosync.timebase import FS_PER_NS, ClockGen, GridClock, derive_seed
+from mesosync.timebase import (
+    FS_PER_NS,
+    FS_PER_SECOND,
+    ClockGen,
+    GridClock,
+    clamp_voltage,
+    derive_seed,
+)
 
 
 BASE = defaults_130nm()
@@ -254,6 +261,42 @@ def test_delay_memo_never_stale(monkeypatch, scn, kw):
     # An OPP whose cycle falls after the end of the run has no CYCLE.
     assert checked - 2 * m.pd_event_count in (0, 1)
     assert computed < checked  # the memo served some samples
+
+
+def test_phase_wrap_opp_reads_vc_backwards():
+    # When the ring steps from the last phase to phase 0, the next cycle's
+    # OPP lies before the CYCLE just run (here cycle 113's OPP, 0.4 T before
+    # cycle 112's CYCLE), and a crossing in between has already moved the
+    # segment origin past it.  _vc_at then reads Vc at dt < 0, which
+    # pump_integrate refuses; the segment's linear expression is what it
+    # uses.  The run is `run --set loop.vc_init_v=-0.0 --duration 0.5`.
+    scn = replace(apply_settings(load_scenario(SCN_FILE), {"loop.vc_init_v": "-0.0"}),
+                  duration_us=0.5)
+    sim = Simulation(scn, keep_traces=True)
+    on_opp, on_cycle = sim._on_opp, sim._on_cycle
+    last_cycle = None
+    backward = []
+
+    def opp():
+        on_opp()
+        if last_cycle is not None and sim.now < last_cycle:
+            v = sim.vc + sim.i * (sim.now - sim.t_vc) / FS_PER_SECOND / sim.pump.c_filter
+            assert sim._delay_vc == clamp_voltage(v, sim.pump.v_dd)
+            backward.append((sim.next_cycle[1], sim.now, last_cycle, sim.t_vc))
+
+    def cycle(k, n_used):
+        nonlocal last_cycle
+        on_cycle(k, n_used)
+        last_cycle = sim.now
+
+    sim._on_opp, sim._on_cycle = opp, cycle
+    m = sim.run()
+    assert m.counter_path[:3] == [0, 9, 0]
+    assert backward == [(113, 86_538_488, 86_846_180, 86_674_856)]
+    k, t_opp, t_cycle, t_vc = backward[0]
+    assert t_opp < t_vc < t_cycle
+    with pytest.raises(ValueError, match="dt must be >= 0"):
+        pump_integrate(sim.vc, sim.i, t_opp - t_vc, sim.pump)
 
 
 @pytest.mark.parametrize("alpha", [0.333, 0.305])

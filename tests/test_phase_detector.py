@@ -42,11 +42,18 @@ def test_alexander_all_equal_is_silent():
 
 
 def test_alexander_exhaustive_xor():
-    for a, b, c in itertools.product((0, 1), repeat=3):
-        up, dn, retimed, _ = _step_full(a, b, c)
-        assert up == a ^ b
-        assert dn == b ^ c
+    # Every window at every warmup count: decisions from the third sample on,
+    # and the state is an AlexanderState with the count capped at 3.
+    for a, b, c, primed in itertools.product((0, 1), (0, 1), (0, 1), range(4)):
+        up, dn, retimed, st = alexander_step(AlexanderState(a, primed), b, c)
+        if primed < 2:
+            assert (up, dn) == (0, 0)
+        else:
+            assert up == a ^ b
+            assert dn == b ^ c
         assert retimed == c
+        assert st == AlexanderState(c, min(primed + 1, 3))
+        assert type(st) is AlexanderState
 
 
 def test_alexander_warmup_suppresses_output():
