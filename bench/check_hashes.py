@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Check every recorded benchmark output hash against this checkout.
+"""Check the recorded benchmark output hashes against this checkout.
 
-    python3 bench/check_hashes.py
+    python3 bench/check_hashes.py [WORKLOAD ...]
 
-Runs seeds 0-31 of every workload in ``perfbench/workloads.py`` through
-``inputs`` and ``execute``, applies the workload's gates (``check``) to the
-collected runs, and compares their ``outputs_hash`` with
-``perfbench/expected.json``.  Prints one line per mismatch or failed gate
-and a total, and exits 1 if any hash differs or any gate fails.  It only
-reads ``perfbench/``; the 128 runs take about 90 s on one core.
+Runs seeds 0-31 of each named workload in ``perfbench/workloads.py``, or of
+every workload when none is named, through ``inputs`` and ``execute``,
+applies the workload's gates (``check``) to the collected runs, and
+compares their ``outputs_hash`` with ``perfbench/expected.json``.  Prints
+one line per mismatch or failed gate and a total, and exits 1 if any hash
+differs or any gate fails, 2 if a name is not a workload.  It only reads
+``perfbench/``; all 128 runs take about 90 s on one core.
 """
 
 from __future__ import annotations
@@ -47,11 +48,17 @@ def run_seed(workloads, name: str, seed: int, outdir: Path) -> tuple[str, list]:
     return workloads.outputs_hash(runs), workloads.check(name, runs, outcome)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     workloads = load_workloads()
+    names = sys.argv[1:] if argv is None else argv
+    unknown = [n for n in names if n not in workloads.WORKLOADS]
+    if unknown:
+        print(f"unknown workload(s): {', '.join(unknown)}; "
+              f"choose from {', '.join(workloads.WORKLOADS)}", file=sys.stderr)
+        return 2
     expected = load_expected()
     checked = mismatches = failed = 0
-    for name in workloads.WORKLOADS:
+    for name in names or workloads.WORKLOADS:
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as out:
                 got, failures = run_seed(workloads, name, seed, Path(out))

@@ -133,7 +133,6 @@ def main(argv: list[str] | None = None) -> int:
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--duration", type=float, default=None,
                         help="simulated duration in microseconds")
-    common.add_argument("--out", default=None, help="output directory for CSVs")
     common.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE", help="override a scenario key")
 
@@ -146,6 +145,10 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--settle", type=float, default=1.0,
                          help="extra simulated us after lock before stopping")
     p_sweep.set_defaults(func=cmd_sweep)
+
+    # Only run and sweep write outputs.
+    for p in (p_run, p_sweep):
+        p.add_argument("--out", default=None, help="output directory for CSVs")
 
     p_fl = sub.add_parser("falselock", parents=[common],
                           help="false edge-lock study")

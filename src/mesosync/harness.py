@@ -25,13 +25,18 @@ discharge input, while DN (early) drives the charge input.  The control
 voltage rises when more delay is needed; leaving the comparator window
 upward selects the next-later DLL phase with a strong discharge pulse.
 
-Each Vc segment carries one pump current, computed when it starts
-(``_set_levels``); ``pump_integrate`` defines Vc along it.  Two exact
-shortcuts spare the fine loop work whose result is known.  A pump event
-that keeps the weak levels on a zero-current segment only records its
-trace point: such a segment leaves Vc bit-identical and no crossing is
-pending, so no new segment starts.  OPP and CYCLE reuse the last VCDL
-delay while Vc equals the value it was computed for.
+Each Vc segment carries one pump current and its slope, looked up when it
+starts (``_set_levels``) in a table that ``__init__`` fills from
+``pump_current`` for every reachable set of levels; ``pump_integrate``
+defines Vc along it.  Three exact shortcuts spare the fine loop work whose
+result is known.  On a zero-current (flat) segment Vc is its origin's
+value, which lies on or between the rails and is never -0.0, so reading or
+advancing Vc there skips the integration and the clamp.  A pump event that
+keeps the weak levels on a flat segment only records its trace point: no
+new segment starts and no crossing is pending.  OPP and CYCLE reuse the
+last VCDL delay while Vc equals the value it was computed for.  The
+reference loop in ``tests/test_reference_loop.py`` runs the same model with
+every shortcut and both scheduler slots turned off.
 
 The coarse loop's state is the published comparator region
 (``published``): the ring direction at a divided edge (``fsm_step``) and
@@ -228,8 +233,19 @@ class Simulation:
         self.s_up = self.s_dn = 0
         self.strong_gen = 0
         # Net pump current of the current Vc segment (amperes): zero while
-        # every level is off.
+        # every level is off.  Its slope (V per fs) times the time to a
+        # threshold gives the segment's window crossing.
         self.i = 0.0
+        self._slope = 0.0
+        # (i, slope) for every reachable (w_up, w_dn, s_up, s_dn), each i
+        # from pump_current: a new segment looks its pair up.
+        self._segments = {}
+        for w_up in (0, 1):
+            for w_dn in (0, 1):
+                for s_up, s_dn in STRONG_PULSE.values():
+                    i = pump_current(self.pump, w_up, w_dn, s_up, s_dn)
+                    self._segments[w_up, w_dn, s_up, s_dn] = (
+                        i, i / self.pump.c_filter / FS_PER_SECOND)
         # The last VCDL delay and the Vc it was computed for (see _vc_at).
         self._delay_vc: float | None = None
         self._delay_fs: SimTime = 0
@@ -277,6 +293,7 @@ class Simulation:
         self.lock = LockDetector(scn, self.window, self.pump)
         self.first_clean_sample: SimTime | None = None
         self._edge_sample = 0  # set by each cycle's OPP, read by its CYCLE
+        # The last mid-eye sample instants; _finalize takes their phases.
         self._phase_hist: deque = deque(maxlen=_PHASE_HISTORY)
 
         self.actual_region = window_classify(self.vc, self.window)
@@ -296,17 +313,26 @@ class Simulation:
         # pump_integrate's expression, the one definition, inline: OPP and
         # CYCLE read Vc once each per cycle, and reuse the last VCDL delay
         # (_delay_fs) while Vc has not moved (the curve is a function of Vc).
-        v = self.vc + self.i * (t - self.t_vc) / FS_PER_SECOND / self.pump.c_filter
-        v = clamp_voltage(v, self.pump.v_dd)
+        # A flat segment reads its origin: Vc there lies on the rails or
+        # between them and is never -0.0, so the expression gives it back.
+        i = self.i
+        if i == 0.0:
+            v = self.vc
+        else:
+            v = self.vc + i * (t - self.t_vc) / FS_PER_SECOND / self.pump.c_filter
+            v = clamp_voltage(v, self.pump.v_dd)
         if v != self._delay_vc:
             self._delay_vc = v
             self._delay_fs = vcdl_delay(v, self.curve)
         return v
 
     def _advance_vc(self, t: SimTime):
-        self.vc, clamped = pump_integrate(self.vc, self.i, t - self.t_vc, self.pump)
-        if clamped:
-            self.totals.vc_bound_violations += 1
+        # A flat segment leaves Vc where it is (see _vc_at) and cannot clamp.
+        if self.i != 0.0:
+            self.vc, clamped = pump_integrate(self.vc, self.i, t - self.t_vc,
+                                              self.pump)
+            if clamped:
+                self.totals.vc_bound_violations += 1
         self.t_vc = t
 
     def _set_levels(self, w_up: int, w_dn: int, s_up: int, s_dn: int):
@@ -317,7 +343,7 @@ class Simulation:
         self.w_dn = w_dn
         self.s_up = s_up
         self.s_dn = s_dn
-        self.i = pump_current(self.pump, w_up, w_dn, s_up, s_dn)
+        self.i, self._slope = self._segments[w_up, w_dn, s_up, s_dn]
         self.vc_trace.append((self.now, self.vc))
         self._predict_crossing()
 
@@ -332,7 +358,7 @@ class Simulation:
         self.cross = None
         if self.i == 0.0:
             return
-        slope = self.i / self.pump.c_filter / 1e15
+        slope = self._slope
         region = self.actual_region
         w = self.window
         # The threshold ahead of Vc's region, and the region beyond it.
@@ -458,7 +484,7 @@ class Simulation:
                                    (dn, up)))
         self.seq += 1
 
-        self._phase_hist.append((t_center % self.T) / self.T)
+        self._phase_hist.append(t_center)
         if self.lock.time is None:
             # Vc's last re-entry into the window ends the last excursion.
             reentry = None
@@ -472,11 +498,10 @@ class Simulation:
 
     def _on_pump(self, drive_up: int, drive_dn: int):
         if self.i == 0.0 and drive_up == self.w_up and drive_dn == self.w_dn:
-            # A flat segment needs no new one: integrating it would leave Vc
-            # bit-identical (it never starts at -0.0, see Scenario.vc_start),
-            # the stale segment origin is read only as 0.0 * dt, and no
-            # crossing is pending.  The point stays for a lock declared at
-            # this instant.
+            # A flat segment needs no new one: Vc stays bit-identical along
+            # it (see _vc_at), nothing reads its origin instant while the
+            # current is zero, and no crossing is pending.  The point stays
+            # for a lock declared at this instant.
             self.vc_trace.append((self.now, self.vc))
             return
         self._set_levels(drive_up, drive_dn, self.s_up, self.s_dn)
@@ -528,11 +553,13 @@ class Simulation:
         lat_max = m.latency_max_t
         violations = post_violations = bits = missed = errors = 0
         for bit_id, value, t_center, t_deliver, viols in deliveries:
-            violations += len(viols)
+            if viols:
+                violations += len(viols)
             if start is None or t_center < start:
                 continue
             bits += 1
-            post_violations += len(viols)
+            if viols:
+                post_violations += len(viols)
             if t_deliver <= 0:
                 missed += 1
                 continue
@@ -544,7 +571,8 @@ class Simulation:
             lat_sum += x
             if lat_max is None or x > lat_max:
                 lat_max = x
-            b = round(int(x * 10) / 10, 1)
+            # k / 10 is already the double nearest the decimal k/10.
+            b = int(x * 10) / 10
             hist[b] = hist.get(b, 0) + 1
         self._lat_sum = lat_sum
         m.latency_max_t = lat_max
@@ -663,7 +691,9 @@ class Simulation:
         # clocks only): before lock the phase history is acquisition, not a
         # centring error.
         if m.locked and len(self._phase_hist) >= 8:
-            m.sampling_phase_ui = _circular_mean(list(self._phase_hist))
+            T = self.T
+            m.sampling_phase_ui = _circular_mean([(t % T) / T
+                                                  for t in self._phase_hist])
         tx_jit, rx_jit = scn.jitter()
         quiet = tx_jit.is_quiet and (scn.correlated or rx_jit.is_quiet)
         if quiet and m.sampling_phase_ui is not None and scn.pattern == "prbs15":

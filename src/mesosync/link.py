@@ -126,8 +126,8 @@ class RxWaveform:
         self._delay = cfg.delay_fs
         self._reach = SEEK_PERIODS * cfg.bit_period
         self._half = cfg.transition_time // 2
-        self._high = cfg.swing / 2.0
-        self._low = -cfg.swing / 2.0
+        # The line's level for bit 0 and bit 1.
+        self._levels = (-cfg.swing / 2.0, cfg.swing / 2.0)
         self._place(0, self.boundary(0), self.boundary(1))
 
     def boundary(self, k: int) -> SimTime:
@@ -205,7 +205,7 @@ class RxWaveform:
         b = self._bit
         if t < self._lo:
             # Before the first bit arrives the line idles at bit 0's level.
-            return self._level(b)
+            return self._levels[b]
         half = self._half
         # Ramp around the leading boundary of bit k.
         if t - self._lo < half and self._prev != b:
@@ -213,15 +213,12 @@ class RxWaveform:
         # Ramp around the trailing boundary (leading edge of bit k+1).
         if self._hi - t <= half and self._next != b:
             return self._ramp(b, self._next, t - self._hi)
-        return self._level(b)
-
-    def _level(self, bit: int) -> float:
-        return self._high if bit else self._low
+        return self._levels[b]
 
     def _ramp(self, frm: int, to: int, dt_from_boundary: SimTime) -> float:
         # Linear ramp of width transition_time centered at the boundary.
-        lo = self._level(frm)
-        hi = self._level(to)
+        lo = self._levels[frm]
+        hi = self._levels[to]
         frac = dt_from_boundary / self.cfg.transition_time + 0.5
         return lo + (hi - lo) * frac
 

@@ -326,6 +326,17 @@ def test_falselock_needs_a_seed(capsys):
         assert out.out == "", seeds
 
 
+def test_falselock_out_is_a_usage_error(tmp_path, capsys):
+    # The study writes no outputs, so --out is refused, not ignored.
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["falselock", SCN, "--seeds", "1", "--duration", "1",
+              "--out", str(out_dir)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 # Raw --set values by field type: in-range, boundary, out-of-range and
 # malformed.  The bit rate stays below 10 GHz so that a 0.3 us run stays
 # short.

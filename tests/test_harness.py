@@ -10,7 +10,7 @@ import pytest
 
 from mesosync import defaults_130nm, defaults_65nm, harness, phase_detector, run, sweep
 from mesosync.dll_cdt import cdt_transfer
-from mesosync.fine_loop import pump_integrate, vcdl_delay
+from mesosync.fine_loop import pump_current, pump_integrate, vcdl_delay
 from mesosync.harness import Simulation
 from mesosync.scenario import ScenarioError, apply_settings, load_scenario
 from mesosync.timebase import (
@@ -238,16 +238,18 @@ def test_delay_memo_never_stale(monkeypatch, scn, kw):
     # Every sample that OPP or CYCLE takes sits one VCDL delay after the
     # event, and that delay is the curve's value at the current Vc, which
     # is pump_integrate's over the segment so far.
+    # A read on a flat segment returns its origin's Vc.
     sim = Simulation(scn, **kw)
     sample = phase_detector.Sampler.sample
-    checked = computed = 0
+    checked = computed = flat = 0
 
     def checking_sample(self, waveform, t, rng):
-        nonlocal checked
+        nonlocal checked, flat
         v = pump_integrate(sim.vc, sim.i, sim.now - sim.t_vc, sim.pump)[0]
         assert sim._delay_vc == v, sim.now
         assert t - sim.now == vcdl_delay(v, sim.curve), sim.now
         checked += 1
+        flat += sim.i == 0.0
         return sample(self, waveform, t, rng)
 
     def counting_delay(v, curve):
@@ -261,6 +263,24 @@ def test_delay_memo_never_stale(monkeypatch, scn, kw):
     # An OPP whose cycle falls after the end of the run has no CYCLE.
     assert checked - 2 * m.pd_event_count in (0, 1)
     assert computed < checked  # the memo served some samples
+    assert flat > 0
+
+
+def test_segment_table_is_pump_current():
+    # Every reachable level set has its pump current and that current's
+    # slope in V per fs; no key asserts both strong levels.
+    sim = Simulation(BASE)
+    assert len(sim._segments) == 12
+    for (w_up, w_dn, s_up, s_dn), (i, slope) in sim._segments.items():
+        assert not (s_up and s_dn)
+        assert i == pump_current(sim.pump, w_up, w_dn, s_up, s_dn)
+        assert slope == i / sim.pump.c_filter / FS_PER_SECOND
+
+
+def test_latency_bin_needs_no_round():
+    # _transfer bins a latency x as int(x * 10) / 10: k / 10 is already the
+    # double nearest the decimal k/10, which round(..., 1) would return.
+    assert all(round(k / 10, 1) == k / 10 for k in range(-100_000, 100_000))
 
 
 def test_phase_wrap_opp_reads_vc_backwards():

@@ -33,3 +33,12 @@ def test_workload_outputs_match_expected(name, tmp_path):
     got, failures = check_hashes.run_seed(WORKLOADS, name, SEED, tmp_path)
     assert not any(failures)
     assert got == EXPECTED[name][str(SEED)]
+
+
+def test_check_hashes_runs_only_the_named_workloads(monkeypatch, capsys):
+    monkeypatch.setattr(check_hashes, "SEEDS", [SEED])
+    assert check_hashes.main(["steady_130nm"]) == 0
+    assert capsys.readouterr().out == "0 mismatches out of 1; 0 failed their gates\n"
+    assert check_hashes.main(["steady_130nm", "bogus"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "bogus" in out.err

@@ -1,0 +1,184 @@
+"""A plain reference loop against which every scheduling shortcut is exact.
+
+``ReferenceSimulation`` runs the model of ``harness.Simulation`` with each
+shortcut of the harness turned off:
+
+* one plain heap: window crossings at priority 0 (a new prediction voids
+  the older ones), OPP and CYCLE at priorities 5 and 6, no slots;
+* no flat-segment skip: every pump event starts a new Vc segment, and every
+  segment calls ``pump_current``;
+* every Vc read evaluates the segment's linear expression and computes a
+  fresh VCDL delay (no memo); the read may lie before the segment origin
+  at a phase wrap, so it cannot go through ``pump_integrate``;
+* one transfer-chain call at the end of the run;
+* a ``ClockGen`` for every clock, quiet ones too.
+
+The property below checks that both loops report the same ``RunMetrics``.
+"""
+
+import heapq
+from dataclasses import fields, replace
+from unittest import mock
+
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from mesosync import defaults_130nm, harness
+from mesosync.fine_loop import pump_current, pump_integrate, vcdl_delay
+from mesosync.harness import (
+    PRIO_CROSSING,
+    PRIO_CYCLE,
+    PRIO_DIVIDED,
+    PRIO_OPP,
+    Simulation,
+)
+from mesosync.scenario import ScenarioError, apply_settings
+from mesosync.timebase import (
+    FS_PER_NS,
+    FS_PER_SECOND,
+    ClockGen,
+    GridClock,
+    clamp_voltage,
+)
+from test_cli import _setting
+
+BASE = defaults_130nm()
+
+
+class ReferenceSimulation(Simulation):
+    """``Simulation`` with every shortcut off (see the module docstring)."""
+
+    def __init__(self, scn, **kwargs):
+        super().__init__(scn, **kwargs)
+        self._cross_gen = 0  # the number of the one valid crossing
+
+    def _vc_at(self, t):
+        v = self.vc + self.i * (t - self.t_vc) / FS_PER_SECOND / self.pump.c_filter
+        v = clamp_voltage(v, self.pump.v_dd)
+        self._delay_vc = v
+        self._delay_fs = vcdl_delay(v, self.curve)
+        return v
+
+    def _advance_vc(self, t):
+        self.vc, clamped = pump_integrate(self.vc, self.i, t - self.t_vc, self.pump)
+        if clamped:
+            self.totals.vc_bound_violations += 1
+        self.t_vc = t
+
+    def _set_levels(self, w_up, w_dn, s_up, s_dn):
+        self._advance_vc(self.now)
+        self.w_up, self.w_dn, self.s_up, self.s_dn = w_up, w_dn, s_up, s_dn
+        self.i = pump_current(self.pump, w_up, w_dn, s_up, s_dn)
+        self._slope = self.i / self.pump.c_filter / 1e15
+        self.vc_trace.append((self.now, self.vc))
+        self._predict_crossing()
+
+    def _on_pump(self, drive_up, drive_dn):
+        self._set_levels(drive_up, drive_dn, self.s_up, self.s_dn)
+
+    def _predict_crossing(self):
+        super()._predict_crossing()
+        self._cross_gen += 1
+        if self.cross is not None:
+            t, after = self.cross
+            self._push(t, PRIO_CROSSING, (self._cross_gen, after))
+
+    def _on_queued_crossing(self, gen, after):
+        if gen == self._cross_gen:
+            self._on_crossing(after)
+
+    def _push_cycle(self):
+        es, k, n_used = self.next_cycle
+        self._push(es - self.T // 2, PRIO_OPP, ())
+        self._push(es, PRIO_CYCLE, (k, n_used))
+
+    def _transfer(self, lookahead):
+        if lookahead == 0:
+            super()._transfer(lookahead)
+
+    def run(self):
+        end = self.scn.duration_fs
+        self._push(self.rx_clock.edge(self.K), PRIO_DIVIDED, (1,))
+        self._predict_crossing()
+        self._push_cycle()
+        handlers = (self._on_queued_crossing, self._on_publish,
+                    self._on_strong_end, self._on_divided, self._on_pump,
+                    self._on_opp, self._on_cycle)
+        while True:
+            t, prio, _, args = heapq.heappop(self.heap)
+            if t > end:
+                break
+            self.now = t
+            handlers[prio](*args)
+            if prio == PRIO_CYCLE:
+                if self.lock.time is not None and self.stop_after_lock_fs is not None:
+                    end = min(end, self.lock.time + self.stop_after_lock_fs)
+                self._push_cycle()
+        self.now = end
+        self._advance_vc(end)
+        self.vc_trace.append((end, self.vc))
+        return self._finalize(end)
+
+
+def _clock_gen(period, jitter, rng=None, name="clk"):
+    return ClockGen(period, jitter, rng, name)
+
+
+def reference_run(scn, **kwargs):
+    """``ReferenceSimulation(scn, **kwargs).run()`` with every clock a
+    ``ClockGen``."""
+    with mock.patch.object(harness, "make_clock", _clock_gen):
+        sim = ReferenceSimulation(scn, **kwargs)
+        assert all(type(c) is not GridClock
+                   for c in (sim.tx_clock, sim.rx_clock))
+        return sim.run()
+
+
+def _outcome(simulate, scn, kwargs):
+    """The run's fields but ``scenario`` (repr, so -0.0 and nan count), or
+    the error it raised."""
+    try:
+        m = simulate(scn, **kwargs)
+    except Exception as e:  # both loops must fail alike
+        return f"{type(e).__name__}: {e}"
+    return repr({f.name: getattr(m, f.name) for f in fields(m)
+                 if f.name != "scenario"})
+
+
+def _simulation_run(scn, **kwargs):
+    return Simulation(scn, **kwargs).run()
+
+
+# Runs that lock, hunt, clamp on a rail, start at -0.0 and wrap the ring,
+# hold metastable samples and jitter the transmit clock.
+@example(sets=["channel.alpha=0.3"], duration="2", stop=None, hold=None)
+@example(sets=["channel.alpha=0.7"], duration="3", stop=0.5, hold=None)
+@example(sets=["window.trip_delay_ns=20", "channel.alpha=0.05"],
+         duration="3", stop=None, hold=None)
+@example(sets=["loop.vc_init_v=1.2", "channel.alpha=0"], duration="0.2",
+         stop=None, hold=None)
+@example(sets=["loop.vc_init_v=-0.0"], duration="0.5", stop=None, hold=None)
+@example(sets=["data.pattern=alternating", "pd.resolution=hold",
+               f"channel.alpha={harness.false_lock_alpha(BASE)!r}"],
+         duration="1.5", stop=0.2, hold=1.0)
+@example(sets=["jitter.correlated=false", "jitter.tx.sin_amp_ui=0.4",
+               "jitter.tx.sin_freq_hz=200e6"], duration="1", stop=None, hold=None)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    sets=st.lists(_setting(), max_size=3),
+    duration=st.sampled_from(["0", "0.05", "0.3", "1"]),
+    stop=st.sampled_from([None, 0.2]),
+    hold=st.sampled_from([None, 0.1]),
+)
+def test_reference_loop_matches(sets, duration, stop, hold):
+    try:
+        scn = apply_settings(BASE, dict(s.split("=", 1) for s in sets))
+        scn = replace(scn, duration_us=float(duration)).validate()
+    except ScenarioError:
+        assume(False)
+    kwargs = {"stop_after_lock_fs": None if stop is None else round(stop * 1e9),
+              "hold_until_fs": None if hold is None else round(hold * 1e3) * FS_PER_NS}
+    for keep in (False, True):
+        got = _outcome(_simulation_run, scn, {**kwargs, "keep_traces": keep})
+        ref = _outcome(reference_run, scn, {**kwargs, "keep_traces": keep})
+        assert got == ref, (sets, duration, stop, hold, keep)
