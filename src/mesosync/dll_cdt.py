@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
-from .timebase import ClockGen, SimTime
+from .timebase import ClockGen, NonMonotonicEdgeError, SimTime
 
 IDEAL = "ideal"
 TRACKING = "tracking"
@@ -37,10 +37,23 @@ class _TrackedClock(ClockGen):
         self._alpha = 1.0 - math.exp(-2.0 * math.pi * loop_bw_hz * tsec)
         self._y = 0.0
 
-    def _generate(self, k: int) -> SimTime:
-        x = self.reference.edge(k) - k * self.period
-        self._y += self._alpha * (x - self._y)
-        return k * self.period + round(self._y)
+    def _generate(self, k: int, n: int) -> list[SimTime]:
+        """Edges k..k+n-1, fewer when the reference's edge raises past k:
+        its error waits in the reference until its index is asked for."""
+        edge, T, alpha = self.reference.edge, self.period, self._alpha
+        y = self._y
+        out = []
+        for j in range(k, k + n):
+            try:
+                x = edge(j) - j * T
+            except NonMonotonicEdgeError:
+                if out:
+                    break
+                raise
+            y += alpha * (x - y)
+            out.append(j * T + round(y))
+        self._y = y
+        return out
 
 
 class DllPhases:

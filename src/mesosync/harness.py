@@ -64,14 +64,23 @@ more than ``_EDGE_LOOKBACK`` periods old.  Unless a run keeps its traces
 (``keep_traces``, which ``--out`` sets), ``vc_trace`` and
 ``counter_trace`` come back empty and a run's memory does not grow with
 its length.
+
+A locked run that keeps its traces ends with the eye histogram: the
+receive waveform at each bin centre of ``_EYE_BITS`` bits from lock,
+redrawn from a fresh transmitter clock.  A bin on its bit's plateau
+(``RxWaveform.plateau``) counts the plateau's level through a per-level
+difference array over the bins; only the bins on a ramp, or past a bit
+that jitter shortened, are read with ``value_at``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from bisect import bisect_left
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 from . import oracle as _oracle
 from .coarse_loop import (
@@ -732,24 +741,46 @@ class Simulation:
                           Rng(derive_seed(self.scn.seed, 1)), name="tx")
 
     def _eye_histogram(self) -> list:
+        """(phase, value, count) over ``_EYE_BITS`` bits from lock: each bit
+        read at every bin centre.  A bin on the bit's plateau counts its
+        level without a ``value_at`` call."""
         # The run's transmitter clock has dropped its old edges; a fresh one
         # draws the same edges again.
         scn = self.scn
         waveform = RxWaveform(self.bits, scn.channel_config(),
                               self._new_tx_clock())
+        value_at = waveform.value_at
         bins = scn.eye_bins
+        # The offset into the bit in fs and the phase in UI of each bin
+        # centre; the offsets never decrease.
+        offsets = [round((b + 0.5) * self.T / bins) for b in range(bins)]
+        phases = [round((b + 0.5) / bins, 4) for b in range(bins)]
         counts: dict[tuple[float, float], int] = {}
-        # (offset into the bit in fs, phase in UI) at each bin centre.
-        centres = [
-            (round((b + 0.5) * self.T / bins), round((b + 0.5) / bins, 4))
-            for b in range(bins)
-        ]
+        # Per plateau level, +1 at the first bin of a bit's plateau and -1
+        # past its last.
+        runs: dict[float, list[int]] = defaultdict(lambda: [0] * (bins + 1))
         start_bit = waveform.bit_at(self.lock.time) + 1
         for j in range(start_bit, start_bit + _EYE_BITS):
             base = waveform.boundary(j)
-            for offset, phase in centres:
-                key = (phase, round(waveform.value_at(base + offset), 3))
+            start, end, level = waveform.plateau(j)
+            a = bisect_left(offsets, start - base)
+            b = max(a, bisect_left(offsets, end - base))
+            if a < b:
+                diff = runs[level]
+                diff[a] += 1
+                diff[b] -= 1
+            # Ramps, and bins past a bit that jitter shortened.
+            for i in chain(range(a), range(b, bins)):
+                key = (phases[i], round(value_at(base + offsets[i]), 3))
                 counts[key] = counts.get(key, 0) + 1
+        for level, diff in runs.items():
+            value = round(level, 3)
+            n = 0
+            for phase, d in zip(phases, diff):
+                n += d
+                if n:
+                    key = (phase, value)
+                    counts[key] = counts.get(key, 0) + n
         return sorted((p, v, c) for (p, v), c in counts.items())
 
 

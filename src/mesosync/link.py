@@ -215,6 +215,18 @@ class RxWaveform:
             return self._ramp(b, self._next, t - self._hi)
         return self._levels[b]
 
+    def plateau(self, k: int) -> tuple[SimTime, SimTime, float]:
+        """``(start, end, level)``: bit k's waveform equals ``level`` on
+        [start, end), the bit's interval less the ramps of ``value_at``
+        (half a transition at a boundary to a different bit)."""
+        lo = self.boundary(k)
+        if not self._lo <= lo < self._hi:
+            self._seek(lo)
+        b = self._bit
+        start = lo if self._prev == b else lo + self._half
+        end = self._hi if self._next == b else self._hi - self._half
+        return start, end, self._levels[b]
+
     def _ramp(self, frm: int, to: int, dt_from_boundary: SimTime) -> float:
         # Linear ramp of width transition_time centered at the boundary.
         lo = self._levels[frm]

@@ -25,6 +25,9 @@ FS_PER_PS = 10**3
 # walk from the nominal grid.
 SEEK_PERIODS = 4
 
+# Edges a ClockGen generates at a time when it runs out of cached ones.
+_EDGE_BLOCK = 256
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -108,24 +111,24 @@ class JitterSpec:
 NO_JITTER = JitterSpec()
 
 
-def jitter_offset(spec: JitterSpec, t: SimTime, rng: Rng | None = None) -> float:
-    """Offset in UI at nominal instant ``t``.
+def jitter_offsets(spec: JitterSpec, ts, rng: Rng | None = None) -> list[float]:
+    """Offset in UI at each nominal instant of ``ts``.
 
     The sinusoidal part is evaluated analytically; the gaussian part is one
-    i.i.d. draw per call, so callers must request edges in index order to
-    keep streams reproducible.
+    i.i.d. draw per instant, in the order of ``ts``, so callers must request
+    edges in index order to keep streams reproducible.
     """
-    off = 0.0
+    offs = [0.0] * len(ts)
     if spec.sin_amp_ui:
-        tsec = t / FS_PER_SECOND
-        off += spec.sin_amp_ui * math.sin(
-            2.0 * math.pi * spec.sin_freq_hz * tsec + spec.sin_phase_rad
-        )
+        amp, phase = spec.sin_amp_ui, spec.sin_phase_rad
+        w = 2.0 * math.pi * spec.sin_freq_hz
+        offs = [amp * math.sin(w * (t / FS_PER_SECOND) + phase) for t in ts]
     if spec.gauss_sigma_ui:
         if rng is None:
             raise ValueError("gaussian jitter requires an Rng")
-        off += spec.gauss_sigma_ui * rng.gauss()
-    return off
+        sigma, gauss = spec.gauss_sigma_ui, rng.gauss
+        offs = [off + sigma * gauss() for off in offs]
+    return offs
 
 
 class ClockGen:
@@ -133,11 +136,14 @@ class ClockGen:
 
     The one place that generates, caches, evicts and walks jittered clock
     edges (a quiet clock gives the edges of :class:`GridClock`).
-    ``_generate(k)`` makes edge k, in index order and once per edge, which
-    fixes the gaussian draw order; a clock derived from another overrides
-    it.  Edges are cached from a base index on, so ``edge(k)`` takes any k
-    at or above the base in any order.  ``forget_before(k)`` raises the
-    base to k (never past the newest edge); below it ``edge`` raises
+    ``_generate(k, n)`` makes edges k..k+n-1, in index order and once per
+    edge, which fixes the gaussian draw order; a clock derived from another
+    overrides it.  ``edge`` extends the cache by at least ``_EDGE_BLOCK``
+    edges at a time; a non-monotone edge inside a block ends it, and its
+    :class:`NonMonotonicEdgeError` is raised when its index is asked for.
+    Edges are cached from a base index on, so ``edge(k)`` takes any k at or
+    above the base in any order.  ``forget_before(k)`` raises the base to k
+    (never past the newest edge); below it ``edge`` raises
     :class:`EvictedEdgeError`.  ``first_edges_at_or_after`` walks from a
     cursor: the index of the previous answer and the edges either side.
     """
@@ -158,15 +164,20 @@ class ClockGen:
         # Edges base, base + 1, ... in generation order.
         self._edges: list[SimTime] = []
         self._base = 0
+        # The error of the first non-monotone edge, past the cached ones.
+        self._error: NonMonotonicEdgeError | None = None
         # (k, edge(k - 1), edge(k)) of the previous answer, or None.
         self._cursor: tuple | None = None
 
-    def _generate(self, k: int) -> SimTime:
-        """``k*T`` plus the jitter at that nominal instant, in ticks."""
-        t = k * self.period
-        if not self.jitter.is_quiet:
-            t += round(jitter_offset(self.jitter, t, self.rng) * self.period)
-        return t
+    def _generate(self, k: int, n: int) -> list[SimTime]:
+        """``j*T`` plus the jitter at that nominal instant, in ticks, for
+        each j in k..k+n-1."""
+        T = self.period
+        ts = range(k * T, (k + n) * T, T)
+        if self.jitter.is_quiet:
+            return list(ts)
+        return [t + round(off * T)
+                for t, off in zip(ts, jitter_offsets(self.jitter, ts, self.rng))]
 
     def edge(self, index: int) -> SimTime:
         edges = self._edges
@@ -177,15 +188,28 @@ class ClockGen:
             raise EvictedEdgeError(f"{self.name}: edge {index} is below the "
                                    f"cache base {self._base}")
         while len(edges) <= i:
-            k = self._base + len(edges)
-            t = self._generate(k)
-            if edges and t <= edges[-1]:
-                raise NonMonotonicEdgeError(
-                    f"{self.name}: edge {k} at {t} fs not after edge {k-1} "
-                    f"at {edges[-1]} fs"
-                )
-            edges.append(t)
+            if self._error is not None:
+                raise self._error
+            self._extend(i + 1 - len(edges))
         return edges[i]
+
+    def _extend(self, needed: int) -> None:
+        """Cache the next ``max(needed, _EDGE_BLOCK)`` edges, up to the
+        first one not after its predecessor, whose error is kept."""
+        edges = self._edges
+        k = self._base + len(edges)
+        new = self._generate(k, max(needed, _EDGE_BLOCK))
+        last = edges[-1] if edges else None
+        for j, t in enumerate(new):
+            if last is not None and t <= last:
+                self._error = NonMonotonicEdgeError(
+                    f"{self.name}: edge {k + j} at {t} fs not after edge "
+                    f"{k + j - 1} at {last} fs"
+                )
+                del new[j:]
+                break
+            last = t
+        edges.extend(new)
 
     def forget_before(self, index: int) -> None:
         """Drop the cached edges below ``index``, but keep the newest one:

@@ -12,16 +12,18 @@ from mesosync.dll_cdt import (
     cdt_transfer,
     intermediate_phase,
 )
+from mesosync import timebase
 from mesosync.scenario import Scenario
 from mesosync.timebase import (
     ClockGen,
     EvictedEdgeError,
     JitterSpec,
+    NonMonotonicEdgeError,
     Rng,
     make_clock,
     period_fs,
 )
-from test_timebase import _ref_first_edge_at_or_after
+from test_timebase import _first_bad_edge, _ref_first_edge_at_or_after
 
 T = period_fs(1.3e9)
 
@@ -88,6 +90,25 @@ def test_tracking_forget_before_drops_only_older_edges():
     with pytest.raises(EvictedEdgeError):
         p.edge(3, 119)
     assert [p.edge(3, k) for k in range(120, 400)] == [ref.edge(3, k) for k in range(120, 400)]
+
+
+def test_tracking_waits_for_the_reference_edge_error():
+    # The reference turns non-monotone inside the tracked clock's first
+    # block: the tracked edges before it answer as one at a time, and the
+    # reference's error is raised when its index is asked for.
+    def make():
+        rx = ClockGen(1000, JitterSpec(gauss_sigma_ui=0.3), Rng(11))
+        return DllPhases(rx, 10, "tracking", 20e6).ref
+
+    bad, edges, message = _first_bad_edge(make)
+    assert 0 < bad < timebase._EDGE_BLOCK
+    tracked = make()
+    assert tracked.edge(bad - 1) == edges[-1]
+    assert [tracked.edge(k) for k in range(bad)] == edges
+    with pytest.raises(NonMonotonicEdgeError) as err:
+        tracked.edge(bad)
+    assert str(err.value) == message
+    assert message.startswith("clk:")
 
 
 def test_tracking_edges_follow_one_pole_recurrence():

@@ -309,6 +309,30 @@ def test_cursor_steps_match_reference(pattern, seed, n, alpha, amp_ui, freq_hz,
                 assert getattr(wf, method)(t) == ref(wf, t), (method, k, t)
 
 
+@pytest.mark.parametrize("tt_ui", [0.0, 0.2, 0.5, 0.9])
+@pytest.mark.parametrize("amp_ui", [0.0, 0.45])
+def test_plateau_is_level(tt_ui, amp_ui):
+    # value_at gives the plateau's level at every sampled instant of it:
+    # both ends, mid-plateau and a stride through it.  A bit between two
+    # equal neighbours is level over its whole interval.
+    T = period_fs(2.5e9)
+    cfg = ChannelConfig(n=1, alpha=0.3, bit_period=T,
+                        transition_time=round(tt_ui * T), swing=0.2)
+    tx = make_clock(T, JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=3e8))
+    wf = RxWaveform(BitSource("prbs15", 1), cfg, tx)
+    for k in range(150):
+        start, end, level = wf.plateau(k)
+        lo, hi = wf.boundary(k), wf.boundary(k + 1)
+        assert lo <= start and end <= hi
+        assert level == (0.1 if wf.bits.bit(k) else -0.1)
+        if k and wf.bits.bit(k - 1) == wf.bits.bit(k) == wf.bits.bit(k + 1):
+            assert (start, end) == (lo, hi)
+        ts = range(start, end, 1499)
+        for t in [start, end - 1, (start + end) // 2, *ts]:
+            if start <= t < end:
+                assert wf.value_at(t) == level == _ref_value_at(wf, t), (k, t)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.13, 0.25, 0.5, 0.77])
 def test_eye_center_identity(alpha):
     # Exhaustive 0.01 UI BER sweep: the zero-error plateau is centered at

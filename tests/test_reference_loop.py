@@ -11,7 +11,9 @@ shortcut of the harness turned off:
   fresh VCDL delay (no memo); the read may lie before the segment origin
   at a phase wrap, so it cannot go through ``pump_integrate``;
 * one transfer-chain call at the end of the run;
-* a ``ClockGen`` for every clock, quiet ones too.
+* a ``ClockGen`` for every clock, quiet ones too, generating one edge at a
+  time;
+* an eye histogram that reads every bin with ``value_at``.
 
 The property below checks that both loops report the same ``RunMetrics``.
 """
@@ -23,7 +25,7 @@ from unittest import mock
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mesosync import defaults_130nm, harness
+from mesosync import defaults_130nm, defaults_65nm, harness, timebase
 from mesosync.fine_loop import pump_current, pump_integrate, vcdl_delay
 from mesosync.harness import (
     PRIO_CROSSING,
@@ -32,6 +34,7 @@ from mesosync.harness import (
     PRIO_OPP,
     Simulation,
 )
+from mesosync.link import RxWaveform
 from mesosync.scenario import ScenarioError, apply_settings
 from mesosync.timebase import (
     FS_PER_NS,
@@ -96,6 +99,24 @@ class ReferenceSimulation(Simulation):
         if lookahead == 0:
             super()._transfer(lookahead)
 
+    def _eye_histogram(self):
+        scn = self.scn
+        waveform = RxWaveform(self.bits, scn.channel_config(),
+                              self._new_tx_clock())
+        bins = scn.eye_bins
+        counts = {}
+        centres = [
+            (round((b + 0.5) * self.T / bins), round((b + 0.5) / bins, 4))
+            for b in range(bins)
+        ]
+        start_bit = waveform.bit_at(self.lock.time) + 1
+        for j in range(start_bit, start_bit + harness._EYE_BITS):
+            base = waveform.boundary(j)
+            for offset, phase in centres:
+                key = (phase, round(waveform.value_at(base + offset), 3))
+                counts[key] = counts.get(key, 0) + 1
+        return sorted((p, v, c) for (p, v), c in counts.items())
+
     def run(self):
         end = self.scn.duration_fs
         self._push(self.rx_clock.edge(self.K), PRIO_DIVIDED, (1,))
@@ -126,8 +147,9 @@ def _clock_gen(period, jitter, rng=None, name="clk"):
 
 def reference_run(scn, **kwargs):
     """``ReferenceSimulation(scn, **kwargs).run()`` with every clock a
-    ``ClockGen``."""
-    with mock.patch.object(harness, "make_clock", _clock_gen):
+    ``ClockGen`` that generates one edge at a time."""
+    with mock.patch.object(harness, "make_clock", _clock_gen), \
+            mock.patch.object(timebase, "_EDGE_BLOCK", 1):
         sim = ReferenceSimulation(scn, **kwargs)
         assert all(type(c) is not GridClock
                    for c in (sim.tx_clock, sim.rx_clock))
@@ -149,8 +171,17 @@ def _simulation_run(scn, **kwargs):
     return Simulation(scn, **kwargs).run()
 
 
+# The 65 nm link with sinusoidal transmit jitter and gaussian receive
+# jitter: it locks, so its eye histogram and block-drawn edges are compared.
+JITTER_65NM = ["sim.bit_rate_hz=4e9", "supply.v_dd=1.0", "coarse.k_divide=32",
+               "jitter.correlated=false", "jitter.tx.sin_amp_ui=0.4",
+               "jitter.tx.sin_freq_hz=200e6", "jitter.rx.gauss_sigma_ui=0.02",
+               "channel.alpha=0.62"]
+
+
 # Runs that lock, hunt, clamp on a rail, start at -0.0 and wrap the ring,
-# hold metastable samples and jitter the transmit clock.
+# hold metastable samples, jitter the transmit clock and jitter both clocks
+# at 4 Gb/s.
 @example(sets=["channel.alpha=0.3"], duration="2", stop=None, hold=None)
 @example(sets=["channel.alpha=0.7"], duration="3", stop=0.5, hold=None)
 @example(sets=["window.trip_delay_ns=20", "channel.alpha=0.05"],
@@ -163,6 +194,7 @@ def _simulation_run(scn, **kwargs):
          duration="1.5", stop=0.2, hold=1.0)
 @example(sets=["jitter.correlated=false", "jitter.tx.sin_amp_ui=0.4",
                "jitter.tx.sin_freq_hz=200e6"], duration="1", stop=None, hold=None)
+@example(sets=JITTER_65NM, duration="1.5", stop=None, hold=None)
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(
     sets=st.lists(_setting(), max_size=3),
@@ -182,3 +214,37 @@ def test_reference_loop_matches(sets, duration, stop, hold):
         got = _outcome(_simulation_run, scn, {**kwargs, "keep_traces": keep})
         ref = _outcome(reference_run, scn, {**kwargs, "keep_traces": keep})
         assert got == ref, (sets, duration, stop, hold, keep)
+
+
+_EYE_JITTER = (
+    st.builds(lambda amp, freq: {"jitter.tx.sin_amp_ui": repr(amp),
+                                 "jitter.tx.sin_freq_hz": repr(freq)},
+              st.floats(min_value=0.0, max_value=0.45),
+              st.floats(min_value=1e6, max_value=5e8))
+    | st.builds(lambda sigma: {"jitter.tx.gauss_sigma_ui": repr(sigma)},
+                st.floats(min_value=0.0, max_value=0.1))
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    base=st.sampled_from([BASE, defaults_65nm()]),
+    bins=st.sampled_from([1, 7, 100, 1000]),
+    transition_ui=st.floats(min_value=0.0, max_value=0.9),
+    alpha=st.floats(min_value=0.0, max_value=0.99),
+    jitter=_EYE_JITTER,
+    seed=st.integers(min_value=0, max_value=2**32),
+    lock_ui=st.floats(min_value=0.0, max_value=3000.0),
+)
+def test_eye_histogram_matches_bin_by_bin(base, bins, transition_ui, alpha,
+                                          jitter, seed, lock_ui):
+    # Bins on a bit's plateau are counted without a value_at call; every
+    # count equals the loop that reads each bin, ramps and bins past a bit
+    # shortened by jitter included.
+    scn = apply_settings(base, {"eye.bins": str(bins),
+                                "channel.transition_time_ui": repr(transition_ui),
+                                "channel.alpha": repr(alpha),
+                                "sim.seed": str(seed), **jitter})
+    sim = ReferenceSimulation(scn)
+    sim.lock.time = round(lock_ui * sim.T)
+    assert Simulation._eye_histogram(sim) == sim._eye_histogram()

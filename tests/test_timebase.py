@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mesosync import timebase
 from mesosync.timebase import (
     ClockGen,
     EvictedEdgeError,
@@ -13,7 +15,7 @@ from mesosync.timebase import (
     NonMonotonicEdgeError,
     Rng,
     derive_seed,
-    jitter_offset,
+    jitter_offsets,
     period_fs,
 )
 
@@ -63,19 +65,19 @@ def test_period_for_1p3ghz():
 
 def test_jitter_offset_sinusoid_zero_phase():
     spec = JitterSpec(sin_amp_ui=0.5, sin_freq_hz=1e6)
-    assert jitter_offset(spec, 0) == 0.0
+    assert jitter_offsets(spec, [0])[0] == 0.0
 
 
 def test_jitter_offset_sinusoid_peak():
     # Quarter period of a 1 MHz sinusoid is 0.25 us.
     spec = JitterSpec(sin_amp_ui=0.5, sin_freq_hz=1e6)
     t = 250_000_000  # 0.25 us in fs
-    assert jitter_offset(spec, t) == pytest.approx(0.5, abs=1e-12)
+    assert jitter_offsets(spec, [t])[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_jitter_offset_zero_sigma_gaussian():
     spec = JitterSpec(gauss_sigma_ui=0.0)
-    assert jitter_offset(spec, 12345, Rng(1)) == 0.0
+    assert jitter_offsets(spec, [12345], Rng(1))[0] == 0.0
 
 
 def test_jitter_spec_rejects_negative():
@@ -133,6 +135,49 @@ def test_clockgen_reports_non_monotonic():
             gen.edge(k)
 
 
+def _first_bad_edge(make):
+    """The first non-monotone index of a clock from ``make`` generating one
+    edge at a time, the edges before it and its error message."""
+    with mock.patch.object(timebase, "_EDGE_BLOCK", 1):
+        gen = make()
+        edges = []
+        with pytest.raises(NonMonotonicEdgeError) as err:
+            while True:
+                edges.append(gen.edge(len(edges)))
+    return len(edges), edges, str(err.value)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_block_edge_error_waits_for_its_index(seed):
+    # A block that meets a non-monotone edge keeps the edges before it and
+    # raises the one-at-a-time error only when that edge is asked for.
+    def make():
+        return ClockGen(1000, JitterSpec(gauss_sigma_ui=0.3), Rng(seed))
+
+    bad, edges, message = _first_bad_edge(make)
+    assert 0 < bad < timebase._EDGE_BLOCK
+    gen = make()
+    assert gen.edge(bad - 1) == edges[-1]
+    assert [gen.edge(k) for k in range(bad)] == edges
+    for k in (bad, bad + 1, bad):
+        with pytest.raises(NonMonotonicEdgeError) as err:
+            gen.edge(k)
+        assert str(err.value) == message
+
+
+def test_clockgen_generates_edges_in_blocks():
+    # One request generates a block; the draws are the one-at-a-time draws.
+    spec = JitterSpec(sin_amp_ui=0.2, sin_freq_hz=50e6, gauss_sigma_ui=0.05)
+    gen = ClockGen(period_fs(1.3e9), spec, Rng(5))
+    gen.edge(0)
+    assert len(gen._edges) == timebase._EDGE_BLOCK
+    gen.edge(3 * timebase._EDGE_BLOCK)
+    assert len(gen._edges) == 3 * timebase._EDGE_BLOCK + 1
+    with mock.patch.object(timebase, "_EDGE_BLOCK", 1):
+        one = ClockGen(period_fs(1.3e9), spec, Rng(5))
+        assert [one.edge(k) for k in range(len(gen._edges))] == gen._edges
+
+
 def test_clockgen_forget_before_drops_only_older_edges():
     # Dropped edges raise, never answer; the kept ones and the edges
     # generated after the drop are those of a clock that dropped nothing.
@@ -148,11 +193,13 @@ def test_clockgen_forget_before_drops_only_older_edges():
     assert issubclass(EvictedEdgeError, IndexError)
     assert [gen.edge(k) for k in range(40, 300)] == [ref.edge(k) for k in range(40, 300)]
     # The base never passes the newest generated edge, so no draw is skipped.
+    newest = gen._base + len(gen._edges) - 1
+    assert newest >= 299
     gen.forget_before(10_000)
     with pytest.raises(EvictedEdgeError):
-        gen.edge(298)
-    assert gen.edge(299) == ref.edge(299)
-    assert gen.edge(500) == ref.edge(500)
+        gen.edge(newest - 1)
+    assert gen.edge(newest) == ref.edge(newest)
+    assert gen.edge(newest + 201) == ref.edge(newest + 201)
 
 
 def test_clockgen_first_edge_at_or_after():
