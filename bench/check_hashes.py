@@ -9,7 +9,7 @@ applies the workload's gates (``check``) to the collected runs, and
 compares their ``outputs_hash`` with ``perfbench/expected.json``.  Prints
 one line per mismatch or failed gate and a total, and exits 1 if any hash
 differs or any gate fails, 2 if a name is not a workload.  It only reads
-``perfbench/``; all 128 runs take about 90 s on one core.
+``perfbench/``; all 128 runs take about 45 s on one core.
 """
 
 from __future__ import annotations

@@ -28,15 +28,18 @@ upward selects the next-later DLL phase with a strong discharge pulse.
 Each Vc segment carries one pump current and its slope, looked up when it
 starts (``_set_levels``) in a table that ``__init__`` fills from
 ``pump_current`` for every reachable set of levels; ``pump_integrate``
-defines Vc along it.  Three exact shortcuts spare the fine loop work whose
-result is known.  On a zero-current (flat) segment Vc is its origin's
-value, which lies on or between the rails and is never -0.0, so reading or
-advancing Vc there skips the integration and the clamp.  A pump event that
-keeps the weak levels on a flat segment only records its trace point: no
-new segment starts and no crossing is pending.  OPP and CYCLE reuse the
-last VCDL delay while Vc equals the value it was computed for.  The
-reference loop in ``tests/test_reference_loop.py`` runs the same model with
-every shortcut and both scheduler slots turned off.
+defines Vc along it.  Four exact shortcuts spare work whose result is
+known.  On a zero-current (flat) segment Vc is its origin's value, which
+lies on or between the rails and is never -0.0, so reading or advancing Vc
+there skips the integration and the clamp.  A pump event that keeps the
+weak levels on a flat segment only records its trace point: no new segment
+starts and no crossing is pending.  OPP and CYCLE reuse the last VCDL delay
+while Vc equals the value it was computed for.  Each detector sample is one
+``Sampler.sample`` call on the waveform's cursor, and the cycle takes its
+bit index from that cursor and its next edge from the DLL's reference
+clock, without ``bit_at`` or ``DllPhases.edge``.  The reference loop in
+``tests/test_reference_loop.py`` runs the same model with every shortcut
+and both scheduler slots turned off.
 
 The coarse loop's state is the published comparator region
 (``published``): the ring direction at a divided edge (``fsm_step``) and
@@ -229,6 +232,9 @@ class Simulation:
         self.pump = scn.pump_config()
         self.curve = scn.vcdl_curve()
         self.dll = scn.dll_phases(self.rx_clock)
+        # DllPhases.edge for _on_cycle, whose hot index needs no range check.
+        self._ref_edge = self.dll.ref.edge
+        self._phase_offsets = [self.dll.phase_offset(i) for i in range(self.N)]
         # Each clock object once: correlated clocks are one object, and in
         # ideal mode the DLL's reference is the receiver clock itself.
         self._clocks = list({id(c): c for c in
@@ -481,8 +487,8 @@ class Simulation:
         up, dn, retimed, self.alex = alexander_step(self.alex, self._edge_sample,
                                                     center_val)
 
-        bit_id = self.waveform.bit_at(t_center)
-        self.pd_pending.append((bit_id, retimed, t_center, n_used))
+        # The centre sample left the waveform's cursor on t_center's bit.
+        self.pd_pending.append((self.waveform.bit_index, retimed, t_center, n_used))
         if len(self.pd_pending) == _CDT_BLOCK + 3:
             self._transfer(lookahead=2)
 
@@ -503,7 +509,8 @@ class Simulation:
                              self.center_sampler.last_was_metastable, reentry)
 
         n_next = self.ring.hot_index
-        self.next_cycle = (self.dll.edge(n_next, k + 1), k + 1, n_next)
+        self.next_cycle = (self._ref_edge(k + 1) + self._phase_offsets[n_next],
+                           k + 1, n_next)
 
     def _on_pump(self, drive_up: int, drive_dn: int):
         if self.i == 0.0 and drive_up == self.w_up and drive_dn == self.w_dn:

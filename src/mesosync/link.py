@@ -98,7 +98,7 @@ class ChannelConfig:
         return self.n * self.bit_period + round(self.alpha * self.bit_period)
 
 
-_NO_TRANSITION = 1 << 62
+NO_TRANSITION = 1 << 62
 
 
 class RxWaveform:
@@ -116,7 +116,9 @@ class RxWaveform:
     a few periods away, so every answer is exact for any time and any query
     order.  Samplers move forward about one bit per cycle: a walk of exactly
     one bit shifts the window by one and reads only bit k+2; any other move
-    reads the window again.
+    reads the window again.  ``phase_detector.Sampler.sample`` reads the
+    cursor directly (``_seek``, then the bit and its nearest transitions),
+    and the harness takes the sampled bit's index from ``bit_index``.
     """
 
     def __init__(self, bits: BitSource, cfg: ChannelConfig, tx_clock: ClockGen):
@@ -136,7 +138,7 @@ class RxWaveform:
 
     def _seek(self, t: SimTime) -> None:
         """Move the cursor to the bit containing t (bit 0 before it)."""
-        k, lo, hi = self._k, self._lo, self._hi
+        k, lo, hi = self.bit_index, self._lo, self._hi
         edge = self._tx.edge
         delay = self._delay
         reach = self._reach
@@ -152,22 +154,22 @@ class RxWaveform:
             k -= 1
             hi = lo
             lo = edge(k) + delay
-        if k == self._k + 1:
+        if k == self.bit_index + 1:
             # One bit forward: shift the window, read only the new bit k+2.
             self._lo_prev = self._lo
-            self._k, self._lo, self._hi = k, lo, hi
+            self.bit_index, self._lo, self._hi = k, lo, hi
             self._prev2, self._prev, self._bit, self._next = (
                 self._prev, self._bit, self._next, self._next2)
             self._next2 = self.bits.bit(k + 2)
             self._transitions()
-        elif k != self._k:
+        elif k != self.bit_index:
             self._place(k, lo, hi)
 
     def _place(self, k: int, lo: SimTime, hi: SimTime) -> None:
         """Set the cursor to bit k, which spans [lo, hi)."""
         bit = self.bits.bit
         b = bit(k)
-        self._k, self._lo, self._hi = k, lo, hi
+        self.bit_index, self._lo, self._hi = k, lo, hi
         # Below bit 2 the missing neighbours repeat bit 0; the transition
         # rule reads bit k-2 only from k = 2 on.
         self._prev2 = bit(k - 2) if k >= 2 else b
@@ -182,14 +184,14 @@ class RxWaveform:
         b = self._bit
         if self._prev != b:
             self._left = self._lo
-        elif self._k >= 2 and self._prev2 != b:
+        elif self.bit_index >= 2 and self._prev2 != b:
             self._left = self._lo_prev
         else:
             self._left = None
         if self._next != b:
             self._right = self._hi
         elif self._next2 != b:
-            self._right = self.boundary(self._k + 2)
+            self._right = self.boundary(self.bit_index + 2)
         else:
             self._right = None
 
@@ -197,7 +199,7 @@ class RxWaveform:
         """Index of the bit whose interval contains t; 0 for t < boundary(0)."""
         if not self._lo <= t < self._hi:
             self._seek(t)
-        return self._k
+        return self.bit_index
 
     def value_at(self, t: SimTime) -> float:
         if not self._lo <= t < self._hi:
@@ -245,7 +247,7 @@ class RxWaveform:
             self._seek(t)
         left, right = self._left, self._right
         if left is None:
-            return _NO_TRANSITION if right is None else right - t
+            return NO_TRANSITION if right is None else right - t
         if right is not None and right - t < t - left:
             return right - t
         return t - left

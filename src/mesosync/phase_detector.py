@@ -5,6 +5,12 @@ a data transition midpoint resolves either to a fair coin (stochastic mode)
 or to the sampler's previous output (deterministic-hold mode, used to pin
 the half-period false-lock equilibrium).  Between cycles the Alexander
 detector keeps only its last mid-eye sample and warmup count.
+
+Outside the window the output is the sampled bit's: the levels are
++-swing/2 and a ramp crosses 0 V only at its boundary, where the distance
+is 0.  ``Sampler.sample`` reads that bit and the distance from the
+waveform's cursor; ``sample_comparator`` is the definitional form, kept
+for the reference loop (``tests/test_reference_loop.py``) and the tracer.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .link import RxWaveform
+from .link import NO_TRANSITION, RxWaveform
 from .timebase import Rng, SimTime
 
 STOCHASTIC = "stochastic"
@@ -42,10 +48,23 @@ class Sampler:
         self.last_was_metastable = False
 
     def sample(self, waveform: RxWaveform, t: SimTime, rng: Rng) -> int:
-        distance = waveform.nearest_transition_distance(t)
-        bit = sample_comparator(waveform, t, self.model, rng, self.last, distance)
-        self.last_was_metastable = distance <= self.model.time_window_tw
-        self.last = bit
+        """``sample_comparator`` at t, read from the waveform's cursor."""
+        if not waveform._lo <= t < waveform._hi:
+            waveform._seek(t)
+        left, right = waveform._left, waveform._right
+        if left is None:
+            distance = NO_TRANSITION if right is None else right - t
+        elif right is not None and right - t < t - left:
+            distance = right - t
+        else:
+            distance = t - left
+        if distance <= self.model.time_window_tw:
+            self.last_was_metastable = True
+            if self.model.resolution_mode == STOCHASTIC:
+                self.last = rng.coin()
+            return self.last
+        self.last_was_metastable = False
+        self.last = bit = waveform._bit
         return bit
 
 
@@ -63,6 +82,11 @@ def sample_comparator(
     differential input; inside it the resolution mode decides, with
     ``previous`` the comparator's last output.  ``distance`` is
     ``waveform.nearest_transition_distance(t_sample)``.
+
+    Definitional form: ``value_at`` is 0.0 only on a boundary (distance 0);
+    elsewhere a ramp's ``dt / transition_time + 0.5`` is at least
+    1 / transition_time from 0.5, far above float rounding, so the sign is
+    the sampled bit's, which ``Sampler.sample`` returns without ``value_at``.
     """
     if distance <= m.time_window_tw:
         if m.resolution_mode == STOCHASTIC:

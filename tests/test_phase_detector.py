@@ -1,7 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mesosync import phase_detector
 from mesosync.link import BitSource, ChannelConfig, RxWaveform
 from mesosync.phase_detector import (
     HOLD,
@@ -14,7 +17,7 @@ from mesosync.phase_detector import (
     sample_comparator,
 )
 from mesosync.scenario import Scenario
-from mesosync.timebase import ClockGen, Rng, period_fs
+from mesosync.timebase import ClockGen, JitterSpec, Rng, period_fs
 
 M = Scenario().metastability_model()  # 10 ps, stochastic
 
@@ -158,3 +161,69 @@ def test_bang_bang_sign_flips_between_early_and_late(offset_ui):
     early = mean_updn(-offset_ui)
     assert late > 0
     assert early < 0
+
+
+class DefinitionalSampler(Sampler):
+    """``Sampler`` as the comparator is defined: the distance from
+    ``nearest_transition_distance``, the output from ``sample_comparator``
+    (looked up on the module, so a patch of it sees every call), which reads
+    ``value_at``."""
+
+    __slots__ = ()
+
+    def sample(self, waveform, t, rng):
+        distance = waveform.nearest_transition_distance(t)
+        bit = phase_detector.sample_comparator(waveform, t, self.model, rng,
+                                               self.last, distance)
+        self.last_was_metastable = distance <= self.model.time_window_tw
+        self.last = bit
+        return bit
+
+
+# Offsets from a bit's start, in UI of the bit's nominal period: before and
+# on the boundary, on the leading ramp, mid-bit, on the trailing ramp.
+_OFFSETS_UI = [-0.6, -0.05, 0.0, 0.01, 0.05, 0.099, 0.1, 0.5, 0.9, 0.95, 0.999]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pattern=st.sampled_from(["prbs15", "alternating", "ones"]),
+    n=st.integers(min_value=0, max_value=2),
+    alpha=st.floats(min_value=0.0, max_value=0.99),
+    transition_ui=st.sampled_from([0.0, 0.2, 0.5, 0.9]),
+    tw_ui=st.sampled_from([0.0, 0.01, "past_ramp"]),
+    mode=st.sampled_from([STOCHASTIC, HOLD]),
+    jitter=st.sampled_from([JitterSpec(), JitterSpec(sin_amp_ui=0.4, sin_freq_hz=2e8),
+                            JitterSpec(gauss_sigma_ui=0.03)]),
+    seed=st.integers(min_value=0, max_value=2**32),
+    queries=st.lists(st.tuples(st.integers(min_value=0, max_value=40),
+                               st.sampled_from(_OFFSETS_UI)),
+                     min_size=1, max_size=60),
+    ordered=st.booleans(),
+)
+def test_cursor_sample_equals_definitional_sample(pattern, n, alpha, transition_ui,
+                                                  tw_ui, mode, jitter, seed,
+                                                  queries, ordered):
+    # Sampler.sample reads the cursor; for every t it gives the output,
+    # metastability flag and cursor bit of the definitional path, in time
+    # order (one-bit advances) and in random order (_place).
+    T = period_fs(1.3e9)
+    tt = round(transition_ui * T)
+    cfg = ChannelConfig(n=n, alpha=alpha, bit_period=T, transition_time=tt,
+                        swing=0.2)
+    tw = tt // 2 + 1 if tw_ui == "past_ramp" else round(tw_ui * T)
+    model = MetastabilityModel(tw, mode)
+
+    def side():
+        clock = ClockGen(T, jitter, Rng(seed), name="tx")
+        return RxWaveform(BitSource(pattern, seed), cfg, clock), Rng(seed + 1)
+
+    (wf, rng), (ref_wf, ref_rng) = side(), side()
+    got, ref = Sampler(model), DefinitionalSampler(model)
+    ts = [ref_wf.boundary(j) + round(u * T) for j, u in queries]
+    if ordered:
+        ts.sort()
+    for t in ts:
+        assert got.sample(wf, t, rng) == ref.sample(ref_wf, t, ref_rng), t
+        assert got.last_was_metastable == ref.last_was_metastable, t
+        assert wf.bit_index == ref_wf.bit_at(t), t

@@ -13,7 +13,10 @@ shortcut of the harness turned off:
 * one transfer-chain call at the end of the run;
 * a ``ClockGen`` for every clock, quiet ones too, generating one edge at a
   time;
-* an eye histogram that reads every bin with ``value_at``.
+* an eye histogram that reads every bin with ``value_at``;
+* samplers that go through ``nearest_transition_distance``,
+  ``sample_comparator`` and ``value_at`` (``DefinitionalSampler``), a bit
+  index from ``bit_at`` and each next sampling edge from ``DllPhases.edge``.
 
 The property below checks that both loops report the same ``RunMetrics``.
 """
@@ -25,7 +28,7 @@ from unittest import mock
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mesosync import defaults_130nm, defaults_65nm, harness, timebase
+from mesosync import defaults_130nm, defaults_65nm, harness, phase_detector, timebase
 from mesosync.fine_loop import pump_current, pump_integrate, vcdl_delay
 from mesosync.harness import (
     PRIO_CROSSING,
@@ -44,6 +47,7 @@ from mesosync.timebase import (
     clamp_voltage,
 )
 from test_cli import _setting
+from test_phase_detector import DefinitionalSampler
 
 BASE = defaults_130nm()
 
@@ -54,6 +58,8 @@ class ReferenceSimulation(Simulation):
     def __init__(self, scn, **kwargs):
         super().__init__(scn, **kwargs)
         self._cross_gen = 0  # the number of the one valid crossing
+        self.center_sampler = DefinitionalSampler(self.center_sampler.model)
+        self.edge_sampler = DefinitionalSampler(self.edge_sampler.model)
 
     def _vc_at(self, t):
         v = self.vc + self.i * (t - self.t_vc) / FS_PER_SECOND / self.pump.c_filter
@@ -90,8 +96,16 @@ class ReferenceSimulation(Simulation):
         if gen == self._cross_gen:
             self._on_crossing(after)
 
+    def _on_cycle(self, k, n_used):
+        super()._on_cycle(k, n_used)
+        # Every event stays pending until the end (see _transfer), so the
+        # last one is this cycle's: its bit index comes from bit_at.
+        _, retimed, t_center, n = self.pd_pending[-1]
+        self.pd_pending[-1] = (self.waveform.bit_at(t_center), retimed, t_center, n)
+
     def _push_cycle(self):
-        es, k, n_used = self.next_cycle
+        _, k, n_used = self.next_cycle
+        es = self.dll.edge(n_used, k)
         self._push(es - self.T // 2, PRIO_OPP, ())
         self._push(es, PRIO_CYCLE, (k, n_used))
 
@@ -169,6 +183,21 @@ def _outcome(simulate, scn, kwargs):
 
 def _simulation_run(scn, **kwargs):
     return Simulation(scn, **kwargs).run()
+
+
+def test_reference_samples_through_sample_comparator():
+    # The reference's samplers take the definitional path, so the property
+    # below compares two different ways of sampling.
+    scn = replace(BASE, alpha=0.3, duration_us=0.05)
+    with mock.patch.object(phase_detector, "sample_comparator",
+                           wraps=phase_detector.sample_comparator) as spy:
+        m = reference_run(scn)
+        reference_calls = spy.call_count
+        _simulation_run(scn)
+    # Two samples per cycle, and maybe the edge sample of an unfinished one;
+    # the harness's own samplers make no call.
+    assert reference_calls - 2 * m.pd_event_count in (0, 1)
+    assert m.pd_event_count > 0 and spy.call_count == reference_calls
 
 
 # The 65 nm link with sinusoidal transmit jitter and gaussian receive
