@@ -38,7 +38,7 @@ def _load(args) -> "Scenario":
         scn = replace(scn, seed=args.seed)
     if args.duration is not None:
         scn = replace(scn, duration_us=args.duration)
-    return scn.validate()
+    return scn
 
 
 def _make_out(args, points: int) -> None:

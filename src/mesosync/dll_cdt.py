@@ -90,10 +90,7 @@ class DllPhases:
 
     def edge(self, i: int, k: int) -> SimTime:
         """k-th active edge of DLL phase i."""
-        # The range check of phase_offset, inline: one call per cycle.
-        if not 0 <= i < self.n:
-            raise IndexError(f"phase index {i} out of range [0, {self.n})")
-        return self.ref.edge(k) + self._offsets[i]
+        return self.phase_offset(i) + self.ref.edge(k)
 
     def first_edge_after(self, i: int, t: SimTime) -> SimTime:
         """Earliest edge of phase i strictly after t."""

@@ -14,13 +14,16 @@ The loop filter's state is Vc alone: ``pump_integrate`` takes and returns
 a plain float, with a flag for a supply-rail clamp.  The pump levels enter
 it only as the net current ``pump_current`` gives, which stays constant
 over a Vc segment, so a caller computes it once per segment.
+
+The VCDL curve is linear between its two end delays; ``VcdlCurve`` holds
+only them and the window, and ``Scenario.vcdl_curve`` is its one builder
+(the process corner picks the range).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .timebase import FS_PER_SECOND, SimTime, clamp_voltage
 
@@ -37,6 +40,13 @@ class PumpConfig:
             raise ValueError("pump parameters must be positive")
         if self.strong_ratio < 1:
             raise ValueError("strong_ratio must be >= 1")
+        # Vc moves at a finite, nonzero rate at every pump level, and the
+        # weak pump crosses the supply range in a finite number of fs.
+        slope = self.weak_slope_v_per_fs
+        if not (slope > 0.0 and math.isfinite(self.v_dd / slope)
+                and math.isfinite(self.strong_ratio * self.i_weak / self.c_filter)):
+            raise ValueError("pump slope out of range: Vc would move too "
+                             "fast or too slow to time in fs")
 
     @property
     def weak_slope_v_per_fs(self) -> float:
@@ -78,46 +88,21 @@ def pump_integrate(
     return clamp_voltage(v, cfg.v_dd), not 0.0 <= v <= cfg.v_dd
 
 
-LINEAR = "linear"
-SATURATING = "saturating"
-
-_TANH1 = math.tanh(1.0)
-
-
-def _shape(kind: str, x: float) -> float:
-    if kind == LINEAR:
-        return x
-    if kind == SATURATING:
-        # Smooth monotone S-curve through (0,0) and (1,1).
-        return (math.tanh(2.0 * (x - 0.5)) + _TANH1) / (2.0 * _TANH1)
-    raise ValueError(f"unknown VCDL shape: {kind!r}")
-
-
 @dataclass(frozen=True)
 class VcdlCurve:
-    """Monotone Vc-to-delay map over the comparator window [v_low, v_high].
-
-    ``corner_mult`` maps each process corner to the line's range in DLL
-    phase steps; ``corner`` selects one.
-    """
+    """Linear Vc-to-delay map over the comparator window [v_low, v_high]:
+    ``d_min`` at or below ``v_low``, ``d_min + range_fs`` at or above
+    ``v_high``.  ``Scenario.vcdl_curve`` builds it, taking ``range_fs``
+    from the selected process corner."""
 
     d_min: SimTime
-    phase_step: SimTime           # one DLL step, T/N
+    range_fs: SimTime
     v_low: float
     v_high: float
-    corner: str
-    shape: str
-    corner_mult: dict[str, float]
 
     def __post_init__(self):
-        if self.corner not in self.corner_mult:
-            raise ValueError(f"unknown corner: {self.corner!r}")
         if self.v_low >= self.v_high:
             raise ValueError("v_low must be below v_high")
-
-    @cached_property
-    def range_fs(self) -> SimTime:
-        return round(self.corner_mult[self.corner] * self.phase_step)
 
 
 def vcdl_delay(v_c: float, curve: VcdlCurve) -> SimTime:
@@ -129,6 +114,4 @@ def vcdl_delay(v_c: float, curve: VcdlCurve) -> SimTime:
     elif v_c > v_high:
         v_c = v_high
     x = (v_c - v_low) / (v_high - v_low)
-    if curve.shape != LINEAR:
-        x = _shape(curve.shape, x)
     return curve.d_min + round(curve.range_fs * x)

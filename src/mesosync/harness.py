@@ -96,7 +96,7 @@ from .coarse_loop import (
     ring_step,
     window_classify,
 )
-from .dll_cdt import CdtChain, cdt_transfer
+from .dll_cdt import cdt_transfer
 from .fine_loop import pump_current, pump_integrate, vcdl_delay
 from .link import BitSource, RxWaveform
 from .lock import LockDetector
@@ -206,7 +206,6 @@ class Simulation:
         measure_from_fs: SimTime | None = None,
         keep_traces: bool = False,
     ):
-        scn.validate()
         self.scn = scn
         self.T = scn.period
         self.N = scn.n_phases
@@ -219,12 +218,13 @@ class Simulation:
         self.rng_meta = Rng(derive_seed(scn.seed, 0))
         self.bits = BitSource(scn.pattern, derive_seed(scn.seed, 3))
 
+        self.jitter = scn.jitter()  # (transmitter, receiver)
         self.tx_clock = self._new_tx_clock()
         if scn.correlated:
             # Receiver reference shares the transmitter's edge offsets.
             self.rx_clock = self.tx_clock
         else:
-            self.rx_clock = make_clock(self.T, scn.jitter()[1],
+            self.rx_clock = make_clock(self.T, self.jitter[1],
                                        Rng(derive_seed(scn.seed, 2)), name="rx")
 
         self.waveform = RxWaveform(self.bits, scn.channel_config(), self.tx_clock)
@@ -297,11 +297,7 @@ class Simulation:
         # phase), at most _CDT_BLOCK + 3; running totals of the delivered
         # ones (see _transfer).
         self.pd_pending: list[tuple[int, int, SimTime, int]] = []
-        self.chain = CdtChain(
-            period=self.T,
-            t_setup=round(scn.t_setup_ui * self.T),
-            t_hold=round(scn.t_hold_ui * self.T),
-        )
+        self.chain = scn.cdt_chain()
         self._lat_sum = 0.0
         self._lat_hist: dict[float, int] = {}
         self.excursions: list[tuple[SimTime, SimTime | None]] = []
@@ -710,7 +706,7 @@ class Simulation:
             T = self.T
             m.sampling_phase_ui = _circular_mean([(t % T) / T
                                                   for t in self._phase_hist])
-        tx_jit, rx_jit = scn.jitter()
+        tx_jit, rx_jit = self.jitter
         quiet = tx_jit.is_quiet and (scn.correlated or rx_jit.is_quiet)
         if quiet and m.sampling_phase_ui is not None and scn.pattern == "prbs15":
             center = _oracle.eye_center_phase(
@@ -744,7 +740,7 @@ class Simulation:
 
     def _new_tx_clock(self) -> ClockGen:
         """A transmitter clock from edge 0; every one draws the same edges."""
-        return make_clock(self.T, self.scn.jitter()[0],
+        return make_clock(self.T, self.jitter[0],
                           Rng(derive_seed(self.scn.seed, 1)), name="tx")
 
     def _eye_histogram(self) -> list:
@@ -808,9 +804,10 @@ def _fs(name: str, us: float | None) -> SimTime | None:
     """The keyword ``name``'s instant in fs; None stays None."""
     if us is None:
         return None
-    if not 0.0 <= us < math.inf:
-        raise ScenarioError(f"{name} must be finite and >= 0, got {us}")
-    return round(us * 1e9)
+    fs = us * 1e9
+    if not 0.0 <= fs < math.inf:
+        raise ScenarioError(f"{name} must be >= 0 and finite in fs, got {us}")
+    return round(fs)
 
 
 def run(
@@ -828,7 +825,7 @@ def run(
     ``measure_from_us`` pushes the start of the post-lock measurement window
     later than the detector's lock instant (useful when jitter makes the
     lock instant itself fuzzy but the steady state is what matters).
-    Each of the three instants must be finite and >= 0 (else
+    Each of the three instants must be >= 0 and finite in fs (else
     ``ScenarioError``).
     """
     sim = Simulation(

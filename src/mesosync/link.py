@@ -16,34 +16,40 @@ PRBS15_PERIOD = 32767
 # PRBS bits generated ahead per extension, so that a reader moving one bit
 # at a time extends the sequence once every this many bits.
 _PRBS_CHUNK = 64
+# One period of each fixed pattern.
+_FIXED_PATTERNS = {"alternating": b"\x00\x01", "ones": b"\x01", "zeros": b"\x00"}
 
 
 class BitSource:
-    """Lazily extended transmit bit sequence.
+    """Periodic transmit bit sequence, one period stored.
 
     Patterns: ``prbs15`` (seeded from the run seed), ``alternating`` 1010...,
-    ``ones`` and ``zeros`` for degenerate checks.
+    ``ones`` and ``zeros`` for degenerate checks.  Bit i is bit
+    ``i % period`` of the stored period, a ``bytearray``.
 
     ``prbs15`` is a 15-bit Fibonacci LFSR with taps x^15 + x^14 + 1, kept
     as a plain integer register; each step outputs the register's MSB
-    before the shift.  Bits are stored in a ``bytearray``; nothing is
-    generated ahead at construction, and a read past the stored bits
-    extends them by at least ``_PRBS_CHUNK`` register steps, up to one
-    period.  The sequence repeats every ``PRBS15_PERIOD`` bits from any
-    nonzero register, so later bits are read from the stored period.
+    before the shift.  Its period, ``PRBS15_PERIOD`` bits from any nonzero
+    register, is stored lazily: nothing is generated ahead at construction,
+    and a read past the stored bits extends them by at least
+    ``_PRBS_CHUNK`` register steps, up to one period.
     """
 
     def __init__(self, pattern: str, seed: int):
         self.pattern = pattern
-        self._bits = bytearray()
         if pattern == "prbs15":
+            self._bits = bytearray()
+            self._period = PRBS15_PERIOD
             # Map the seed onto a nonzero register value, then flush the
             # register so degenerate low-weight seeds don't start the
             # stream with a long constant run.
             self._reg = (seed % PRBS15_MASK) + 1
             self._extend(31)
             del self._bits[:]
-        elif pattern not in ("alternating", "ones", "zeros"):
+        elif pattern in _FIXED_PATTERNS:
+            self._bits = bytearray(_FIXED_PATTERNS[pattern])
+            self._period = len(self._bits)
+        else:
             raise ValueError(f"unknown data pattern: {pattern!r}")
 
     def _extend(self, count: int) -> None:
@@ -56,21 +62,15 @@ class BitSource:
         self._reg = reg
 
     def bit(self, index: int) -> int:
-        if 0 <= index < len(self._bits):
-            return self._bits[index]
+        bits = self._bits
+        if 0 <= index < len(bits):
+            return bits[index]
         if index < 0:
             raise IndexError("bit index must be >= 0")
-        if self.pattern == "alternating":
-            return index & 1
-        if self.pattern == "ones":
-            return 1
-        if self.pattern == "zeros":
-            return 0
-        bits = self._bits
-        n = len(bits)
-        if n < PRBS15_PERIOD:
-            self._extend(min(max(index + 1 - n, _PRBS_CHUNK), PRBS15_PERIOD - n))
-        return bits[index % PRBS15_PERIOD]
+        n, period = len(bits), self._period
+        if n < period:
+            self._extend(min(max(index + 1 - n, _PRBS_CHUNK), period - n))
+        return bits[index % period]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ unknown keys are errors so that typos never silently fall back to defaults.
 
 ``Scenario`` is the one home of every model default: the component
 configurations take each value explicitly and are built from a scenario
-(``pump_config``, ``vcdl_curve`` and the other builders below).
+(``pump_config``, ``vcdl_curve`` and the other builders below).  A
+``Scenario`` is valid once built, also by ``dataclasses.replace``: its
+``validate`` builds every component and makes every conversion a run makes.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .coarse_loop import WindowComparator
-from .dll_cdt import DllPhases
-from .fine_loop import PumpConfig, VcdlCurve, vcdl_delay
+from .dll_cdt import CdtChain, DllPhases
+from .fine_loop import PumpConfig, VcdlCurve
 from .link import BitSource, ChannelConfig
 from .phase_detector import MetastabilityModel
-from .timebase import FS_PER_NS, FS_PER_PS, ClockGen, JitterSpec, SimTime, period_fs
+from .timebase import (FS_PER_NS, FS_PER_PS, GAUSS_MAX, ClockGen, JitterSpec,
+                       SimTime, period_fs)
 
 
 class ScenarioError(ValueError):
@@ -66,7 +69,6 @@ class Scenario:
     # exactly one step, typical spans two, slow corners up to 2.6)
     corner: str = "TT"
     d_min_ui: float = 0.0
-    vcdl_shape: str = "linear"
     mult_ff: float = 1.0
     mult_tt: float = 2.0
     mult_ss: float = 2.6
@@ -141,28 +143,33 @@ class Scenario:
         )
 
     def vcdl_curve(self) -> VcdlCurve:
+        """``d_min_ui`` plus, across the window, the corner's multiple of
+        one DLL phase step."""
+        mult = {"FF": self.mult_ff, "TT": self.mult_tt, "SS": self.mult_ss,
+                "FNSP": self.mult_fnsp, "SNFP": self.mult_snfp}.get(self.corner)
+        if mult is None:
+            raise ScenarioError(f"unknown corner: {self.corner!r}")
+        T = self.period
         v_low, v_high = self.window()
         return VcdlCurve(
-            d_min=round(self.d_min_ui * self.period),
-            phase_step=round(self.period / self.n_phases),
+            d_min=round(self.d_min_ui * T),
+            range_fs=round(mult * round(T / self.n_phases)),
             v_low=v_low,
             v_high=v_high,
-            corner=self.corner,
-            shape=self.vcdl_shape,
-            corner_mult={
-                "FF": self.mult_ff,
-                "TT": self.mult_tt,
-                "SS": self.mult_ss,
-                "FNSP": self.mult_fnsp,
-                "SNFP": self.mult_snfp,
-            },
         )
+
+    def cdt_chain(self) -> CdtChain:
+        T = self.period
+        return CdtChain(T, round(self.t_setup_ui * T), round(self.t_hold_ui * T))
 
     def metastability_model(self) -> MetastabilityModel:
         return MetastabilityModel(round(self.tw_ps * FS_PER_PS), self.resolution)
 
     def dll_phases(self, reference: ClockGen) -> DllPhases:
         return DllPhases(reference, self.n_phases, self.dll_mode, self.loop_bw_hz)
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> "Scenario":
         for key, name in _FLOAT_KEYS:
@@ -200,25 +207,33 @@ class Scenario:
             raise ScenarioError("lock.vc_margin_frac must be in [0, 0.5)")
         if self.eye_bins < 1:
             raise ScenarioError("eye.bins must be >= 1")
-        # The components check their own values; building each one turns a
-        # bad value into a ScenarioError here instead of a crash mid-run.
+        # The components check their own values; building each one makes
+        # every conversion a run makes, so a bad value, or a finite one
+        # that overflows in fs, is a ScenarioError here, not a crash mid-run.
         try:
-            self.jitter()
+            T = self.period
+            self.duration_fs
+            for spec in self.jitter():
+                # No edge offset, round(offset * T), can be larger than this.
+                if not math.isfinite((spec.sin_amp_ui
+                                      + GAUSS_MAX * spec.gauss_sigma_ui) * T):
+                    raise ScenarioError("jitter overflows a clock edge in fs")
             self.channel_config()
             self.window_comparator()
             self.pump_config()
-            self.dll_phases(ClockGen(self.period))
-            # The curve checks its shape only when evaluated.
+            self.dll_phases(ClockGen(T))
             curve = self.vcdl_curve()
-            vcdl_delay(self.vc_start(), curve)
             self.metastability_model()
+            self.cdt_chain()
             BitSource(self.pattern, self.seed)
+        except OverflowError as e:
+            raise ScenarioError(f"a value overflows in fs: {e}") from None
         except ValueError as e:
             raise ScenarioError(str(e)) from None
         # A negative delay would sample before the clock edge that asks
         # for the sample; a fine line longer than a period is never needed.
         if not (curve.d_min >= 0 and curve.range_fs >= 0
-                and curve.d_min + curve.range_fs <= self.period):
+                and curve.d_min + curve.range_fs <= T):
             raise ScenarioError(
                 "VCDL delay (vcdl.d_min_ui plus the corner's range) must "
                 "stay within [0, 1] UI"
@@ -256,7 +271,6 @@ _KEYMAP = {
     "coarse.k_divide": "k_divide",
     "vcdl.corner": "corner",
     "vcdl.d_min_ui": "d_min_ui",
-    "vcdl.shape": "vcdl_shape",
     "vcdl.mult_ff": "mult_ff",
     "vcdl.mult_tt": "mult_tt",
     "vcdl.mult_ss": "mult_ss",
@@ -308,7 +322,7 @@ def apply_settings(s: Scenario, settings: dict[str, str]) -> Scenario:
             raise ScenarioError(f"unknown scenario key: {key!r}")
         fname = _KEYMAP[key]
         updates[fname] = _coerce(fname, raw)
-    return replace(s, **updates).validate()
+    return replace(s, **updates)
 
 
 def parse_scenario_text(text: str, base: Scenario | None = None) -> Scenario:
@@ -333,11 +347,9 @@ def load_scenario(path: str | Path, base: Scenario | None = None) -> Scenario:
 
 def defaults_130nm() -> Scenario:
     """1.3 Gb/s, 1.2 V, K = 16, 10-phase DLL."""
-    return Scenario().validate()
+    return Scenario()
 
 
 def defaults_65nm() -> Scenario:
     """4 Gb/s, 1.0 V, K = 32; other blocks unchanged."""
-    return replace(
-        Scenario(), bit_rate_hz=4e9, v_dd=1.0, k_divide=32
-    ).validate()
+    return replace(Scenario(), bit_rate_hz=4e9, v_dd=1.0, k_divide=32)

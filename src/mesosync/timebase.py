@@ -28,6 +28,10 @@ SEEK_PERIODS = 4
 # Edges a ClockGen generates at a time when it runs out of cached ones.
 _EDGE_BLOCK = 256
 
+# A bound on |Rng.gauss()|: its radius sqrt(-2 ln u1) is largest at the
+# smallest uniform, u1 = 2**-53, where it is 8.57.
+GAUSS_MAX = 8.6
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 

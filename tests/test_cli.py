@@ -237,6 +237,46 @@ def test_sweep_bad_settle_exits_2(settle, capsys):
     assert out.out == ""
 
 
+# Finite inputs whose conversion to fs overflows, or whose clock jitter
+# could push an edge offset past the float range; each once ended in an
+# OverflowError traceback.
+_OVERFLOWING_SETS = [
+    ["sim.bit_rate_hz=1e-300"],
+    ["sim.duration_us=1e300"],
+    ["cdt.t_hold_ui=1e303"],
+    ["vcdl.d_min_ui=1e303"],
+    ["window.trip_delay_ns=1e303"],
+    ["pd.tw_ps=1e306"],
+    ["channel.transition_time_ui=1e303"],
+    ["vcdl.mult_tt=1e306"],
+    ["jitter.tx.gauss_sigma_ui=1e303"],
+    ["jitter.rx.gauss_sigma_ui=1e303", "jitter.correlated=false"],
+    ["jitter.tx.sin_amp_ui=1e303", "jitter.tx.sin_freq_hz=1e6"],
+]
+OVERFLOWING = [
+    pytest.param(["run", SCN, "--duration", "0.1"]
+                 + [a for setting in sets for a in ("--set", setting)],
+                 id=",".join(sets))
+    for sets in _OVERFLOWING_SETS
+] + [
+    pytest.param(["run", SCN, "--duration", "1e300"], id="run-duration"),
+    pytest.param(["sweep", SCN, "--param", "channel.alpha", "--grid", "0.1",
+                  "--settle", "1e300"], id="sweep-settle"),
+    pytest.param(["falselock", SCN, "--seeds", "1", "--duration", "1e300"],
+                 id="falselock-duration"),
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING)
+def test_overflowing_input_exits_2(argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err.startswith(("scenario error:", "jitter error:"))
+    assert len(out.err.splitlines()) == 1
+    assert out.out == ""
+
+
 @pytest.mark.parametrize("command", [
     ["run"], ["sweep", "--param", "channel.alpha", "--grid", "0.1"],
 ])
@@ -340,7 +380,8 @@ def test_falselock_out_is_a_usage_error(tmp_path, capsys):
 # Raw --set values by field type: in-range, boundary, out-of-range and
 # malformed.  The bit rate stays below 10 GHz so that a 0.3 us run stays
 # short.
-_JUNK = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e400", "-1"])
+_JUNK = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e400", "-1",
+                        "1e303", "1e-300"])
 _VALUES = {
     "float": st.floats(min_value=-2.0, max_value=40.0).map(repr)
     | st.sampled_from(["0", "1", "0.5", "1e9", "-1e9"]) | _JUNK,

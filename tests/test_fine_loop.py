@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +8,11 @@ from mesosync.fine_loop import (
     pump_integrate,
     vcdl_delay,
 )
-from mesosync.scenario import Scenario
+from mesosync.scenario import Scenario, ScenarioError
 from mesosync.timebase import FS_PER_NS, period_fs
 
 CFG = Scenario().pump_config()  # 1 uA, x16, 200 fF, 1.2 V
-CORNER_MULT = Scenario().vcdl_curve().corner_mult
+CORNERS = ("FF", "TT", "SS", "FNSP", "SNFP")
 
 
 def test_weak_up_slope_5mv_per_ns():
@@ -89,12 +87,11 @@ def test_clamp_safety_any_command_sequence(cmds):
         assert 0.0 <= v <= CFG.v_dd
 
 
-def _curve(corner="TT", shape="linear", d_min=0):
+def _curve(corner="TT", d_min=0):
+    # The corner's range as the 1.3 Gb/s, 10-phase scenario builds it.
     T = period_fs(1.3e9)
-    return VcdlCurve(
-        d_min=d_min, phase_step=round(T / 10), v_low=0.3, v_high=0.9,
-        corner=corner, shape=shape, corner_mult=CORNER_MULT,
-    ), T
+    range_fs = Scenario(corner=corner).vcdl_curve().range_fs
+    return VcdlCurve(d_min=d_min, range_fs=range_fs, v_low=0.3, v_high=0.9), T
 
 
 def test_vcdl_lower_boundary_is_d_min():
@@ -119,10 +116,9 @@ def test_vcdl_fastest_corner_one_step():
     assert vcdl_delay(0.9, curve) == round(T / 10)
 
 
-@pytest.mark.parametrize("corner", list(CORNER_MULT))
-@pytest.mark.parametrize("shape", ["linear", "saturating"])
-def test_vcdl_monotone_dense_sweep(corner, shape):
-    curve, _ = _curve(corner, shape)
+@pytest.mark.parametrize("corner", CORNERS, ids=[f"linear-{c}" for c in CORNERS])
+def test_vcdl_monotone_dense_sweep(corner):
+    curve, _ = _curve(corner)
     prev = -1
     for mv in range(300, 901):
         d = vcdl_delay(mv / 1000.0, curve)
@@ -132,32 +128,27 @@ def test_vcdl_monotone_dense_sweep(corner, shape):
     vals = [vcdl_delay(v / 100.0, curve) for v in range(30, 91)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     # Below, at and above the window [v_low, v_high]: the input clamp, then
-    # the curve's shape over the normalised input.
+    # the linear map of the normalised input.
     lo, hi = curve.v_low, curve.v_high
     for v in (-0.5, 0.0, lo - 1e-9, lo, lo + 1e-9, 0.45, 0.6, 0.8,
               hi - 1e-9, hi, hi + 1e-9, 1.2, 5.0):
         x = (min(max(v, lo), hi) - lo) / (hi - lo)
-        if shape == "saturating":
-            x = (math.tanh(2.0 * (x - 0.5)) + math.tanh(1.0)) / (2.0 * math.tanh(1.0))
         assert vcdl_delay(v, curve) == curve.d_min + round(curve.range_fs * x)
 
 
 def test_vcdl_corner_ordering():
     T = period_fs(1.3e9)
     spans = {}
-    for corner in CORNER_MULT:
+    for corner in CORNERS:
         curve, _ = _curve(corner)
         spans[corner] = vcdl_delay(0.9, curve) - vcdl_delay(0.3, curve)
     assert spans["FF"] < spans["FNSP"] <= spans["SNFP"] < spans["SS"]
     assert spans["FF"] >= round(T / 10)
 
 
-def test_vcdl_rejects_unknown_corner_and_shape():
-    with pytest.raises(ValueError):
-        _curve(corner="XX")
-    curve, _ = _curve(shape="wavy")
-    with pytest.raises(ValueError):
-        vcdl_delay(0.5, curve)
+def test_vcdl_unknown_corner_is_scenario_error():
+    with pytest.raises(ScenarioError, match="unknown corner"):
+        Scenario(corner="XX")
 
 
 def test_window_thresholds_quarter_points():

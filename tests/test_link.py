@@ -92,6 +92,11 @@ def test_bit_source_patterns():
     assert [alt.bit(i) for i in range(6)] == [0, 1, 0, 1, 0, 1]
     assert BitSource("ones", 1).bit(100) == 1
     assert BitSource("zeros", 1).bit(100) == 0
+    # Past a PRBS period too: each fixed pattern repeats its own period.
+    far = range(PRBS15_PERIOD - 2, PRBS15_PERIOD + 3)
+    assert [alt.bit(i) for i in far] == [i & 1 for i in far]
+    assert {BitSource("ones", 1).bit(i) for i in far} == {1}
+    assert {BitSource("zeros", 1).bit(i) for i in far} == {0}
     with pytest.raises(ValueError):
         BitSource("noise", 1)
     # Negative indices are refused, also once bits are stored.

@@ -1,3 +1,6 @@
+import math
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from mesosync.scenario import (
     load_scenario,
     parse_scenario_text,
 )
+from mesosync.timebase import GAUSS_MAX
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -100,6 +104,12 @@ def test_validation_rejects_bad_values():
         {"lock.vc_margin_frac": "0.5"},
         {"eye.bins": "0"},
         {"cdt.t_hold_ui": "-0.5"},
+        # Vc would move too slowly to time a crossing in fs, too fast to
+        # be finite, or not at all.
+        {"pump.c_filter_fF": "1e303"},
+        {"supply.v_dd": "1e302"},
+        {"pump.i_weak_uA": "1e303", "pump.strong_ratio": "1e303"},
+        {"pump.i_weak_uA": "1e-20", "pump.c_filter_fF": "1e300"},
     ):
         with pytest.raises(ScenarioError):
             apply_settings(Scenario(), settings)
@@ -113,3 +123,28 @@ def test_vc_start_defaults_to_window_center():
 def test_duration_conversion():
     scn = apply_settings(Scenario(), {"sim.duration_us": "2.5"})
     assert scn.duration_fs == 2_500_000_000
+
+
+def test_scenario_is_checked_when_built():
+    # Every Scenario validates itself, also one made by replace: neither
+    # of these reaches a run (a false-lock study of either once raised a
+    # bare ValueError).
+    for changes in ({"corner": "XX"}, {"v_dd": -1.0}):
+        with pytest.raises(ScenarioError):
+            replace(defaults_130nm(), **changes)
+
+
+def test_jitter_edge_offsets_fit_in_fs():
+    # One Rng.gauss draw never exceeds its largest radius, at the smallest
+    # uniform it draws, so GAUSS_MAX bounds every gaussian edge offset.
+    assert math.sqrt(-2.0 * math.log(2.0**-53)) < GAUSS_MAX
+    T = defaults_130nm().period
+    largest = sys.float_info.max / T
+    for key in ("tx_sin_amp_ui", "rx_sin_amp_ui"):
+        replace(defaults_130nm(), **{key: largest / 2})
+        with pytest.raises(ScenarioError, match="jitter"):
+            replace(defaults_130nm(), **{key: largest * 2})
+    for key in ("tx_gauss_sigma_ui", "rx_gauss_sigma_ui"):
+        replace(defaults_130nm(), **{key: largest / GAUSS_MAX / 2})
+        with pytest.raises(ScenarioError, match="jitter"):
+            replace(defaults_130nm(), **{key: largest / GAUSS_MAX * 2})
