@@ -15,9 +15,9 @@ a plain float, with a flag for a supply-rail clamp.  The pump levels enter
 it only as the net current ``pump_current`` gives, which stays constant
 over a Vc segment, so a caller computes it once per segment.
 
-The VCDL curve is linear between its two end delays; ``VcdlCurve`` holds
-only them and the window, and ``Scenario.vcdl_curve`` is its one builder
-(the process corner picks the range).
+The VCDL curve is linear from no delay to its range; ``VcdlCurve`` holds
+only the range and the window, and ``Scenario.vcdl_curve`` is its one
+builder (the process corner picks the range).
 """
 
 from __future__ import annotations
@@ -91,11 +91,10 @@ def pump_integrate(
 @dataclass(frozen=True)
 class VcdlCurve:
     """Linear Vc-to-delay map over the comparator window [v_low, v_high]:
-    ``d_min`` at or below ``v_low``, ``d_min + range_fs`` at or above
-    ``v_high``.  ``Scenario.vcdl_curve`` builds it, taking ``range_fs``
-    from the selected process corner."""
+    0 at or below ``v_low``, ``range_fs`` at or above ``v_high``.
+    ``Scenario.vcdl_curve`` builds it, taking ``range_fs`` from the
+    selected process corner."""
 
-    d_min: SimTime
     range_fs: SimTime
     v_low: float
     v_high: float
@@ -114,4 +113,4 @@ def vcdl_delay(v_c: float, curve: VcdlCurve) -> SimTime:
     elif v_c > v_high:
         v_c = v_high
     x = (v_c - v_low) / (v_high - v_low)
-    return curve.d_min + round(curve.range_fs * x)
+    return round(curve.range_fs * x)

@@ -134,6 +134,7 @@ PRIO_CYCLE = 6
 
 _PHASE_HISTORY = 64  # cycles averaged for the final sampling-phase estimate
 _EYE_BITS = 512      # bits folded into the eye histogram after lock
+_EYE_BINS = 100      # phase bins across one bit of the eye histogram
 _CDT_BLOCK = 1024    # detector events delivered per transfer-chain call
 # Clock edges kept behind the current period.  The transfer chain reaches
 # back no further than the oldest pending detector event (at most 1,027 of
@@ -753,7 +754,7 @@ class Simulation:
         waveform = RxWaveform(self.bits, scn.channel_config(),
                               self._new_tx_clock())
         value_at = waveform.value_at
-        bins = scn.eye_bins
+        bins = _EYE_BINS
         # The offset into the bit in fs and the phase in UI of each bin
         # centre; the offsets never decrease.
         offsets = [round((b + 0.5) * self.T / bins) for b in range(bins)]
@@ -881,26 +882,19 @@ class FalseLockReport:
     restored_runs: list    # (seed, dwell_us, lock_us)
 
     @property
-    def all_stochastic_escaped_and_locked(self) -> bool:
-        return all(e and (l is not None) for _, e, _, l in self.stochastic_runs)
-
-    @property
-    def restored_never_false_locked(self) -> bool:
-        # An empty leg (the reference run did not lock) restored no seed.
-        return bool(self.restored_runs) and all(
-            (dw is not None and dw < RESTORED_DWELL_MAX_US and l is not None)
-            for _, dw, l in self.restored_runs
-        )
-
-    @property
     def ok(self) -> bool:
         """The study's verdict: the hold leg neither moved Vc by
-        ``HOLD_DVC_MAX_V`` nor locked, and both later legs passed."""
+        ``HOLD_DVC_MAX_V`` nor locked, every stochastic seed escaped and
+        locked, and every restored seed locked without dwelling
+        ``RESTORED_DWELL_MAX_US`` at the false equilibrium.  An empty
+        restored leg (the reference run did not lock) fails."""
         return (
             self.hold_dvc_max < HOLD_DVC_MAX_V
             and not self.hold_locked
-            and self.all_stochastic_escaped_and_locked
-            and self.restored_never_false_locked
+            and all(e and l is not None for _, e, _, l in self.stochastic_runs)
+            and bool(self.restored_runs)
+            and all(dw is not None and dw < RESTORED_DWELL_MAX_US
+                    and l is not None for _, dw, l in self.restored_runs)
         )
 
 

@@ -1,7 +1,7 @@
 """Lock detector: decides when the fine and coarse loops have settled.
 
 Each cycle before lock, ``LockDetector.update`` checks the gates of
-``LOCK_GATES`` in order over the last ``lock.window_divided`` divided-clock
+``LOCK_GATES`` in order over the last ``WINDOW_DIVIDED`` divided-clock
 periods; the first cycle that every gate passes is the lock instant.
 """
 
@@ -15,16 +15,23 @@ from .timebase import SimTime
 LOCK_GATES = ("region", "ring_change", "recent_excursion", "history",
               "activity", "drift_bound", "vc_margin", "metastable")
 
+WINDOW_DIVIDED = 2   # divided-clock periods in the lock window
+# The bound on the windowed Vc excursion, as a fraction of what the
+# window's active decisions could move Vc (the drift_bound gate).
+DRIFT_FRAC = 0.5
+# The Vc margin kept clear of both window thresholds, as a fraction of
+# the window (the vc_margin gate).
+VC_MARGIN_FRAC = 0.10
+
 
 class LockDetector:
     """The lock instant and the windowed histories its gates read."""
 
     def __init__(self, scn, window, pump):
         self.T = scn.period
-        self.win = scn.lock_window_divided * scn.k_divide * self.T
-        self.drift_frac = scn.lock_drift_frac
+        self.win = WINDOW_DIVIDED * scn.k_divide * self.T
         self.step_v = pump.weak_slope_v_per_fs * self.T
-        margin = scn.lock_vc_margin_frac * (window.v_high - window.v_low)
+        margin = VC_MARGIN_FRAC * (window.v_high - window.v_low)
         self.v_floor = window.v_low + margin
         self.v_ceil = window.v_high - margin
         self.time: SimTime | None = None
@@ -86,7 +93,7 @@ class LockDetector:
         # limit cycle stays well under that.  Bounding the window excursion
         # by a fraction of the activity-driven maximum separates the two.
         v_max, v_min = vc_max[0][1], vc_min[0][1]
-        if v_max - v_min > self.drift_frac * activity * self.step_v:
+        if v_max - v_min > DRIFT_FRAC * activity * self.step_v:
             return "drift_bound"
         # Equilibria hugging a comparator threshold are one dither step from
         # a coarse hop: only an interior control voltage counts as locked.

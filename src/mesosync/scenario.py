@@ -7,7 +7,13 @@ unknown keys are errors so that typos never silently fall back to defaults.
 configurations take each value explicitly and are built from a scenario
 (``pump_config``, ``vcdl_curve`` and the other builders below).  A
 ``Scenario`` is valid once built, also by ``dataclasses.replace``: its
-``validate`` builds every component and makes every conversion a run makes.
+``validate`` builds every component and makes every conversion a run makes,
+and an error from a component starts with the keys that component reads.
+
+A value that no scenario sets to a second value is a constant of the code
+that reads it, not a key: the VCDL corner ranges (``_CORNER_MULT``), the
+lock detector's window, drift and margin (``lock``) and the eye
+histogram's bins (``harness._EYE_BINS``).
 """
 
 from __future__ import annotations
@@ -29,6 +35,11 @@ class ScenarioError(ValueError):
     pass
 
 
+# VCDL range per process corner, in DLL phase steps: the fastest corner
+# spans exactly one step, typical spans two, slow corners up to 2.6.
+_CORNER_MULT = {"FF": 1.0, "TT": 2.0, "SS": 2.6, "FNSP": 2.3, "SNFP": 2.3}
+
+
 @dataclass(frozen=True)
 class Scenario:
     # sim.*
@@ -46,11 +57,9 @@ class Scenario:
     correlated: bool = True
     tx_sin_amp_ui: float = 0.0
     tx_sin_freq_hz: float = 0.0
-    tx_sin_phase_rad: float = 0.0
     tx_gauss_sigma_ui: float = 0.0
     rx_sin_amp_ui: float = 0.0
     rx_sin_freq_hz: float = 0.0
-    rx_sin_phase_rad: float = 0.0
     rx_gauss_sigma_ui: float = 0.0
     # dll.*
     n_phases: int = 10
@@ -65,15 +74,8 @@ class Scenario:
     trip_delay_ns: float = 6.0
     # coarse.*
     k_divide: int = 16
-    # vcdl.*  (range multipliers in DLL phase steps: the fastest corner spans
-    # exactly one step, typical spans two, slow corners up to 2.6)
+    # vcdl.*
     corner: str = "TT"
-    d_min_ui: float = 0.0
-    mult_ff: float = 1.0
-    mult_tt: float = 2.0
-    mult_ss: float = 2.6
-    mult_fnsp: float = 2.3
-    mult_snfp: float = 2.3
     # pd.*
     tw_ps: float = 10.0
     resolution: str = "stochastic"
@@ -84,13 +86,6 @@ class Scenario:
     vc_init_v: float = -1.0      # negative selects the window center
     # snapshot.*
     snapshot_hot: int = -1       # negative = cold start from Q0
-    # lock.*  (drift_frac bounds the windowed Vc excursion as a fraction of
-    # the activity-driven maximum; see the lock detector)
-    lock_window_divided: int = 2
-    lock_drift_frac: float = 0.5
-    lock_vc_margin_frac: float = 0.10
-    # eye.*
-    eye_bins: int = 100
 
     @property
     def period(self) -> SimTime:
@@ -116,9 +111,9 @@ class Scenario:
         """Transmitter and receiver clock jitter."""
         return (
             JitterSpec(self.tx_sin_amp_ui, self.tx_sin_freq_hz,
-                       self.tx_sin_phase_rad, self.tx_gauss_sigma_ui),
+                       self.tx_gauss_sigma_ui),
             JitterSpec(self.rx_sin_amp_ui, self.rx_sin_freq_hz,
-                       self.rx_sin_phase_rad, self.rx_gauss_sigma_ui),
+                       self.rx_gauss_sigma_ui),
         )
 
     def channel_config(self) -> ChannelConfig:
@@ -143,17 +138,14 @@ class Scenario:
         )
 
     def vcdl_curve(self) -> VcdlCurve:
-        """``d_min_ui`` plus, across the window, the corner's multiple of
-        one DLL phase step."""
-        mult = {"FF": self.mult_ff, "TT": self.mult_tt, "SS": self.mult_ss,
-                "FNSP": self.mult_fnsp, "SNFP": self.mult_snfp}.get(self.corner)
+        """No delay at the window's low threshold, the corner's multiple of
+        one DLL phase step (``_CORNER_MULT``) at its high threshold."""
+        mult = _CORNER_MULT.get(self.corner)
         if mult is None:
             raise ScenarioError(f"unknown corner: {self.corner!r}")
-        T = self.period
         v_low, v_high = self.window()
         return VcdlCurve(
-            d_min=round(self.d_min_ui * T),
-            range_fs=round(mult * round(T / self.n_phases)),
+            range_fs=round(mult * round(self.period / self.n_phases)),
             v_low=v_low,
             v_high=v_high,
         )
@@ -197,47 +189,49 @@ class Scenario:
         # A negative hold would read as no hold check at all.
         if self.t_hold_ui < 0:
             raise ScenarioError("cdt.t_hold_ui must be >= 0")
-        # Only the harness reads these; a margin of half the window leaves
-        # no interior Vc to lock at.
-        if self.lock_window_divided < 1:
-            raise ScenarioError("lock.window_divided must be >= 1")
-        if self.lock_drift_frac <= 0:
-            raise ScenarioError("lock.drift_frac must be positive")
-        if not 0.0 <= self.lock_vc_margin_frac < 0.5:
-            raise ScenarioError("lock.vc_margin_frac must be in [0, 0.5)")
-        if self.eye_bins < 1:
-            raise ScenarioError("eye.bins must be >= 1")
         # The components check their own values; building each one makes
         # every conversion a run makes, so a bad value, or a finite one
-        # that overflows in fs, is a ScenarioError here, not a crash mid-run.
+        # that overflows in fs, is a ScenarioError here, not a crash
+        # mid-run.  Its message starts with ``keys``, the keys read by the
+        # component being built.
+        tx, rx = (f"jitter.{side}.sin_amp_ui, jitter.{side}.gauss_sigma_ui"
+                  for side in ("tx", "rx"))
         try:
+            keys = "sim.bit_rate_hz"
             T = self.period
+            keys = "sim.duration_us"
             self.duration_fs
-            for spec in self.jitter():
+            keys = f"{tx}, {rx}"
+            specs = self.jitter()
+            for keys, spec in zip((tx, rx), specs):
                 # No edge offset, round(offset * T), can be larger than this.
                 if not math.isfinite((spec.sin_amp_ui
                                       + GAUSS_MAX * spec.gauss_sigma_ui) * T):
-                    raise ScenarioError("jitter overflows a clock edge in fs")
+                    raise ValueError("jitter overflows a clock edge in fs")
+            keys = ("channel.n, channel.alpha, channel.transition_time_ui, "
+                    "channel.swing_v, sim.bit_rate_hz")
             self.channel_config()
+            keys = "supply.v_dd, window.trip_delay_ns"
             self.window_comparator()
+            keys = ("pump.i_weak_uA, pump.strong_ratio, pump.c_filter_fF, "
+                    "supply.v_dd")
             self.pump_config()
+            keys = "dll.n_phases, dll.mode, dll.loop_bw_hz"
             self.dll_phases(ClockGen(T))
-            curve = self.vcdl_curve()
+            # The curve never spans more than a period: DllPhases has at
+            # least 4 phases and no corner spans more than 2.6 phase steps.
+            keys = "vcdl.corner, dll.n_phases, supply.v_dd, sim.bit_rate_hz"
+            self.vcdl_curve()
+            keys = "pd.tw_ps, pd.resolution"
             self.metastability_model()
+            keys = "cdt.t_setup_ui, cdt.t_hold_ui, sim.bit_rate_hz"
             self.cdt_chain()
+            keys = "data.pattern, sim.seed"
             BitSource(self.pattern, self.seed)
         except OverflowError as e:
-            raise ScenarioError(f"a value overflows in fs: {e}") from None
+            raise ScenarioError(f"{keys}: a value overflows in fs: {e}") from None
         except ValueError as e:
-            raise ScenarioError(str(e)) from None
-        # A negative delay would sample before the clock edge that asks
-        # for the sample; a fine line longer than a period is never needed.
-        if not (curve.d_min >= 0 and curve.range_fs >= 0
-                and curve.d_min + curve.range_fs <= T):
-            raise ScenarioError(
-                "VCDL delay (vcdl.d_min_ui plus the corner's range) must "
-                "stay within [0, 1] UI"
-            )
+            raise ScenarioError(f"{keys}: {e}") from None
         return self
 
 
@@ -254,11 +248,9 @@ _KEYMAP = {
     "jitter.correlated": "correlated",
     "jitter.tx.sin_amp_ui": "tx_sin_amp_ui",
     "jitter.tx.sin_freq_hz": "tx_sin_freq_hz",
-    "jitter.tx.sin_phase_rad": "tx_sin_phase_rad",
     "jitter.tx.gauss_sigma_ui": "tx_gauss_sigma_ui",
     "jitter.rx.sin_amp_ui": "rx_sin_amp_ui",
     "jitter.rx.sin_freq_hz": "rx_sin_freq_hz",
-    "jitter.rx.sin_phase_rad": "rx_sin_phase_rad",
     "jitter.rx.gauss_sigma_ui": "rx_gauss_sigma_ui",
     "dll.n_phases": "n_phases",
     "dll.mode": "dll_mode",
@@ -270,22 +262,12 @@ _KEYMAP = {
     "window.trip_delay_ns": "trip_delay_ns",
     "coarse.k_divide": "k_divide",
     "vcdl.corner": "corner",
-    "vcdl.d_min_ui": "d_min_ui",
-    "vcdl.mult_ff": "mult_ff",
-    "vcdl.mult_tt": "mult_tt",
-    "vcdl.mult_ss": "mult_ss",
-    "vcdl.mult_fnsp": "mult_fnsp",
-    "vcdl.mult_snfp": "mult_snfp",
     "pd.tw_ps": "tw_ps",
     "pd.resolution": "resolution",
     "cdt.t_setup_ui": "t_setup_ui",
     "cdt.t_hold_ui": "t_hold_ui",
     "loop.vc_init_v": "vc_init_v",
     "snapshot.hot_index": "snapshot_hot",
-    "lock.window_divided": "lock_window_divided",
-    "lock.drift_frac": "lock_drift_frac",
-    "lock.vc_margin_frac": "lock_vc_margin_frac",
-    "eye.bins": "eye_bins",
 }
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
@@ -325,7 +307,7 @@ def apply_settings(s: Scenario, settings: dict[str, str]) -> Scenario:
     return replace(s, **updates)
 
 
-def parse_scenario_text(text: str, base: Scenario | None = None) -> Scenario:
+def parse_scenario_text(text: str) -> Scenario:
     settings: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -338,11 +320,11 @@ def parse_scenario_text(text: str, base: Scenario | None = None) -> Scenario:
         if key in settings:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
         settings[key] = value.strip()
-    return apply_settings(base or Scenario(), settings)
+    return apply_settings(Scenario(), settings)
 
 
-def load_scenario(path: str | Path, base: Scenario | None = None) -> Scenario:
-    return parse_scenario_text(Path(path).read_text(encoding="utf-8"), base)
+def load_scenario(path: str | Path) -> Scenario:
+    return parse_scenario_text(Path(path).read_text(encoding="utf-8"))
 
 
 def defaults_130nm() -> Scenario:

@@ -98,7 +98,6 @@ class JitterSpec:
 
     sin_amp_ui: float = 0.0
     sin_freq_hz: float = 0.0
-    sin_phase_rad: float = 0.0
     gauss_sigma_ui: float = 0.0
 
     def __post_init__(self):
@@ -118,15 +117,16 @@ NO_JITTER = JitterSpec()
 def jitter_offsets(spec: JitterSpec, ts, rng: Rng | None = None) -> list[float]:
     """Offset in UI at each nominal instant of ``ts``.
 
-    The sinusoidal part is evaluated analytically; the gaussian part is one
-    i.i.d. draw per instant, in the order of ``ts``, so callers must request
-    edges in index order to keep streams reproducible.
+    The sinusoidal part, zero at t = 0, is evaluated analytically; the
+    gaussian part is one i.i.d. draw per instant, in the order of ``ts``,
+    so callers must request edges in index order to keep streams
+    reproducible.
     """
     offs = [0.0] * len(ts)
     if spec.sin_amp_ui:
-        amp, phase = spec.sin_amp_ui, spec.sin_phase_rad
+        amp = spec.sin_amp_ui
         w = 2.0 * math.pi * spec.sin_freq_hz
-        offs = [amp * math.sin(w * (t / FS_PER_SECOND) + phase) for t in ts]
+        offs = [amp * math.sin(w * (t / FS_PER_SECOND)) for t in ts]
     if spec.gauss_sigma_ui:
         if rng is None:
             raise ValueError("gaussian jitter requires an Rng")

@@ -119,19 +119,29 @@ BAD_SETTINGS = [
     "jitter.rx.gauss_sigma_ui=-1",
     "sim.duration_us=nan",
     "sim.duration_us=inf",
-    "vcdl.mult_tt=-1e9",
-    "vcdl.mult_tt=1e9",
-    "vcdl.d_min_ui=-0.1",
     "cdt.t_setup_ui=-0.1",
     "cdt.t_setup_ui=1e9",
     "cdt.t_hold_ui=-0.5",
     "channel.transition_time_ui=-0.1",
     "dll.loop_bw_hz=-1e6",
-    "lock.window_divided=0",
-    "lock.drift_frac=0",
-    "lock.vc_margin_frac=-0.5",
-    "eye.bins=0",
 ]
+
+# Keys that once set a single value and are now constants of the code that
+# reads them; each is refused like any unknown key, even at its old value.
+REMOVED_KEYS = {
+    "jitter.tx.sin_phase_rad": "0.0",
+    "jitter.rx.sin_phase_rad": "0.0",
+    "vcdl.d_min_ui": "0.0",
+    "vcdl.mult_ff": "1.0",
+    "vcdl.mult_tt": "2.0",
+    "vcdl.mult_ss": "2.6",
+    "vcdl.mult_fnsp": "2.3",
+    "vcdl.mult_snfp": "2.3",
+    "lock.window_divided": "2",
+    "lock.drift_frac": "0.5",
+    "lock.vc_margin_frac": "0.10",
+    "eye.bins": "100",
+}
 
 
 def test_run_without_numpy():
@@ -160,7 +170,26 @@ def test_run_unknown_key_exits_2(capsys):
         out = capsys.readouterr()
         assert code == 2, setting
         assert out.err.startswith("scenario error:"), setting
+        # The message names the refused key, also when a component refused it.
+        assert setting.partition("=")[0] in out.err, setting
         assert out.out == "", setting
+
+
+@pytest.mark.parametrize("in_file", [False, True], ids=["set", "file"])
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_is_unknown(key, in_file, tmp_path, capsys):
+    setting = f"{key} = {REMOVED_KEYS[key]}"
+    if in_file:
+        scn = tmp_path / "s.scn"
+        scn.write_text(Path(SCN).read_text() + setting + "\n")
+        argv = ["run", str(scn), "--duration", "0.1"]
+    else:
+        argv = ["run", SCN, "--duration", "0.1", "--set", setting.replace(" ", "")]
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err == f"scenario error: unknown scenario key: {key!r}\n"
+    assert out.out == ""
 
 
 def test_run_nonmonotonic_jitter_exits_2(capsys):
@@ -244,11 +273,9 @@ _OVERFLOWING_SETS = [
     ["sim.bit_rate_hz=1e-300"],
     ["sim.duration_us=1e300"],
     ["cdt.t_hold_ui=1e303"],
-    ["vcdl.d_min_ui=1e303"],
     ["window.trip_delay_ns=1e303"],
     ["pd.tw_ps=1e306"],
     ["channel.transition_time_ui=1e303"],
-    ["vcdl.mult_tt=1e306"],
     ["jitter.tx.gauss_sigma_ui=1e303"],
     ["jitter.rx.gauss_sigma_ui=1e303", "jitter.correlated=false"],
     ["jitter.tx.sin_amp_ui=1e303", "jitter.tx.sin_freq_hz=1e6"],
@@ -275,6 +302,9 @@ def test_overflowing_input_exits_2(argv, capsys):
     assert out.err.startswith(("scenario error:", "jitter error:"))
     assert len(out.err.splitlines()) == 1
     assert out.out == ""
+    if "--set" in argv:
+        # The message names the key of the first --set.
+        assert argv[argv.index("--set") + 1].partition("=")[0] in out.err
 
 
 @pytest.mark.parametrize("command", [

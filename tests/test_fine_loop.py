@@ -87,23 +87,23 @@ def test_clamp_safety_any_command_sequence(cmds):
         assert 0.0 <= v <= CFG.v_dd
 
 
-def _curve(corner="TT", d_min=0):
+def _curve(corner="TT"):
     # The corner's range as the 1.3 Gb/s, 10-phase scenario builds it.
     T = period_fs(1.3e9)
     range_fs = Scenario(corner=corner).vcdl_curve().range_fs
-    return VcdlCurve(d_min=d_min, range_fs=range_fs, v_low=0.3, v_high=0.9), T
+    return VcdlCurve(range_fs=range_fs, v_low=0.3, v_high=0.9), T
 
 
-def test_vcdl_lower_boundary_is_d_min():
-    curve, _ = _curve(d_min=5000)
-    assert vcdl_delay(0.3, curve) == 5000
-    assert vcdl_delay(0.0, curve) == 5000  # input clamped below the window
+def test_vcdl_lower_boundary_is_zero():
+    curve, _ = _curve()
+    assert vcdl_delay(0.3, curve) == 0
+    assert vcdl_delay(0.0, curve) == 0  # input clamped below the window
 
 
 def test_vcdl_typical_range_is_two_phase_steps():
-    curve, T = _curve("TT", d_min=7000)
-    assert vcdl_delay(0.9, curve) == 7000 + 2 * round(T / 10)
-    assert vcdl_delay(1.2, curve) == 7000 + 2 * round(T / 10)
+    curve, T = _curve("TT")
+    assert vcdl_delay(0.9, curve) == 2 * round(T / 10)
+    assert vcdl_delay(1.2, curve) == 2 * round(T / 10)
 
 
 def test_vcdl_linear_midpoint():
@@ -133,7 +133,7 @@ def test_vcdl_monotone_dense_sweep(corner):
     for v in (-0.5, 0.0, lo - 1e-9, lo, lo + 1e-9, 0.45, 0.6, 0.8,
               hi - 1e-9, hi, hi + 1e-9, 1.2, 5.0):
         x = (min(max(v, lo), hi) - lo) / (hi - lo)
-        assert vcdl_delay(v, curve) == curve.d_min + round(curve.range_fs * x)
+        assert vcdl_delay(v, curve) == round(curve.range_fs * x)
 
 
 def test_vcdl_corner_ordering():

@@ -117,7 +117,7 @@ class ReferenceSimulation(Simulation):
         scn = self.scn
         waveform = RxWaveform(self.bits, scn.channel_config(),
                               self._new_tx_clock())
-        bins = scn.eye_bins
+        bins = harness._EYE_BINS
         counts = {}
         centres = [
             (round((b + 0.5) * self.T / bins), round((b + 0.5) / bins, 4))
@@ -270,10 +270,10 @@ def test_eye_histogram_matches_bin_by_bin(base, bins, transition_ui, alpha,
     # Bins on a bit's plateau are counted without a value_at call; every
     # count equals the loop that reads each bin, ramps and bins past a bit
     # shortened by jitter included.
-    scn = apply_settings(base, {"eye.bins": str(bins),
-                                "channel.transition_time_ui": repr(transition_ui),
+    scn = apply_settings(base, {"channel.transition_time_ui": repr(transition_ui),
                                 "channel.alpha": repr(alpha),
                                 "sim.seed": str(seed), **jitter})
     sim = ReferenceSimulation(scn)
     sim.lock.time = round(lock_ui * sim.T)
-    assert Simulation._eye_histogram(sim) == sim._eye_histogram()
+    with mock.patch.object(harness, "_EYE_BINS", bins):
+        assert Simulation._eye_histogram(sim) == sim._eye_histogram()

@@ -1,6 +1,6 @@
 from dataclasses import replace
 
-from mesosync import defaults_130nm, run
+from mesosync import defaults_130nm, harness, run
 from mesosync.reports import summary_items, write_outputs
 
 
@@ -28,7 +28,7 @@ def test_eye_hist_contents(tmp_path):
     m = run(scn, stop_after_lock_us=0.3, keep_traces=True)
     assert m.eye_hist
     phases = {p for p, _, _ in m.eye_hist}
-    assert len(phases) == scn.eye_bins
+    assert len(phases) == harness._EYE_BINS
     assert all(c >= 1 for _, _, c in m.eye_hist)
     # Levels cluster at +-swing/2.
     values = {v for _, v, _ in m.eye_hist}

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from mesosync.scenario import (
+    _CORNER_MULT,
     Scenario,
     ScenarioError,
     apply_settings,
@@ -89,20 +90,11 @@ def test_validation_rejects_bad_values():
         apply_settings(Scenario(), {"dll.n_phases": "9"})
     with pytest.raises(ScenarioError):
         apply_settings(Scenario(), {"snapshot.hot_index": "10"})
-    # Each of these ran once: a zero lock window locked on the first
-    # cycle, a negative Vc margin locked early, zero eye bins wrote a
-    # header-only histogram, a negative hold time turned the hold check off.
+    # Each of these ran once: a negative hold time turned the hold check off.
     for settings in (
         {"channel.transition_time_ui": "-0.1"},
         {"dll.mode": "tracking", "dll.loop_bw_hz": "-1e6"},
         {"dll.mode": "tracking", "dll.loop_bw_hz": "0"},
-        {"lock.window_divided": "0"},
-        {"lock.window_divided": "-1"},
-        {"lock.drift_frac": "0"},
-        {"lock.drift_frac": "-0.5"},
-        {"lock.vc_margin_frac": "-0.5"},
-        {"lock.vc_margin_frac": "0.5"},
-        {"eye.bins": "0"},
         {"cdt.t_hold_ui": "-0.5"},
         # Vc would move too slowly to time a crossing in fs, too fast to
         # be finite, or not at all.
@@ -123,6 +115,16 @@ def test_vc_start_defaults_to_window_center():
 def test_duration_conversion():
     scn = apply_settings(Scenario(), {"sim.duration_us": "2.5"})
     assert scn.duration_fs == 2_500_000_000
+
+
+@pytest.mark.parametrize("bit_rate_hz", [1.3e9, 4e9])
+@pytest.mark.parametrize("n_phases", [4, 6, 10, 32])
+@pytest.mark.parametrize("corner", sorted(_CORNER_MULT))
+def test_vcdl_range_within_one_period(corner, n_phases, bit_rate_hz):
+    # No corner's fine line spans more than a period, at the fewest DLL
+    # phases DllPhases accepts too.
+    scn = Scenario(corner=corner, n_phases=n_phases, bit_rate_hz=bit_rate_hz)
+    assert 0 <= scn.vcdl_curve().range_fs <= scn.period
 
 
 def test_scenario_is_checked_when_built():
