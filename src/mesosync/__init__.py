@@ -1,12 +1,7 @@
 """Behavioral simulator of a DLL-based mesochronous clock synchronizer."""
 
-from .harness import (
-    FalseLockReport,
-    RunMetrics,
-    false_lock_experiment,
-    run,
-    sweep,
-)
+from .experiments import FalseLockReport, false_lock_experiment, sweep
+from .harness import RunMetrics, run
 from .scenario import (
     Scenario,
     ScenarioError,

@@ -1,4 +1,5 @@
-"""Command-line front end: run, sweep and falselock subcommands.
+"""Command-line front end: the run subcommand (one ``harness.run``) and the
+sweep and falselock subcommands (the studies in ``experiments``).
 
 Exit codes: 0 all assertions passed, 2 non-convergence, scenario error or
 jitter error (a jittered clock edge generated behind its predecessor),
@@ -14,7 +15,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .harness import false_lock_experiment, run, sweep
+from .experiments import false_lock_experiment, sweep
+from .harness import run
 from .reports import summary_items, write_outputs
 from .scenario import ScenarioError, apply_settings, load_scenario
 from .timebase import NonMonotonicEdgeError

@@ -37,8 +37,8 @@ def write_outputs(m: RunMetrics, outdir: str | Path) -> None:
 
 
 def summary_items(m: RunMetrics) -> list[tuple[str, str]]:
-    def fmt(x, spec=".6f"):
-        return "none" if x is None else format(x, spec)
+    def fmt(x):
+        return "none" if x is None else f"{x:.6f}"
 
     return [
         ("locked", str(m.locked).lower()),

@@ -107,14 +107,11 @@ class Scenario:
     # Component configurations, built in one place for the simulation and
     # for validation.
 
-    def jitter(self) -> tuple[JitterSpec, JitterSpec]:
-        """Transmitter and receiver clock jitter."""
-        return (
-            JitterSpec(self.tx_sin_amp_ui, self.tx_sin_freq_hz,
-                       self.tx_gauss_sigma_ui),
-            JitterSpec(self.rx_sin_amp_ui, self.rx_sin_freq_hz,
-                       self.rx_gauss_sigma_ui),
-        )
+    def jitter(self, side: str) -> JitterSpec:
+        """The transmitter (``side`` "tx") or receiver ("rx") clock jitter."""
+        return JitterSpec(getattr(self, f"{side}_sin_amp_ui"),
+                          getattr(self, f"{side}_sin_freq_hz"),
+                          getattr(self, f"{side}_gauss_sigma_ui"))
 
     def channel_config(self) -> ChannelConfig:
         return ChannelConfig(
@@ -194,16 +191,16 @@ class Scenario:
         # that overflows in fs, is a ScenarioError here, not a crash
         # mid-run.  Its message starts with ``keys``, the keys read by the
         # component being built.
-        tx, rx = (f"jitter.{side}.sin_amp_ui, jitter.{side}.gauss_sigma_ui"
-                  for side in ("tx", "rx"))
         try:
             keys = "sim.bit_rate_hz"
             T = self.period
+            if T < 1:
+                raise ValueError("the bit period rounds to 0 fs")
             keys = "sim.duration_us"
             self.duration_fs
-            keys = f"{tx}, {rx}"
-            specs = self.jitter()
-            for keys, spec in zip((tx, rx), specs):
+            for side in ("tx", "rx"):
+                keys = f"jitter.{side}.sin_amp_ui, jitter.{side}.gauss_sigma_ui"
+                spec = self.jitter(side)
                 # No edge offset, round(offset * T), can be larger than this.
                 if not math.isfinite((spec.sin_amp_ui
                                       + GAUSS_MAX * spec.gauss_sigma_ui) * T):

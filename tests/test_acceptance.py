@@ -14,7 +14,7 @@ import pytest
 from conftest import record_acceptance
 from mesosync import defaults_130nm, false_lock_experiment, load_scenario, run
 from mesosync.fine_loop import pump_current, pump_integrate
-from mesosync.harness import HOLD_DVC_MAX_V
+from mesosync.experiments import HOLD_DVC_MAX_V
 from mesosync.reports import write_outputs
 from mesosync.timebase import derive_seed
 

@@ -175,6 +175,20 @@ def test_run_unknown_key_exits_2(capsys):
         assert out.out == "", setting
 
 
+def test_jitter_error_names_only_its_clock(capsys):
+    code = main(["run", SCN, "--duration", "0.1", "--set", "jitter.rx.sin_amp_ui=-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "jitter.rx.sin_amp_ui" in err and "jitter.tx." not in err
+
+
+def test_bit_period_of_0_fs_is_refused_as_such(capsys):
+    code = main(["run", SCN, "--duration", "0.1", "--set", "sim.bit_rate_hz=1e20"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "scenario error: sim.bit_rate_hz: the bit period rounds to 0 fs\n")
+
+
 @pytest.mark.parametrize("in_file", [False, True], ids=["set", "file"])
 @pytest.mark.parametrize("key", REMOVED_KEYS)
 def test_removed_key_is_unknown(key, in_file, tmp_path, capsys):

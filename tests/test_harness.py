@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from mesosync import defaults_130nm, defaults_65nm, harness, phase_detector, run, sweep
+from mesosync import (defaults_130nm, defaults_65nm, experiments, harness,
+                      phase_detector, run, sweep)
 from mesosync.dll_cdt import cdt_transfer
 from mesosync.fine_loop import pump_current, pump_integrate, vcdl_delay
 from mesosync.harness import Simulation
@@ -231,8 +232,8 @@ def test_flat_pump_skip_is_exact(monkeypatch):
     (replace(BASE, alpha=0.3, correlated=False, rx_gauss_sigma_ui=0.05,
              tx_sin_amp_ui=0.2, tx_sin_freq_hz=50e6, duration_us=2.0), {}),
     (replace(BASE, resolution="hold", pattern="alternating",
-             alpha=harness.false_lock_alpha(BASE), duration_us=2.0),
-     {"hold_until_fs": 1_000 * FS_PER_NS}),
+             alpha=experiments.false_lock_alpha(BASE), duration_us=2.0),
+     {"hold_until_us": 1.0}),
 ], ids=["cold-start", "jittered", "hold-then-stochastic"])
 def test_delay_memo_never_stale(monkeypatch, scn, kw):
     # Every sample that OPP or CYCLE takes sits one VCDL delay after the
@@ -647,9 +648,9 @@ def test_sweep_propagates_failures_without_aborting():
 def test_bad_stop_after_lock_is_a_scenario_error(settle):
     # Refused before the first point, not recorded as one error per point.
     # run's other two instants share the check.
-    with pytest.raises(ScenarioError):
-        sweep(BASE, "channel.alpha", ["0.1", "0.3"], stop_after_lock_us=settle)
     for key in ("stop_after_lock_us", "hold_until_us", "measure_from_us"):
+        with pytest.raises(ScenarioError, match=key):
+            sweep(BASE, "channel.alpha", ["0.1", "0.3"], **{key: settle})
         with pytest.raises(ScenarioError, match=key):
             run(BASE, **{key: settle})
 

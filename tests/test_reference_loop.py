@@ -28,7 +28,8 @@ from unittest import mock
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mesosync import defaults_130nm, defaults_65nm, harness, phase_detector, timebase
+from mesosync import (defaults_130nm, defaults_65nm, experiments, harness,
+                      phase_detector, timebase)
 from mesosync.fine_loop import pump_current, pump_integrate, vcdl_delay
 from mesosync.harness import (
     PRIO_CROSSING,
@@ -40,7 +41,6 @@ from mesosync.harness import (
 from mesosync.link import RxWaveform
 from mesosync.scenario import ScenarioError, apply_settings
 from mesosync.timebase import (
-    FS_PER_NS,
     FS_PER_SECOND,
     ClockGen,
     GridClock,
@@ -219,7 +219,7 @@ JITTER_65NM = ["sim.bit_rate_hz=4e9", "supply.v_dd=1.0", "coarse.k_divide=32",
          stop=None, hold=None)
 @example(sets=["loop.vc_init_v=-0.0"], duration="0.5", stop=None, hold=None)
 @example(sets=["data.pattern=alternating", "pd.resolution=hold",
-               f"channel.alpha={harness.false_lock_alpha(BASE)!r}"],
+               f"channel.alpha={experiments.false_lock_alpha(BASE)!r}"],
          duration="1.5", stop=0.2, hold=1.0)
 @example(sets=["jitter.correlated=false", "jitter.tx.sin_amp_ui=0.4",
                "jitter.tx.sin_freq_hz=200e6"], duration="1", stop=None, hold=None)
@@ -237,8 +237,7 @@ def test_reference_loop_matches(sets, duration, stop, hold):
         scn = replace(scn, duration_us=float(duration)).validate()
     except ScenarioError:
         assume(False)
-    kwargs = {"stop_after_lock_fs": None if stop is None else round(stop * 1e9),
-              "hold_until_fs": None if hold is None else round(hold * 1e3) * FS_PER_NS}
+    kwargs = {"stop_after_lock_us": stop, "hold_until_us": hold}
     for keep in (False, True):
         got = _outcome(_simulation_run, scn, {**kwargs, "keep_traces": keep})
         ref = _outcome(reference_run, scn, {**kwargs, "keep_traces": keep})
