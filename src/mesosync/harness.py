@@ -19,7 +19,8 @@ heap plus two slots, and ``Simulation.run`` merges them in that order:
   events, the edge sample (OPP) half a period before the cycle's
   sampling-clock edge and the cycle itself (CYCLE) at the edge.  They have
   the two last priorities, so every heap event or crossing at or before
-  their instant runs first.
+  their instant runs first.  Both run inline in ``run``; the heap events
+  go through its handler table and a crossing through ``_on_crossing``.
 
 Loop wiring (see fine_loop for the sign conventions): the detector's UP
 output flags a late sampling clock and therefore drives the pump's
@@ -40,8 +41,9 @@ while Vc equals the value it was computed for.  Each detector sample is one
 ``Sampler.sample`` call on the waveform's cursor, and the cycle takes its
 bit index from that cursor and its next edge from the DLL's reference
 clock, without ``bit_at`` or ``DllPhases.edge``.  The reference loop in
-``tests/test_reference_loop.py`` runs the same model with every shortcut
-and both scheduler slots turned off.
+``tests/test_reference_loop.py`` owns the definitional OPP and CYCLE
+handlers and runs the same model with every shortcut and both scheduler
+slots turned off.
 
 The coarse loop's state is the published comparator region
 (``published``): the ring direction at a divided edge (``fsm_step``) and
@@ -246,7 +248,7 @@ class Simulation:
         self.pump = scn.pump_config()
         self.curve = scn.vcdl_curve()
         self.dll = scn.dll_phases(self.rx_clock)
-        # DllPhases.edge for _on_cycle, whose hot index needs no range check.
+        # DllPhases.edge for run, whose hot index needs no range check.
         self._ref_edge = self.dll.ref.edge
         self._phase_offsets = [self.dll.phase_offset(i) for i in range(self.N)]
         # Each clock object once: correlated clocks are one object, and in
@@ -256,6 +258,8 @@ class Simulation:
 
         preset = scn.snapshot_hot if scn.snapshot_hot >= 0 else 0
         self.ring = RingCounter(self.N, 1 << preset)
+        # The ring's hot index, read once per ring step (_on_divided).
+        self._hot = self.ring.hot_index
         self.vc = scn.vc_start()
         self.t_vc: SimTime = 0
         self.w_up = self.w_dn = 0
@@ -275,7 +279,7 @@ class Simulation:
                     i = pump_current(self.pump, w_up, w_dn, s_up, s_dn)
                     self._segments[w_up, w_dn, s_up, s_dn] = (
                         i, i / self.pump.c_filter / FS_PER_SECOND)
-        # The last VCDL delay and the Vc it was computed for (see _vc_at).
+        # The last VCDL delay and the Vc it was computed for (see run).
         self._delay_vc: float | None = None
         self._delay_fs: SimTime = 0
 
@@ -284,24 +288,22 @@ class Simulation:
             meta = replace(meta, resolution_mode=HOLD)
         self.center_sampler = Sampler(meta)
         self.edge_sampler = Sampler(meta)
-        self.alex = AlexanderState()
 
         self.heap: list = []
         # The one valid predicted window crossing, (t, region after), or
         # None; see _predict_crossing.
         self.cross: tuple[SimTime, str] | None = None
         # The pending detector cycle, (sampling-clock edge, cycle index,
-        # selected phase); each cycle sets the next one (see _on_cycle).
-        n0 = self.ring.hot_index
-        self.next_cycle: tuple[SimTime, int, int] = (self.dll.edge(n0, 2), 2, n0)
+        # selected phase): run starts from it and leaves the next one.
+        self.next_cycle: tuple[SimTime, int, int] = (
+            self.dll.edge(self._hot, 2), 2, self._hot)
         self.seq = 0
         self.now: SimTime = 0
         # Each cycle's pump event follows its mid-eye sample by this much.
         self._pump_lag = PD_PIPELINE_CYCLES * self.T
 
         # The run's one record (see the module docstring).
-        self.totals = RunMetrics(scenario=scn,
-                                 counter_path=[self.ring.hot_index])
+        self.totals = RunMetrics(scenario=scn, counter_path=[self._hot])
         # Traces and bookkeeping.  Without keep_traces each transfer block
         # folds vc_trace into the post-lock extremes and empties it.
         self.vc_trace: list[tuple[SimTime, float]] = [(0, self.vc)]
@@ -316,8 +318,6 @@ class Simulation:
         self._lat_hist: dict[float, int] = {}
         self.excursions: list[tuple[SimTime, SimTime | None]] = []
         self.lock = LockDetector(scn, self.window, self.pump)
-        self.first_clean_sample: SimTime | None = None
-        self._edge_sample = 0  # set by each cycle's OPP, read by its CYCLE
         # The last mid-eye sample instants; _finalize takes their phases.
         self._phase_hist: deque = deque(maxlen=_PHASE_HISTORY)
 
@@ -334,25 +334,8 @@ class Simulation:
 
     # -- control voltage segments ----------------------------------------
 
-    def _vc_at(self, t: SimTime) -> float:
-        # pump_integrate's expression, the one definition, inline: OPP and
-        # CYCLE read Vc once each per cycle, and reuse the last VCDL delay
-        # (_delay_fs) while Vc has not moved (the curve is a function of Vc).
-        # A flat segment reads its origin: Vc there lies on the rails or
-        # between them and is never -0.0, so the expression gives it back.
-        i = self.i
-        if i == 0.0:
-            v = self.vc
-        else:
-            v = self.vc + i * (t - self.t_vc) / FS_PER_SECOND / self.pump.c_filter
-            v = clamp_voltage(v, self.pump.v_dd)
-        if v != self._delay_vc:
-            self._delay_vc = v
-            self._delay_fs = vcdl_delay(v, self.curve)
-        return v
-
     def _advance_vc(self, t: SimTime):
-        # A flat segment leaves Vc where it is (see _vc_at) and cannot clamp.
+        # A flat segment leaves Vc where it is (see run) and cannot clamp.
         if self.i != 0.0:
             self.vc, clamped = pump_integrate(self.vc, self.i, t - self.t_vc,
                                               self.pump)
@@ -444,8 +427,9 @@ class Simulation:
                 self.ring = ring_step(self.ring, direction)
             except ValueError:
                 self.totals.one_hot_violations += 1
+            self._hot = self.ring.hot_index
             self.lock.last_ring_change = self.now
-            self.totals.counter_path.append(self.ring.hot_index)
+            self.totals.counter_path.append(self._hot)
         s_up, s_dn = STRONG_PULSE[direction]
         if (s_up, s_dn) != (self.s_up, self.s_dn):
             self.strong_gen += 1
@@ -464,7 +448,7 @@ class Simulation:
         self.totals.counter_trace.append(
             (
                 self.now,
-                self.ring.hot_index,
+                self._hot,
                 # The control FSM's enable and up_dn outputs.
                 int(self.published != WITHIN),
                 int(self.published == ABOVE),
@@ -473,59 +457,10 @@ class Simulation:
             )
         )
 
-    def _on_opp(self):
-        self._vc_at(self.now)
-        t_sample = self.now + self._delay_fs
-        self._edge_sample = self.edge_sampler.sample(
-            self.waveform, t_sample, self.rng_meta
-        )
-
-    def _on_cycle(self, k: int, n_used: int):
-        if self.hold_until_fs is not None and self.now >= self.hold_until_fs:
-            if self.center_sampler.model.resolution_mode == HOLD:
-                stoch = MetastabilityModel(
-                    self.center_sampler.model.time_window_tw, STOCHASTIC
-                )
-                self.center_sampler.model = stoch
-                self.edge_sampler.model = stoch
-        v = self._vc_at(self.now)
-        t_center = self.now + self._delay_fs
-        center_val = self.center_sampler.sample(self.waveform, t_center, self.rng_meta)
-        if self.first_clean_sample is None and not self.center_sampler.last_was_metastable:
-            if self.hold_until_fs is None or self.now >= self.hold_until_fs:
-                self.first_clean_sample = t_center
-        up, dn, retimed, self.alex = alexander_step(self.alex, self._edge_sample,
-                                                    center_val)
-
-        # The centre sample left the waveform's cursor on t_center's bit.
-        self.pd_pending.append((self.waveform.bit_index, retimed, t_center, n_used))
-        if len(self.pd_pending) == _CDT_BLOCK + 3:
-            self._transfer(lookahead=2)
-
-        # Late clock (UP) discharges, early clock (DN) charges: more control
-        # voltage means more delay.  Applied one bit period per evaluation,
-        # two cycles after the mid-eye sample (_push, inline).
-        heapq.heappush(self.heap, (t_center + self._pump_lag, PRIO_PUMP, self.seq,
-                                   (dn, up)))
-        self.seq += 1
-
-        self._phase_hist.append(t_center)
-        if self.lock.time is None:
-            # Vc's last re-entry into the window ends the last excursion.
-            reentry = None
-            if self.published == WITHIN and self.actual_region == WITHIN:
-                reentry = self.excursions[-1][1] if self.excursions else 0
-            self.lock.update(self.now, v, up, dn,
-                             self.center_sampler.last_was_metastable, reentry)
-
-        n_next = self.ring.hot_index
-        self.next_cycle = (self._ref_edge(k + 1) + self._phase_offsets[n_next],
-                           k + 1, n_next)
-
     def _on_pump(self, drive_up: int, drive_dn: int):
         if self.i == 0.0 and drive_up == self.w_up and drive_dn == self.w_dn:
             # A flat segment needs no new one: Vc stays bit-identical along
-            # it (see _vc_at), nothing reads its origin instant while the
+            # it (see run), nothing reads its origin instant while the
             # current is zero, and no crossing is pending.  The point stays
             # for a lock declared at this instant.
             self.vc_trace.append((self.now, self.vc))
@@ -637,11 +572,24 @@ class Simulation:
             self._on_pump,         # PRIO_PUMP
         )
         on_crossing = self._on_crossing
-        on_opp = self._on_opp
-        on_cycle = self._on_cycle
-        half = self.T // 2
+        # What a run does not change, bound once for the cycle slot.
         heap = self.heap
-        pop = heapq.heappop
+        pop, push = heapq.heappop, heapq.heappush
+        half = self.T // 2
+        pump_lag = self._pump_lag
+        waveform = self.waveform
+        rng = self.rng_meta
+        edge_sampler, center = self.edge_sampler, self.center_sampler
+        edge_sample, center_sample = edge_sampler.sample, center.sample
+        curve = self.curve
+        c_filter, v_dd = self.pump.c_filter, self.pump.v_dd
+        pending = self.pd_pending
+        phase_hist = self._phase_hist
+        lock = self.lock
+        ref_edge, offsets = self._ref_edge, self._phase_offsets
+        hold_until, stop_after = self.hold_until_fs, self.stop_after_lock_fs
+        alex = AlexanderState()
+        first_clean = None
         es, k, n_used = self.next_cycle
         # The cycle slot's next event: OPP at es - T/2, then CYCLE at es.
         due = es - half
@@ -667,22 +615,65 @@ class Simulation:
                     on_crossing(cross[1])
                 continue
             # OPP and CYCLE rank last: every heap event and crossing up to
-            # their instant has run.
+            # their instant has run.  Each samples one VCDL delay after it,
+            # at Vc there (pump_integrate's expression; a flat segment's
+            # origin lies on or between the rails and is never -0.0), and
+            # reuses the delay while Vc has not moved.
             if due > end:
                 break
-            self.now = due
+            self.now = now = due
+            i = self.i
+            if i == 0.0:
+                v = self.vc
+            else:
+                v = clamp_voltage(
+                    self.vc + i * (now - self.t_vc) / FS_PER_SECOND / c_filter, v_dd)
+            if v != self._delay_vc:
+                self._delay_vc = v
+                self._delay_fs = vcdl_delay(v, curve)
+            t_sample = now + self._delay_fs
             if opp_next:
-                on_opp()
+                edge_val = edge_sample(waveform, t_sample, rng)
                 due = es
                 opp_next = False
                 continue
-            on_cycle(k, n_used)
-            if self.lock.time is not None and self.stop_after_lock_fs is not None:
-                end = min(end, self.lock.time + self.stop_after_lock_fs)
-            es, k, n_used = self.next_cycle
+            # CYCLE: the mid-eye sample, the decision and the pump update.
+            if hold_until is not None and now >= hold_until:
+                if center.model.resolution_mode == HOLD:
+                    stoch = MetastabilityModel(center.model.time_window_tw,
+                                               STOCHASTIC)
+                    center.model = edge_sampler.model = stoch
+            center_val = center_sample(waveform, t_sample, rng)
+            metastable = center.last_was_metastable
+            if first_clean is None and not metastable:
+                if hold_until is None or now >= hold_until:
+                    first_clean = t_sample
+            up, dn, retimed, alex = alexander_step(alex, edge_val, center_val)
+            # The centre sample left the waveform's cursor on its bit.
+            pending.append((waveform.bit_index, retimed, t_sample, n_used))
+            if len(pending) == _CDT_BLOCK + 3:
+                self._transfer(lookahead=2)
+            # Late clock (UP) discharges, early clock (DN) charges, for one
+            # bit period two cycles after the mid-eye sample (_push).
+            push(heap, (t_sample + pump_lag, PRIO_PUMP, self.seq, (dn, up)))
+            self.seq += 1
+            phase_hist.append(t_sample)
+            if lock.time is None:
+                # Vc's last re-entry into the window ends the last excursion.
+                reentry = None
+                if self.published == WITHIN and self.actual_region == WITHIN:
+                    reentry = self.excursions[-1][1] if self.excursions else 0
+                lock.update(now, v, up, dn, metastable, reentry)
+                if lock.time is not None and stop_after is not None:
+                    end = min(end, lock.time + stop_after)
+            k += 1
+            n_used = self._hot
+            es = ref_edge(k) + offsets[n_used]
             due = es - half
             opp_next = True
 
+        self.next_cycle = (es, k, n_used)
+        self.totals.first_clean_sample_fs = first_clean
         self.now = end
         self._advance_vc(end)
         self.vc_trace.append((end, self.vc))
@@ -706,7 +697,6 @@ class Simulation:
         m.vc_final = self.vc
         # Cycles are numbered from 2 (see __init__), one per detector event.
         m.pd_event_count = self.next_cycle[1] - 2
-        m.first_clean_sample_fs = self.first_clean_sample
         m.excursions = [e for e in self.excursions if e[1] is not None]
         if m.excursions:
             div = self.K * self.T
@@ -720,8 +710,7 @@ class Simulation:
             T = self.T
             m.sampling_phase_ui = _circular_mean([(t % T) / T
                                                   for t in self._phase_hist])
-        tx_jit, rx_jit = self.jitter
-        quiet = tx_jit.is_quiet and (scn.correlated or rx_jit.is_quiet)
+        quiet = all(spec.is_quiet for spec in self.jitter)
         if quiet and m.sampling_phase_ui is not None and scn.pattern == "prbs15":
             center = _oracle.eye_center_phase(
                 self.bits,

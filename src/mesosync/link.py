@@ -115,10 +115,11 @@ class RxWaveform:
     query walks from there, or from the nominal grid when it lands more than
     a few periods away, so every answer is exact for any time and any query
     order.  Samplers move forward about one bit per cycle: a walk of exactly
-    one bit shifts the window by one and reads only bit k+2; any other move
-    reads the window again.  ``phase_detector.Sampler.sample`` reads the
-    cursor directly (``_seek``, then the bit and its nearest transitions),
-    and the harness takes the sampled bit's index from ``bit_index``.
+    one bit shifts the window by one, reads only bit k+2 (from the stored
+    period) and finds the nearest transitions; any other move reads the
+    window one bit back and takes that same step.  ``Sampler.sample`` reads
+    the cursor directly (``_seek``, then the bit and its nearest
+    transitions), and the harness takes the bit's index from ``bit_index``.
     """
 
     def __init__(self, bits: BitSource, cfg: ChannelConfig, tx_clock: ClockGen):
@@ -130,7 +131,11 @@ class RxWaveform:
         self._half = cfg.transition_time // 2
         # The line's level for bit 0 and bit 1.
         self._levels = (-cfg.swing / 2.0, cfg.swing / 2.0)
-        self._place(0, self.boundary(0), self.boundary(1))
+        # The pattern's stored period, which a one-bit step reads directly.
+        self._stored, self._pattern_period = bits._bits, bits._period
+        # No bit yet: the first query reads the whole window (see _seek).
+        self.bit_index = -2
+        self._lo = self._hi = -(1 << 62)
 
     def boundary(self, k: int) -> SimTime:
         """Receiver-side start instant of bit k."""
@@ -154,46 +159,44 @@ class RxWaveform:
             k -= 1
             hi = lo
             lo = edge(k) + delay
-        if k == self.bit_index + 1:
-            # One bit forward: shift the window, read only the new bit k+2.
-            self._lo_prev = self._lo
-            self.bit_index, self._lo, self._hi = k, lo, hi
-            self._prev2, self._prev, self._bit, self._next = (
-                self._prev, self._bit, self._next, self._next2)
-            self._next2 = self.bits.bit(k + 2)
-            self._transitions()
-        elif k != self.bit_index:
-            self._place(k, lo, hi)
-
-    def _place(self, k: int, lo: SimTime, hi: SimTime) -> None:
-        """Set the cursor to bit k, which spans [lo, hi)."""
-        bit = self.bits.bit
-        b = bit(k)
+        if k != self.bit_index + 1:
+            if k == self.bit_index:
+                return
+            self._place(k)
+        # One bit forward: shift the window and read only the new bit k+2,
+        # from the stored period once it holds that bit.
+        self._lo_prev = self._lo
         self.bit_index, self._lo, self._hi = k, lo, hi
-        # Below bit 2 the missing neighbours repeat bit 0; the transition
-        # rule reads bit k-2 only from k = 2 on.
-        self._prev2 = bit(k - 2) if k >= 2 else b
-        self._prev = bit(k - 1) if k else b
-        self._bit, self._next, self._next2 = b, bit(k + 1), bit(k + 2)
-        self._lo_prev = self.boundary(k - 1) if k else None
-        self._transitions()
-
-    def _transitions(self) -> None:
-        """Nearest transitions among boundaries k-1..k+2 on either side of
-        the bit; the outer boundary counts only without the inner one."""
-        b = self._bit
-        if self._prev != b:
-            self._left = self._lo
-        elif self.bit_index >= 2 and self._prev2 != b:
+        prev, b, nxt = self._bit, self._next, self._next2
+        self._prev2, self._prev, self._bit, self._next = self._prev, prev, b, nxt
+        stored = self._stored
+        j = (k + 2) % self._pattern_period
+        self._next2 = nxt2 = stored[j] if j < len(stored) else self.bits.bit(k + 2)
+        # The nearest transitions among boundaries k-1..k+2 on either side
+        # of the bit; the outer boundary counts only without the inner one.
+        if prev != b:
+            self._left = lo
+        elif k >= 2 and self._prev2 != b:
             self._left = self._lo_prev
         else:
             self._left = None
-        if self._next != b:
-            self._right = self._hi
-        elif self._next2 != b:
-            self._right = self.boundary(self.bit_index + 2)
+        if nxt != b:
+            self._right = hi
+        elif nxt2 != b:
+            self._right = edge(k + 2) + delay
         else:
             self._right = None
+
+    def _place(self, k: int) -> None:
+        """Read the window as it stands on bit k - 1, for ``_seek`` to step
+        onto bit k.  The bits before bit 0 repeat it; the transition rule
+        reads bit k-2 only from k = 2 on."""
+        bit = self.bits.bit
+        b = bit(k)
+        prev = bit(k - 1) if k else b
+        self._prev = bit(k - 2) if k >= 2 else prev
+        self._bit, self._next, self._next2 = prev, b, bit(k + 1)
+        self._lo = self.boundary(k - 1) if k else None
 
     def bit_at(self, t: SimTime) -> int:
         """Index of the bit whose interval contains t; 0 for t < boundary(0)."""

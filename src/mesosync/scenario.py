@@ -205,6 +205,9 @@ class Scenario:
                 if not math.isfinite((spec.sin_amp_ui
                                       + GAUSS_MAX * spec.gauss_sigma_ui) * T):
                     raise ValueError("jitter overflows a clock edge in fs")
+                if side == "rx" and self.correlated and not spec.is_quiet:
+                    # The receive clock is then the transmit clock.
+                    raise ValueError("must be 0 while jitter.correlated is true")
             keys = ("channel.n, channel.alpha, channel.transition_time_ui, "
                     "channel.swing_v, sim.bit_rate_hz")
             self.channel_config()

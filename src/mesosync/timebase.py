@@ -84,7 +84,11 @@ class Rng:
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def coin(self) -> int:
-        return self.next_u64() & 1
+        """``next_u64() & 1``, with its one SplitMix64 step in this body."""
+        z = self._state = (self._state + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return (z ^ (z >> 31)) & 1
 
 
 def derive_seed(base_seed: int, index: int) -> int:

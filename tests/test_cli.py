@@ -182,6 +182,19 @@ def test_jitter_error_names_only_its_clock(capsys):
     assert "jitter.rx.sin_amp_ui" in err and "jitter.tx." not in err
 
 
+@pytest.mark.parametrize("key, value", [("jitter.rx.sin_amp_ui", "0.45"),
+                                        ("jitter.rx.gauss_sigma_ui", "0.02")])
+def test_rx_jitter_on_correlated_clocks_is_refused(key, value, capsys):
+    # With jitter.correlated = true the receive clock is the transmit
+    # clock, so receive-clock jitter would go unused: it is refused.
+    code = main(["run", SCN, "--duration", "0.1", "--set", f"{key}={value}",
+                 "--set", "jitter.rx.sin_freq_hz=200e6"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("scenario error:")
+    assert key in out.err and "jitter.correlated" in out.err
+
+
 def test_bit_period_of_0_fs_is_refused_as_such(capsys):
     code = main(["run", SCN, "--duration", "0.1", "--set", "sim.bit_rate_hz=1e20"])
     assert code == 2

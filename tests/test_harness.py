@@ -143,21 +143,22 @@ def test_transfer_blocks_match_default(monkeypatch, default_block_runs, block):
     # number of cycles run.
     t_centers = []
     cycles = 0
-    on_cycle = Simulation._on_cycle
+    step = harness.alexander_step
 
     def recording_transfer(events, phases, rx_clock, chain, lookahead=0):
         out = cdt_transfer(events, phases, rx_clock, chain, lookahead=lookahead)
         t_centers.extend(ev[2] for ev in events[:len(out)])
         return out
 
-    def counted_cycle(self, k, n_used):
+    def counted_step(*args):
+        # One detector decision per cycle.
         nonlocal cycles
         cycles += 1
-        on_cycle(self, k, n_used)
+        return step(*args)
 
     monkeypatch.setattr(harness, "_CDT_BLOCK", block)
     monkeypatch.setattr(harness, "cdt_transfer", recording_transfer)
-    monkeypatch.setattr(Simulation, "_on_cycle", counted_cycle)
+    monkeypatch.setattr(harness, "alexander_step", counted_step)
     for (scn, kw, code), ref in zip(BLOCK_RUNS, default_block_runs):
         t_centers.clear()
         cycles = 0
@@ -284,33 +285,36 @@ def test_latency_bin_needs_no_round():
     assert all(round(k / 10, 1) == k / 10 for k in range(-100_000, 100_000))
 
 
-def test_phase_wrap_opp_reads_vc_backwards():
+def test_phase_wrap_opp_reads_vc_backwards(monkeypatch):
     # When the ring steps from the last phase to phase 0, the next cycle's
     # OPP lies before the CYCLE just run (here cycle 113's OPP, 0.4 T before
     # cycle 112's CYCLE), and a crossing in between has already moved the
-    # segment origin past it.  _vc_at then reads Vc at dt < 0, which
+    # segment origin past it.  The OPP then reads Vc at dt < 0, which
     # pump_integrate refuses; the segment's linear expression is what it
     # uses.  The run is `run --set loop.vc_init_v=-0.0 --duration 0.5`.
+    # OPP and CYCLE are watched through their samplers: cycle k's OPP is
+    # the edge sampler's (k - 1)th sample, cycles being numbered from 2.
     scn = replace(apply_settings(load_scenario(SCN_FILE), {"loop.vc_init_v": "-0.0"}),
                   duration_us=0.5)
     sim = Simulation(scn, keep_traces=True)
-    on_opp, on_cycle = sim._on_opp, sim._on_cycle
+    sample = phase_detector.Sampler.sample
+    opps = 0
     last_cycle = None
     backward = []
 
-    def opp():
-        on_opp()
+    def watched_sample(self, waveform, t, rng):
+        nonlocal opps, last_cycle
+        if self is sim.center_sampler:
+            last_cycle = sim.now
+            return sample(self, waveform, t, rng)
+        opps += 1
         if last_cycle is not None and sim.now < last_cycle:
             v = sim.vc + sim.i * (sim.now - sim.t_vc) / FS_PER_SECOND / sim.pump.c_filter
             assert sim._delay_vc == clamp_voltage(v, sim.pump.v_dd)
-            backward.append((sim.next_cycle[1], sim.now, last_cycle, sim.t_vc))
+            backward.append((opps + 1, sim.now, last_cycle, sim.t_vc))
+        return sample(self, waveform, t, rng)
 
-    def cycle(k, n_used):
-        nonlocal last_cycle
-        on_cycle(k, n_used)
-        last_cycle = sim.now
-
-    sim._on_opp, sim._on_cycle = opp, cycle
+    monkeypatch.setattr(phase_detector.Sampler, "sample", watched_sample)
     m = sim.run()
     assert m.counter_path[:3] == [0, 9, 0]
     assert backward == [(113, 86_538_488, 86_846_180, 86_674_856)]
@@ -427,16 +431,21 @@ def test_divided_clock_cadence():
     assert scn.k_divide * scn.period in diffs
 
 
-def test_event_tiebreak_order():
+def test_event_tiebreak_order(monkeypatch):
     # Simultaneous events run in fixed module priority, then insertion
     # order: the predicted window crossing, kept in its slot beside the
     # heap, runs first, then the heap events, and the cycle slot's OPP or
     # CYCLE last.
+    # OPP is watched through the edge sampler, and CYCLE through the
+    # detector event it appends: (cycle index, selected phase), the index
+    # counting cycles from 2.  The run ends at the probe instant.
     from mesosync.harness import PRIO_DIVIDED, PRIO_PUBLISH, PRIO_PUMP
     t = 999
+    sample = phase_detector.Sampler.sample
     for last in ("cycle", "opp"):
-        sim = Simulation(replace(BASE, duration_us=0.1))
+        sim = Simulation(replace(BASE, duration_us=t / 1e9))
         end = sim.scn.duration_fs
+        assert end == t
         popped = []
 
         def recorder(name):
@@ -445,14 +454,23 @@ def test_event_tiebreak_order():
                     popped.append((name, args))
                 if name == "crossing":
                     sim.cross = None
-                elif name == "cycle":
-                    # No further cycle inside the run.
-                    sim.next_cycle = (end + sim.T, 0, 0)
             return handler
 
-        for name in ("crossing", "publish", "strong_end", "divided", "pump",
-                     "opp", "cycle"):
+        class CycleEvents(list):
+            def append(self, event):
+                if sim.now == t:
+                    popped.append(("cycle", (len(self) + 2, event[3])))
+                super().append(event)
+
+        def watched_sample(self, waveform, t_sample, rng):
+            if self is sim.edge_sampler and sim.now == t:
+                popped.append(("opp", ()))
+            return sample(self, waveform, t_sample, rng)
+
+        for name in ("crossing", "publish", "strong_end", "divided", "pump"):
             setattr(sim, f"_on_{name}", recorder(name))
+        sim.pd_pending = CycleEvents()
+        monkeypatch.setattr(phase_detector.Sampler, "sample", watched_sample)
         for prio in (PRIO_PUMP, PRIO_DIVIDED, PRIO_PUBLISH):
             sim._push(t, prio, ("probe",))
         sim._push(t, PRIO_PUMP, ("probe2",))
@@ -476,31 +494,32 @@ def test_event_tiebreak_order():
         ], last
 
 
-def test_crossings_never_enter_the_heap():
+def test_crossings_never_enter_the_heap(monkeypatch):
     # Only the newest predicted crossing is valid, so it lives in the slot
     # beside the heap, and each cycle sets the next one in the cycle slot:
     # no heap entry carries the crossing, OPP or CYCLE priority, and the
     # locked run still sees its window crossings.
     from mesosync.harness import PRIO_CROSSING, PRIO_CYCLE, PRIO_OPP
     slot_prios = {PRIO_CROSSING, PRIO_OPP, PRIO_CYCLE}
+    # The heap is checked at every OPP and CYCLE sample, so both before
+    # and after each cycle's own pushes.
     sim = Simulation(replace(BASE, alpha=0.3, duration_us=1.0))
-    on_cycle = sim._on_cycle
+    sample = phase_detector.Sampler.sample
     on_crossing = sim._on_crossing
     cycles = crossings = 0
 
-    def checked_cycle(*args):
+    def checked_sample(self, waveform, t, rng):
         nonlocal cycles
         assert all(entry[1] not in slot_prios for entry in sim.heap)
-        on_cycle(*args)
-        assert all(entry[1] not in slot_prios for entry in sim.heap)
-        cycles += 1
+        cycles += self is sim.center_sampler
+        return sample(self, waveform, t, rng)
 
     def counted_crossing(*args):
         nonlocal crossings
         on_crossing(*args)
         crossings += 1
 
-    sim._on_cycle = checked_cycle
+    monkeypatch.setattr(phase_detector.Sampler, "sample", checked_sample)
     sim._on_crossing = counted_crossing
     m = sim.run()
     assert m.locked

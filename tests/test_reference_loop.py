@@ -1,7 +1,9 @@
 """A plain reference loop against which every scheduling shortcut is exact.
 
 ``ReferenceSimulation`` runs the model of ``harness.Simulation`` with each
-shortcut of the harness turned off:
+shortcut of the harness turned off.  It owns the definitional OPP and
+CYCLE handlers, which ``Simulation.run`` runs inline, so the two loops are
+independent implementations of the detector cycle:
 
 * one plain heap: window crossings at priority 0 (a new prediction voids
   the older ones), OPP and CYCLE at priorities 5 and 6, no slots;
@@ -10,7 +12,7 @@ shortcut of the harness turned off:
 * every Vc read evaluates the segment's linear expression and computes a
   fresh VCDL delay (no memo); the read may lie before the segment origin
   at a phase wrap, so it cannot go through ``pump_integrate``;
-* one transfer-chain call at the end of the run;
+* one transfer-chain call at the end of the run (``_finalize``'s);
 * a ``ClockGen`` for every clock, quiet ones too, generating one edge at a
   time;
 * an eye histogram that reads every bin with ``value_at``;
@@ -31,14 +33,24 @@ from hypothesis import strategies as st
 from mesosync import (defaults_130nm, defaults_65nm, experiments, harness,
                       phase_detector, timebase)
 from mesosync.fine_loop import pump_current, pump_integrate, vcdl_delay
+from mesosync.coarse_loop import WITHIN
 from mesosync.harness import (
     PRIO_CROSSING,
     PRIO_CYCLE,
     PRIO_DIVIDED,
     PRIO_OPP,
+    PRIO_PUMP,
     Simulation,
 )
 from mesosync.link import RxWaveform
+from mesosync.phase_detector import (
+    HOLD,
+    PD_PIPELINE_CYCLES,
+    STOCHASTIC,
+    AlexanderState,
+    MetastabilityModel,
+    alexander_step,
+)
 from mesosync.scenario import ScenarioError, apply_settings
 from mesosync.timebase import (
     FS_PER_SECOND,
@@ -60,13 +72,14 @@ class ReferenceSimulation(Simulation):
         self._cross_gen = 0  # the number of the one valid crossing
         self.center_sampler = DefinitionalSampler(self.center_sampler.model)
         self.edge_sampler = DefinitionalSampler(self.edge_sampler.model)
+        self.alex = AlexanderState()
+        self._edge_sample = 0  # set by each cycle's OPP, read by its CYCLE
 
     def _vc_at(self, t):
+        # The segment's linear expression: at a phase wrap an OPP may lie
+        # before the segment origin, which pump_integrate refuses.
         v = self.vc + self.i * (t - self.t_vc) / FS_PER_SECOND / self.pump.c_filter
-        v = clamp_voltage(v, self.pump.v_dd)
-        self._delay_vc = v
-        self._delay_fs = vcdl_delay(v, self.curve)
-        return v
+        return clamp_voltage(v, self.pump.v_dd)
 
     def _advance_vc(self, t):
         self.vc, clamped = pump_integrate(self.vc, self.i, t - self.t_vc, self.pump)
@@ -96,22 +109,45 @@ class ReferenceSimulation(Simulation):
         if gen == self._cross_gen:
             self._on_crossing(after)
 
+    def _on_opp(self):
+        t_sample = self.now + vcdl_delay(self._vc_at(self.now), self.curve)
+        self._edge_sample = self.edge_sampler.sample(self.waveform, t_sample,
+                                                     self.rng_meta)
+
     def _on_cycle(self, k, n_used):
-        super()._on_cycle(k, n_used)
-        # Every event stays pending until the end (see _transfer), so the
-        # last one is this cycle's: its bit index comes from bit_at.
-        _, retimed, t_center, n = self.pd_pending[-1]
-        self.pd_pending[-1] = (self.waveform.bit_at(t_center), retimed, t_center, n)
+        hold = self.hold_until_fs
+        if hold is not None and self.now >= hold:
+            model = self.center_sampler.model
+            if model.resolution_mode == HOLD:
+                stoch = MetastabilityModel(model.time_window_tw, STOCHASTIC)
+                self.center_sampler.model = self.edge_sampler.model = stoch
+        v = self._vc_at(self.now)
+        t_center = self.now + vcdl_delay(v, self.curve)
+        center = self.center_sampler.sample(self.waveform, t_center, self.rng_meta)
+        metastable = self.center_sampler.last_was_metastable
+        m = self.totals
+        if m.first_clean_sample_fs is None and not metastable:
+            if hold is None or self.now >= hold:
+                m.first_clean_sample_fs = t_center
+        up, dn, retimed, self.alex = alexander_step(self.alex,
+                                                    self._edge_sample, center)
+        # Every event stays pending until the end of the run.
+        self.pd_pending.append((self.waveform.bit_at(t_center), retimed,
+                                t_center, n_used))
+        self._push(t_center + PD_PIPELINE_CYCLES * self.T, PRIO_PUMP, (dn, up))
+        self._phase_hist.append(t_center)
+        if self.lock.time is None:
+            reentry = None
+            if self.published == WITHIN and self.actual_region == WITHIN:
+                reentry = self.excursions[-1][1] if self.excursions else 0
+            self.lock.update(self.now, v, up, dn, metastable, reentry)
+        n_next = self.ring.hot_index
+        self.next_cycle = (self.dll.edge(n_next, k + 1), k + 1, n_next)
 
     def _push_cycle(self):
-        _, k, n_used = self.next_cycle
-        es = self.dll.edge(n_used, k)
+        es, k, n_used = self.next_cycle
         self._push(es - self.T // 2, PRIO_OPP, ())
         self._push(es, PRIO_CYCLE, (k, n_used))
-
-    def _transfer(self, lookahead):
-        if lookahead == 0:
-            super()._transfer(lookahead)
 
     def _eye_histogram(self):
         scn = self.scn

@@ -140,13 +140,15 @@ def test_jitter_edge_offsets_fit_in_fs():
     # One Rng.gauss draw never exceeds its largest radius, at the smallest
     # uniform it draws, so GAUSS_MAX bounds every gaussian edge offset.
     assert math.sqrt(-2.0 * math.log(2.0**-53)) < GAUSS_MAX
-    T = defaults_130nm().period
+    # Receive-clock jitter needs uncorrelated clocks.
+    base = replace(defaults_130nm(), correlated=False)
+    T = base.period
     largest = sys.float_info.max / T
     for key in ("tx_sin_amp_ui", "rx_sin_amp_ui"):
-        replace(defaults_130nm(), **{key: largest / 2})
-        with pytest.raises(ScenarioError, match="jitter"):
-            replace(defaults_130nm(), **{key: largest * 2})
+        replace(base, **{key: largest / 2})
+        with pytest.raises(ScenarioError, match="overflows"):
+            replace(base, **{key: largest * 2})
     for key in ("tx_gauss_sigma_ui", "rx_gauss_sigma_ui"):
-        replace(defaults_130nm(), **{key: largest / GAUSS_MAX / 2})
-        with pytest.raises(ScenarioError, match="jitter"):
-            replace(defaults_130nm(), **{key: largest / GAUSS_MAX * 2})
+        replace(base, **{key: largest / GAUSS_MAX / 2})
+        with pytest.raises(ScenarioError, match="overflows"):
+            replace(base, **{key: largest / GAUSS_MAX * 2})

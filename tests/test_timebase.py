@@ -38,6 +38,16 @@ def test_rng_reference_vectors():
     assert [rng.next_u64() for _ in range(3)] == SPLITMIX64_SEED_1234567
 
 
+@pytest.mark.parametrize("seed", [0, 1234567, derive_seed(0, 0),
+                                  derive_seed(1234567, 3), derive_seed(29, 7)])
+def test_rng_coin_is_low_bit_of_next_u64(seed):
+    # coin() runs its SplitMix64 step in its own body; its stream is the
+    # low bit of next_u64's from a twin generator.
+    a, b = Rng(seed), Rng(seed)
+    assert [a.coin() for _ in range(10_000)] == [b.next_u64() & 1
+                                                 for _ in range(10_000)]
+
+
 def test_rng_determinism():
     a, b = Rng(99), Rng(99)
     assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
