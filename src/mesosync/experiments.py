@@ -107,7 +107,7 @@ def false_lock_experiment(
     hold_scn = replace(base, resolution="hold", duration_us=phase1_us)
     hold_m = run(hold_scn, keep_traces=True)
     v0 = hold_scn.vc_start()
-    dvc = max((abs(v - v0) for _, v in hold_m.vc_trace), default=0.0)
+    dvc = max((abs(v - v0) for v in hold_m.vc_volts), default=0.0)
 
     stoch_runs = []
     for i in range(n_seeds):

@@ -65,12 +65,16 @@ detector events pass through ``cdt_transfer`` together with the three
 events after them that their deliveries depend on; each of its stages
 walks its clock's edges once per block.  BER, violation and
 latency figures are folded into running totals, so memory does not hold
-one record per simulated bit.  Each block also folds the control-voltage
-points into the post-lock Vc extremes and lets the clocks drop the edges
-more than ``_EDGE_LOOKBACK`` periods old.  Unless a run keeps its traces
-(``keep_traces``, which ``--out`` sets), ``vc_trace`` and
-``counter_trace`` come back empty and a run's memory does not grow with
-its length.
+one record per simulated bit.  Each block also lets the clocks drop the
+edges more than ``_EDGE_LOOKBACK`` periods old, and takes the block's
+control-voltage points (``vc_trace``, one ``(t, v)`` tuple per point) but
+those set at ``now``: it folds the post-lock ones into the Vc extremes and
+then, if the run keeps its traces (``keep_traces``, which ``--out`` sets),
+moves them into the record's two columns, ``vc_times`` (fs, ``array('q')``)
+and ``vc_volts`` (``array('d')``), 16 B a point; otherwise it drops them.
+``_finalize`` takes the rest the same way.  Without ``keep_traces`` the
+columns and ``counter_trace`` come back empty and a run's memory does not
+grow with its length.
 
 A locked run that keeps its traces ends with the eye histogram: the
 receive waveform at each bin centre of ``_EYE_BITS`` bits from lock,
@@ -84,6 +88,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
@@ -150,11 +155,12 @@ _EDGE_LOOKBACK = 2048
 
 @dataclass
 class RunMetrics:
-    """Everything a run reports; traces are strictly time-ordered.
+    """Everything a run reports; traces are in time order (instants may
+    repeat).
 
-    ``vc_trace``, ``counter_trace`` and ``eye_hist`` are filled only when
-    the run keeps its traces (``keep_traces``); otherwise they stay empty
-    (``eye_hist`` None).
+    The Vc trace (``vc_times``, ``vc_volts``), ``counter_trace`` and
+    ``eye_hist`` are filled only when the run keeps its traces
+    (``keep_traces``); otherwise they stay empty (``eye_hist`` None).
     """
 
     scenario: Scenario
@@ -180,7 +186,8 @@ class RunMetrics:
     vc_peak_to_peak_post_lock: float | None = None
     pd_event_count: int = 0
     duration_fs: int = 0
-    vc_trace: list = field(default_factory=list)
+    vc_times: array = field(default_factory=lambda: array("q"))
+    vc_volts: array = field(default_factory=lambda: array("d"))
     counter_trace: list = field(default_factory=list)
     counter_path: list = field(default_factory=list)
     excursions: list = field(default_factory=list)
@@ -304,8 +311,7 @@ class Simulation:
 
         # The run's one record (see the module docstring).
         self.totals = RunMetrics(scenario=scn, counter_path=[self._hot])
-        # Traces and bookkeeping.  Without keep_traces each transfer block
-        # folds vc_trace into the post-lock extremes and empties it.
+        # The Vc points since the last transfer block (see _move_vc).
         self.vc_trace: list[tuple[SimTime, float]] = [(0, self.vc)]
         self._vc_hi: float | None = None
         self._vc_lo: float | None = None
@@ -316,7 +322,8 @@ class Simulation:
         self.chain = scn.cdt_chain()
         self._lat_sum = 0.0
         self._lat_hist: dict[float, int] = {}
-        self.excursions: list[tuple[SimTime, SimTime | None]] = []
+        # The open window excursion's start; closed ones go into the record.
+        self._excursion_start: SimTime | None = None
         self.lock = LockDetector(scn, self.window, self.pump)
         # The last mid-eye sample instants; _finalize takes their phases.
         self._phase_hist: deque = deque(maxlen=_PHASE_HISTORY)
@@ -324,7 +331,7 @@ class Simulation:
         self.actual_region = window_classify(self.vc, self.window)
         self.published = self.actual_region
         if self.actual_region != WITHIN:
-            self.excursions.append((0, None))
+            self._excursion_start = 0
 
     # -- scheduling ------------------------------------------------------
 
@@ -395,10 +402,10 @@ class Simulation:
         prev = self.actual_region
         self.actual_region = after
         if prev == WITHIN and after != WITHIN:
-            self.excursions.append((self.now, None))
+            self._excursion_start = self.now
         elif prev != WITHIN and after == WITHIN:
-            if self.excursions and self.excursions[-1][1] is None:
-                self.excursions[-1] = (self.excursions[-1][0], self.now)
+            self.totals.excursions.append((self._excursion_start, self.now))
+            self._excursion_start = None
         self._push(self.now + self.window.trip_delay, PRIO_PUBLISH, (after,))
         self._predict_crossing()
 
@@ -496,17 +503,12 @@ class Simulation:
         forget = self.now // self.T - _EDGE_LOOKBACK
         for clock in self._clocks:
             clock.forget_before(forget)
-        if not self.keep_traces:
-            if start is not None:
-                self._fold_vc(start)
-                self.vc_trace.clear()
-            else:
-                # A lock declared at this instant still counts the points
-                # set at it before this cycle.
-                now = self.now
-                self.vc_trace[:] = [p for p in self.vc_trace if p[0] == now]
+        # A lock declared at this instant still folds the points set at it.
+        self._move_vc(bisect_left(self.vc_trace, self.now, key=lambda p: p[0]))
         # The block's tallies run in locals and go into the record once.
-        bit = self.bits.bit
+        # Every delivered bit lies in the stored period: the waveform read
+        # two bits past it when the detector sampled it.
+        stored, period = self.bits._bits, self.bits._period
         hist = self._lat_hist
         T = self.T
         m = self.totals
@@ -524,7 +526,7 @@ class Simulation:
             if t_deliver <= 0:
                 missed += 1
                 continue
-            if value != bit(bit_id):
+            if value != stored[bit_id % period]:
                 errors += 1
             x = (t_deliver - t_center) / T
             # Summed left to right in delivery order, so the mean does not
@@ -543,17 +545,27 @@ class Simulation:
         m.missed_deliveries_post_lock += missed
         m.ber_errors += errors
 
-    def _fold_vc(self, start: SimTime):
-        """Fold the vc_trace points at or after ``start`` into the running
-        post-lock Vc extremes."""
-        hi, lo = self._vc_hi, self._vc_lo
-        for t, v in self.vc_trace:
-            if t >= start:
-                if hi is None or v > hi:
-                    hi = v
-                if lo is None or v < lo:
-                    lo = v
-        self._vc_hi, self._vc_lo = hi, lo
+    def _move_vc(self, j: int):
+        """Take the first ``j`` points of ``vc_trace``: fold those at or
+        after the measurement start into the post-lock Vc extremes, then
+        move them into the record's columns if the run keeps its traces."""
+        block = self.vc_trace
+        moved = block[:j]
+        del block[:j]
+        start = self._measure_start()
+        if start is not None:
+            hi, lo = self._vc_hi, self._vc_lo
+            for t, v in moved:
+                if t >= start:
+                    if hi is None or v > hi:
+                        hi = v
+                    if lo is None or v < lo:
+                        lo = v
+            self._vc_hi, self._vc_lo = hi, lo
+        if moved and self.keep_traces:
+            times, volts = zip(*moved)
+            self.totals.vc_times.extend(times)
+            self.totals.vc_volts.extend(volts)
 
     # -- main loop ---------------------------------------------------------
 
@@ -590,6 +602,7 @@ class Simulation:
         hold_until, stop_after = self.hold_until_fs, self.stop_after_lock_fs
         alex = AlexanderState()
         first_clean = None
+        excursions = self.totals.excursions
         es, k, n_used = self.next_cycle
         # The cycle slot's next event: OPP at es - T/2, then CYCLE at es.
         due = es - half
@@ -662,7 +675,7 @@ class Simulation:
                 # Vc's last re-entry into the window ends the last excursion.
                 reentry = None
                 if self.published == WITHIN and self.actual_region == WITHIN:
-                    reentry = self.excursions[-1][1] if self.excursions else 0
+                    reentry = excursions[-1][1] if excursions else 0
                 lock.update(now, v, up, dn, metastable, reentry)
                 if lock.time is not None and stop_after is not None:
                     end = min(end, lock.time + stop_after)
@@ -692,12 +705,10 @@ class Simulation:
         m.duration_fs = end
         m.lock_time_fs = self.lock.time
         m.locked = m.lock_time_fs is not None
-        m.vc_trace = self.vc_trace if self.keep_traces else []
         m.final_hot = self.ring.hot_index
         m.vc_final = self.vc
         # Cycles are numbered from 2 (see __init__), one per detector event.
         m.pd_event_count = self.next_cycle[1] - 2
-        m.excursions = [e for e in self.excursions if e[1] is not None]
         if m.excursions:
             div = self.K * self.T
             m.excursion_max_divided = max((b - a) / div for a, b in m.excursions)
@@ -731,11 +742,9 @@ class Simulation:
             if delivered:
                 m.latency_mean_t = self._lat_sum / delivered
                 m.latency_hist = sorted(self._lat_hist.items())
-            start = self._measure_start()
-            if start is not None:
-                self._fold_vc(start)
-                if self._vc_hi is not None:
-                    m.vc_peak_to_peak_post_lock = self._vc_hi - self._vc_lo
+        self._move_vc(len(self.vc_trace))
+        if self._vc_hi is not None:
+            m.vc_peak_to_peak_post_lock = self._vc_hi - self._vc_lo
 
         if self.keep_traces and m.locked:
             m.eye_hist = self._eye_histogram()

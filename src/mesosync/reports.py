@@ -25,7 +25,7 @@ def write_outputs(m: RunMetrics, outdir: str | Path) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "vc_trace.csv", "time_fs,vc_volts\n",
-           (f"{t},{v:.9f}\n" for t, v in m.vc_trace))
+           (f"{t},{v:.9f}\n" for t, v in zip(m.vc_times, m.vc_volts)))
     _write(out / "counter_trace.csv",
            "time_fs,hot_index,enable,updn,up_strong,dn_strong\n",
            (f"{t},{hot},{en},{updn},{su},{sd}\n"

@@ -53,8 +53,9 @@ def test_latency_and_violations(locked_run):
 
 
 def test_traces_time_ordered(locked_run):
-    ts = [t for t, _ in locked_run.vc_trace]
+    ts = list(locked_run.vc_times)
     assert ts and ts == sorted(ts)
+    assert len(locked_run.vc_volts) == len(ts)
     ts = [row[0] for row in locked_run.counter_trace]
     assert ts and ts == sorted(ts)
 
@@ -92,11 +93,11 @@ def test_run_metrics_memory_per_cycle():
     assert peak / m.pd_event_count < 350
 
 
-def _traced_peak(scn) -> int:
+def _traced_peak(scn, **options) -> int:
     gc.collect()
     tracemalloc.start()
     try:
-        run(scn)
+        run(scn, **options)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -108,6 +109,18 @@ def test_run_memory_does_not_grow_with_length():
     short = _traced_peak(replace(BASE, alpha=0.3, duration_us=3.0))
     long = _traced_peak(replace(BASE, alpha=0.3, duration_us=8.0))
     assert long < 1.5 * short
+
+
+def test_kept_trace_memory_per_cycle():
+    # A run that keeps its traces holds each Vc point in two typed columns,
+    # 16 B, about one point per cycle; the counter trace adds a row per
+    # coarse step.  Tuples in a list held about 128 B per cycle.
+    short = replace(BASE, alpha=0.3, duration_us=3.0)
+    long = replace(BASE, alpha=0.3, duration_us=8.0)
+    growth = (_traced_peak(long, keep_traces=True)
+              - _traced_peak(short, keep_traces=True))
+    cycles = (long.duration_fs - short.duration_fs) // BASE.period
+    assert growth / cycles <= 40
 
 
 # Runs that cross transfer-chain blocks in each measurement state: locked,
@@ -190,11 +203,12 @@ def test_keep_traces_changes_no_metric(i):
     assert kept.exit_code == code
     assert (sum(c for _, c in kept.latency_hist)
             == kept.ber_bits - kept.missed_deliveries_post_lock)
-    assert kept.vc_trace and kept.counter_trace
+    assert kept.vc_times and kept.counter_trace
+    assert len(kept.vc_volts) == len(kept.vc_times)
     assert (kept.eye_hist is not None) == kept.locked
-    assert lean.vc_trace == [] and lean.counter_trace == []
+    assert not lean.vc_times and not lean.vc_volts and lean.counter_trace == []
     assert lean.eye_hist is None
-    traces = ("vc_trace", "counter_trace", "eye_hist")
+    traces = ("vc_times", "vc_volts", "counter_trace", "eye_hist")
     assert ({k: v for k, v in _run_fields(kept).items() if k not in traces}
             == {k: v for k, v in _run_fields(lean).items() if k not in traces})
 
@@ -399,7 +413,7 @@ def test_zero_duration_is_empty():
     # t = 0: the ring's start is its one counter_path entry.
     scn = replace(BASE, duration_us=0.0)
     lean = run(scn)
-    assert lean.vc_trace == [] and lean.counter_trace == []
+    assert not lean.vc_times and not lean.vc_volts and lean.counter_trace == []
     assert lean.ber_bits == 0 and lean.ber_errors == 0
     for m in (lean, run(scn, keep_traces=True)):
         assert not m.locked and m.pd_event_count == 0
@@ -650,8 +664,9 @@ def test_sweep_same_seed_identical():
     b = sweep(replace(BASE, duration_us=4.0), "channel.alpha", grid,
               stop_after_lock_us=0.5, keep_traces=True)
     assert [m.lock_time_fs for m in a] == [m.lock_time_fs for m in b]
-    assert all(m.vc_trace for m in a)
-    assert [m.vc_trace for m in a] == [m.vc_trace for m in b]
+    assert all(m.vc_times for m in a)
+    assert [m.vc_times for m in a] == [m.vc_times for m in b]
+    assert [m.vc_volts for m in a] == [m.vc_volts for m in b]
 
 
 def test_sweep_propagates_failures_without_aborting():

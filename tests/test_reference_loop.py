@@ -139,7 +139,8 @@ class ReferenceSimulation(Simulation):
         if self.lock.time is None:
             reentry = None
             if self.published == WITHIN and self.actual_region == WITHIN:
-                reentry = self.excursions[-1][1] if self.excursions else 0
+                excursions = self.totals.excursions
+                reentry = excursions[-1][1] if excursions else 0
             self.lock.update(self.now, v, up, dn, metastable, reentry)
         n_next = self.ring.hot_index
         self.next_cycle = (self.dll.edge(n_next, k + 1), k + 1, n_next)
