@@ -209,7 +209,7 @@ class RunMetrics:
 class Simulation:
     """Single closed-loop run of a scenario.
 
-    ``keep_traces`` keeps ``vc_trace``, ``counter_trace`` and the eye
+    ``keep_traces`` keeps the Vc trace, ``counter_trace`` and the eye
     histogram in the result; without it their memory is not spent.
     ``stop_after_lock_us`` ends the run that long after lock.
     ``hold_until_us`` holds every metastable sample at its previous value
@@ -562,10 +562,10 @@ class Simulation:
                     if lo is None or v < lo:
                         lo = v
             self._vc_hi, self._vc_lo = hi, lo
-        if moved and self.keep_traces:
-            times, volts = zip(*moved)
-            self.totals.vc_times.extend(times)
-            self.totals.vc_volts.extend(volts)
+        if self.keep_traces:
+            # fromlist sizes the column once; extend grows it point by point.
+            self.totals.vc_times.fromlist([t for t, _ in moved])
+            self.totals.vc_volts.fromlist([v for _, v in moved])
 
     # -- main loop ---------------------------------------------------------
 

@@ -113,8 +113,9 @@ def test_run_memory_does_not_grow_with_length():
 
 def test_kept_trace_memory_per_cycle():
     # A run that keeps its traces holds each Vc point in two typed columns,
-    # 16 B, about one point per cycle; the counter trace adds a row per
-    # coarse step.  Tuples in a list held about 128 B per cycle.
+    # 16 B, about one point per cycle, and a counter-trace row per coarse
+    # step.  The bound leaves no room for a list of (t, v) tuples, which
+    # takes about 128 B per cycle.
     short = replace(BASE, alpha=0.3, duration_us=3.0)
     long = replace(BASE, alpha=0.3, duration_us=8.0)
     growth = (_traced_peak(long, keep_traces=True)
