@@ -88,15 +88,18 @@ def false_lock_experiment(
 ) -> FalseLockReport:
     """Three-legged study of the half-period unstable equilibrium.
 
-    Leg 1 holds every metastable sample at its previous value for
-    ``phase1_us``, pinning the loop at the wrong edge: the control voltage
-    must stay put and no lock may be declared.  Leg 2 repeats the hold
-    phase, then switches the comparators to random resolution for the
-    scenario's duration: every seed must escape the equilibrium and lock.
-    Leg 3 restores a snapshot near the correct lock, taken from a reference
-    run of the scenario's duration: the loop must never dwell at the false
-    equilibrium.  Legs 2 and 3 need at least one seed each; a reference run
-    that does not lock leaves leg 3 empty, which fails the study.
+    Leg 1 holds every metastable sample at its previous value for its
+    whole ``phase1_us`` run, pinning the loop at the wrong edge: the
+    control voltage must stay put and no lock may be declared.  Leg 2
+    repeats the hold phase, then resolves metastable samples by a coin for
+    the scenario's duration: every seed must escape the equilibrium and
+    lock.  Leg 3 restores a snapshot near the correct lock, taken from a
+    reference run of the scenario's duration: the loop must never dwell at
+    the false equilibrium.  Holding is a run option, not a scenario
+    setting: legs 1 and 2 hold through ``run``'s ``hold_until_us``, and the
+    reference run and leg 3 never hold.  Legs 2 and 3 need at least one
+    seed each; a reference run that does not lock leaves leg 3 empty, which
+    fails the study.
     """
     if n_seeds < 1:
         raise ScenarioError(f"the false-lock study needs at least one seed, "
@@ -104,9 +107,9 @@ def false_lock_experiment(
     alpha = false_lock_alpha(scn)
     base = replace(scn, alpha=alpha, pattern="alternating")
 
-    hold_scn = replace(base, resolution="hold", duration_us=phase1_us)
-    hold_m = run(hold_scn, keep_traces=True)
-    v0 = hold_scn.vc_start()
+    hold_m = run(replace(base, duration_us=phase1_us), keep_traces=True,
+                 hold_until_us=phase1_us)
+    v0 = base.vc_start()
     dvc = max((abs(v - v0) for v in hold_m.vc_volts), default=0.0)
 
     stoch_runs = []
@@ -128,19 +131,13 @@ def false_lock_experiment(
         )
 
     # Reference lock for the snapshot leg: same channel, random resolution.
-    ref = run(
-        replace(base, resolution="stochastic", seed=derive_seed(scn.seed, 99)),
-        stop_after_lock_us=0.5,
-    )
+    ref = run(replace(base, seed=derive_seed(scn.seed, 99)),
+              stop_after_lock_us=0.5)
     restored_runs = []
     if ref.locked:
         for i in range(n_seeds):
-            s = replace(
-                base,
-                resolution="stochastic",
-                seed=derive_seed(scn.seed, 200 + i),
-                snapshot_hot=ref.final_hot,
-            )
+            s = replace(base, seed=derive_seed(scn.seed, 200 + i),
+                        snapshot_hot=ref.final_hot)
             mm = run(s, stop_after_lock_us=0.5)
             restored_runs.append(
                 (s.seed, _us(mm.first_clean_sample_fs), _us(mm.lock_time_fs)))

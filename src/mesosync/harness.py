@@ -91,7 +91,7 @@ import math
 from array import array
 from bisect import bisect_left
 from collections import defaultdict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 
 from . import oracle as _oracle
@@ -109,15 +109,7 @@ from .dll_cdt import cdt_transfer
 from .fine_loop import pump_current, pump_integrate, vcdl_delay
 from .link import BitSource, RxWaveform
 from .lock import LockDetector
-from .phase_detector import (
-    HOLD,
-    PD_PIPELINE_CYCLES,
-    STOCHASTIC,
-    AlexanderState,
-    MetastabilityModel,
-    Sampler,
-    alexander_step,
-)
+from .phase_detector import PD_PIPELINE_CYCLES, AlexanderState, alexander_step
 from .scenario import Scenario, ScenarioError
 from .timebase import (
     FS_PER_SECOND,
@@ -212,8 +204,10 @@ class Simulation:
     ``keep_traces`` keeps the Vc trace, ``counter_trace`` and the eye
     histogram in the result; without it their memory is not spent.
     ``stop_after_lock_us`` ends the run that long after lock.
-    ``hold_until_us`` holds every metastable sample at its previous value
-    until that instant.  ``measure_from_us`` pushes the start of the
+    ``hold_until_us`` is the run's one hold control: both samplers hold
+    every metastable sample at its previous value (``Sampler.hold``) until
+    the first cycle at or after that instant, and no sample before it is
+    the first clean one.  ``measure_from_us`` pushes the start of the
     post-lock measurement window later than the detector's lock instant
     (useful when jitter makes the lock instant itself fuzzy but the steady
     state is what matters).  Each of the three instants must be >= 0 and
@@ -290,11 +284,9 @@ class Simulation:
         self._delay_vc: float | None = None
         self._delay_fs: SimTime = 0
 
-        meta = scn.metastability_model()
-        if self.hold_until_fs is not None:
-            meta = replace(meta, resolution_mode=HOLD)
-        self.center_sampler = Sampler(meta)
-        self.edge_sampler = Sampler(meta)
+        hold = self.hold_until_fs is not None
+        self.center_sampler = scn.sampler(hold)
+        self.edge_sampler = scn.sampler(hold)
 
         self.heap: list = []
         # The one valid predicted window crossing, (t, region after), or
@@ -652,15 +644,14 @@ class Simulation:
                 continue
             # CYCLE: the mid-eye sample, the decision and the pump update.
             if hold_until is not None and now >= hold_until:
-                if center.model.resolution_mode == HOLD:
-                    stoch = MetastabilityModel(center.model.time_window_tw,
-                                               STOCHASTIC)
-                    center.model = edge_sampler.model = stoch
+                # The hold ends: from this cycle on both samplers resolve
+                # metastable samples by a coin.
+                center.hold = edge_sampler.hold = False
+                hold_until = None
             center_val = center_sample(waveform, t_sample, rng)
             metastable = center.last_was_metastable
-            if first_clean is None and not metastable:
-                if hold_until is None or now >= hold_until:
-                    first_clean = t_sample
+            if first_clean is None and not metastable and hold_until is None:
+                first_clean = t_sample
             up, dn, retimed, alex = alexander_step(alex, edge_val, center_val)
             # The centre sample left the waveform's cursor on its bit.
             pending.append((waveform.bit_index, retimed, t_sample, n_used))

@@ -82,13 +82,17 @@ def ber_phase_sweep(
     when it hits the wrong half of a transition ramp or the wrong level.
     """
     phases = [i * grid for i in range(math.ceil(1.0 / grid))]
-    seq = [bits.bit(i) for i in range(n_bits + 2)]
     delay = n + alpha
     # Slots n+2 onwards: every sample lands in bit 1 or later, so it has a
     # predecessor bit, whatever the whole-period delay n.
     ks = range(n + 2, n + n_bits)
     if not ks:
         return phases, [0] * len(phases)
+    # Bits 0 .. n_bits + 1.  Bit i is bit i % period of the stored period;
+    # one read of the last bit stores every bit before it.
+    count = n_bits + 2
+    bits.bit(count - 1)
+    seq = list((bits._bits * -(-count // bits._period))[:count])
     # A sample's frac is off its exact value by at most 1.5 ulp of the
     # largest position, so two samples of one phase differ by less than
     # 4 ulp of it.

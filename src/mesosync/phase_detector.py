@@ -1,10 +1,12 @@
 """Clocked comparator sampling and the Alexander bang-bang phase detector.
 
 Metastability is keyed on time-to-crossing: a sample taken within ``tw`` of
-a data transition midpoint resolves either to a fair coin (stochastic mode)
-or to the sampler's previous output (deterministic-hold mode, used to pin
-the half-period false-lock equilibrium).  Between cycles the Alexander
-detector keeps only its last mid-eye sample and warmup count.
+a data transition midpoint resolves to a fair coin.  A sampler that holds
+(``Sampler.hold``) returns its previous output instead.  Holding is no mode
+of the circuit but a run option, ``hold_until_us`` (see ``harness``), with
+which the false-lock study pins the half-period equilibrium.  Between
+cycles the Alexander detector keeps only its last mid-eye sample and
+warmup count.
 
 Outside the window the output is the sampled bit's: the levels are
 +-swing/2 and a ramp crosses 0 V only at its boundary, where the distance
@@ -15,35 +17,23 @@ for the reference loop (``tests/test_reference_loop.py``) and the tracer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .link import NO_TRANSITION, RxWaveform
 from .timebase import Rng, SimTime
 
-STOCHASTIC = "stochastic"
-HOLD = "hold"
-
-
-@dataclass(frozen=True)
-class MetastabilityModel:
-    time_window_tw: SimTime
-    resolution_mode: str
-
-    def __post_init__(self):
-        if self.time_window_tw < 0:
-            raise ValueError("metastability window must be >= 0")
-        if self.resolution_mode not in (STOCHASTIC, HOLD):
-            raise ValueError(f"unknown resolution mode: {self.resolution_mode!r}")
-
 
 class Sampler:
-    """One regenerative comparator; keeps its last resolved value for HOLD."""
+    """One regenerative comparator: its window ``tw`` (fs), whether it holds
+    metastable samples (``hold``) and its last resolved value."""
 
-    __slots__ = ("model", "last", "last_was_metastable")
+    __slots__ = ("tw", "hold", "last", "last_was_metastable")
 
-    def __init__(self, model: MetastabilityModel):
-        self.model = model
+    def __init__(self, tw: SimTime, hold: bool = False):
+        if tw < 0:
+            raise ValueError("metastability window must be >= 0")
+        self.tw = tw
+        self.hold = hold
         self.last = 0
         self.last_was_metastable = False
 
@@ -58,9 +48,9 @@ class Sampler:
             distance = right - t
         else:
             distance = t - left
-        if distance <= self.model.time_window_tw:
+        if distance <= self.tw:
             self.last_was_metastable = True
-            if self.model.resolution_mode == STOCHASTIC:
+            if not self.hold:
                 self.last = rng.coin()
             return self.last
         self.last_was_metastable = False
@@ -71,31 +61,30 @@ class Sampler:
 def sample_comparator(
     waveform: RxWaveform,
     t_sample: SimTime,
-    m: MetastabilityModel,
+    tw: SimTime,
+    hold: bool,
     rng: Rng,
     previous: int,
     distance: SimTime,
 ) -> int:
     """Resolved comparator output for a sample at ``t_sample``.
 
-    Outside the metastability window the output is the sign of the
-    differential input; inside it the resolution mode decides, with
-    ``previous`` the comparator's last output.  ``distance`` is
-    ``waveform.nearest_transition_distance(t_sample)``.
+    Outside the metastability window ``tw`` the output is the sign of the
+    differential input; inside it the output is ``previous``, the
+    comparator's last output, if it holds (``hold``), else a fair coin.
+    ``distance`` is ``waveform.nearest_transition_distance(t_sample)``.
 
     Definitional form: ``value_at`` is 0.0 only on a boundary (distance 0);
     elsewhere a ramp's ``dt / transition_time + 0.5`` is at least
     1 / transition_time from 0.5, far above float rounding, so the sign is
     the sampled bit's, which ``Sampler.sample`` returns without ``value_at``.
     """
-    if distance <= m.time_window_tw:
-        if m.resolution_mode == STOCHASTIC:
-            return rng.coin()
-        return previous
+    if distance <= tw:
+        return previous if hold else rng.coin()
     v = waveform.value_at(t_sample)
     if v == 0.0:
         # Exactly on a crossing with tw = 0: still unresolved by definition.
-        return rng.coin() if m.resolution_mode == STOCHASTIC else previous
+        return previous if hold else rng.coin()
     return 1 if v > 0.0 else 0
 
 

@@ -26,7 +26,7 @@ from .coarse_loop import WindowComparator
 from .dll_cdt import CdtChain, DllPhases
 from .fine_loop import PumpConfig, VcdlCurve
 from .link import BitSource, ChannelConfig
-from .phase_detector import MetastabilityModel
+from .phase_detector import Sampler
 from .timebase import (FS_PER_NS, FS_PER_PS, GAUSS_MAX, ClockGen, JitterSpec,
                        SimTime, period_fs)
 
@@ -78,7 +78,6 @@ class Scenario:
     corner: str = "TT"
     # pd.*
     tw_ps: float = 10.0
-    resolution: str = "stochastic"
     # cdt.*
     t_setup_ui: float = 0.02
     t_hold_ui: float = 0.0
@@ -151,8 +150,8 @@ class Scenario:
         T = self.period
         return CdtChain(T, round(self.t_setup_ui * T), round(self.t_hold_ui * T))
 
-    def metastability_model(self) -> MetastabilityModel:
-        return MetastabilityModel(round(self.tw_ps * FS_PER_PS), self.resolution)
+    def sampler(self, hold: bool = False) -> Sampler:
+        return Sampler(round(self.tw_ps * FS_PER_PS), hold)
 
     def dll_phases(self, reference: ClockGen) -> DllPhases:
         return DllPhases(reference, self.n_phases, self.dll_mode, self.loop_bw_hz)
@@ -222,8 +221,8 @@ class Scenario:
             # least 4 phases and no corner spans more than 2.6 phase steps.
             keys = "vcdl.corner, dll.n_phases, supply.v_dd, sim.bit_rate_hz"
             self.vcdl_curve()
-            keys = "pd.tw_ps, pd.resolution"
-            self.metastability_model()
+            keys = "pd.tw_ps"
+            self.sampler()
             keys = "cdt.t_setup_ui, cdt.t_hold_ui, sim.bit_rate_hz"
             self.cdt_chain()
             keys = "data.pattern, sim.seed"
@@ -263,7 +262,6 @@ _KEYMAP = {
     "coarse.k_divide": "k_divide",
     "vcdl.corner": "corner",
     "pd.tw_ps": "tw_ps",
-    "pd.resolution": "resolution",
     "cdt.t_setup_ui": "t_setup_ui",
     "cdt.t_hold_ui": "t_hold_ui",
     "loop.vc_init_v": "vc_init_v",

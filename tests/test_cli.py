@@ -219,6 +219,18 @@ def test_removed_key_is_unknown(key, in_file, tmp_path, capsys):
     assert out.out == ""
 
 
+@pytest.mark.parametrize("value", ["hold", "stochastic"])
+def test_resolution_key_is_unknown(value, capsys):
+    # Holding metastable samples is the run option hold_until_us, not a
+    # scenario setting: the key that once chose it is refused at each of
+    # its old values.
+    code = main(["run", SCN, "--duration", "0.1", "--set", f"pd.resolution={value}"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err == "scenario error: unknown scenario key: 'pd.resolution'\n"
+    assert out.out == ""
+
+
 def test_run_nonmonotonic_jitter_exits_2(capsys):
     # Uncorrelated gaussian receiver jitter this large pushes some clock edge
     # behind its predecessor partway through the run.
@@ -398,6 +410,22 @@ def test_falselock_subcommand(capsys):
     assert code == 0
     assert "ok = true" in out
     assert "hold_dvc_max_mv = 0.000" in out
+
+
+# Golden stdout of a short false-lock study on each shipped scenario, with
+# its exit code; like the run goldens above, a refactor keeps every byte.
+GOLDEN_FALSELOCK_SHA256 = {
+    SCN: (0, "874fc53f5fdc560e694145b24850ce35c84863fc3e0d35bae5ec2f0e0d3146fa"),
+    SCN_65: (2, "ce13e0da83b8e596951448d005b25bfdb1a9aa3f09404dca2dac09d54e943b63"),
+}
+
+
+@pytest.mark.parametrize("scn", GOLDEN_FALSELOCK_SHA256, ids=["130nm", "65nm"])
+def test_falselock_golden(scn, capsys):
+    code = main(["falselock", scn, "--seeds", "2", "--duration", "1"])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) \
+        == GOLDEN_FALSELOCK_SHA256[scn]
 
 
 @pytest.mark.parametrize("duration", ["0.3", "0.7"])

@@ -136,6 +136,19 @@ def test_vcdl_monotone_dense_sweep(corner):
         assert vcdl_delay(v, curve) == round(curve.range_fs * x)
 
 
+# Each corner's VCDL range in DLL phase steps, written out here rather than
+# read from the scenario's table.
+_CORNER_STEPS = {"FF": 1.0, "TT": 2.0, "SS": 2.6, "FNSP": 2.3, "SNFP": 2.3}
+
+
+@pytest.mark.parametrize("corner", CORNERS)
+def test_vcdl_corner_range_in_phase_steps(corner):
+    for rate, n_phases in ((1.3e9, 10), (4e9, 10), (1.3e9, 16)):
+        scn = Scenario(corner=corner, bit_rate_hz=rate, n_phases=n_phases)
+        step = round(period_fs(rate) / n_phases)
+        assert scn.vcdl_curve().range_fs == round(_CORNER_STEPS[corner] * step)
+
+
 def test_vcdl_corner_ordering():
     T = period_fs(1.3e9)
     spans = {}

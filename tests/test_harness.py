@@ -247,7 +247,7 @@ def test_flat_pump_skip_is_exact(monkeypatch):
     (replace(BASE, alpha=0.7, duration_us=3.0), {}),
     (replace(BASE, alpha=0.3, correlated=False, rx_gauss_sigma_ui=0.05,
              tx_sin_amp_ui=0.2, tx_sin_freq_hz=50e6, duration_us=2.0), {}),
-    (replace(BASE, resolution="hold", pattern="alternating",
+    (replace(BASE, pattern="alternating",
              alpha=experiments.false_lock_alpha(BASE), duration_us=2.0),
      {"hold_until_us": 1.0}),
 ], ids=["cold-start", "jittered", "hold-then-stochastic"])

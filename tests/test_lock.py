@@ -83,6 +83,18 @@ def _feed(det, cycles) -> list:
     return [det.update(*c) for c in cycles]
 
 
+@pytest.mark.parametrize("v_dd", [1.2, 1.0])
+def test_vc_margin_is_a_tenth_of_the_window(v_dd):
+    # The vc_margin gate keeps Vc 10 % of the window clear of each
+    # threshold, written out here rather than read from the lock module.
+    scn = replace(SCN, v_dd=v_dd)
+    window = scn.window_comparator()
+    det = LockDetector(scn, window, scn.pump_config())
+    margin = 0.1 * (window.v_high - window.v_low)
+    assert det.v_floor == window.v_low + margin
+    assert det.v_ceil == window.v_high - margin
+
+
 def test_hand_built_history_locks_at_its_last_cycle():
     det = _detector()
     cycles = _history(det)

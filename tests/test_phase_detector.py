@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 from mesosync import phase_detector
 from mesosync.link import BitSource, ChannelConfig, RxWaveform
 from mesosync.phase_detector import (
-    HOLD,
     PD_PIPELINE_CYCLES,
-    STOCHASTIC,
     AlexanderState,
-    MetastabilityModel,
     Sampler,
     alexander_step,
     sample_comparator,
@@ -19,7 +16,7 @@ from mesosync.phase_detector import (
 from mesosync.scenario import Scenario
 from mesosync.timebase import ClockGen, JitterSpec, Rng, period_fs
 
-M = Scenario().metastability_model()  # 10 ps, stochastic
+TW = Scenario().sampler().tw  # 10 ps
 
 
 def _step_full(a, b, c):
@@ -87,22 +84,21 @@ def _waveform(pattern="ones", alpha=0.0):
     return RxWaveform(BitSource(pattern, 1), cfg, ClockGen(T)), T
 
 
-def _sample(wf, t, m, rng, previous=0):
-    return sample_comparator(wf, t, m, rng, previous,
+def _sample(wf, t, rng, previous=0, hold=False):
+    return sample_comparator(wf, t, TW, hold, rng, previous,
                              wf.nearest_transition_distance(t))
 
 
 def test_sample_far_from_crossing_is_sign():
     wf, T = _waveform("ones")
-    assert _sample(wf, 5 * T, M, Rng(1)) == 1
+    assert _sample(wf, 5 * T, Rng(1)) == 1
 
 
 def test_sample_at_crossing_hold_returns_previous():
     wf, T = _waveform("alternating")
-    m = MetastabilityModel(M.time_window_tw, HOLD)
     t = wf.boundary(4)
-    assert _sample(wf, t, m, Rng(1), previous=0) == 0
-    assert _sample(wf, t, m, Rng(1), previous=1) == 1
+    assert _sample(wf, t, Rng(1), previous=0, hold=True) == 0
+    assert _sample(wf, t, Rng(1), previous=1, hold=True) == 1
 
 
 def test_sample_at_crossing_stochastic_is_fair():
@@ -110,13 +106,13 @@ def test_sample_at_crossing_stochastic_is_fair():
     rng = Rng(2024)
     t = wf.boundary(4)
     n = 10_000
-    mean = sum(_sample(wf, t, M, rng) for _ in range(n)) / n
+    mean = sum(_sample(wf, t, rng) for _ in range(n)) / n
     assert abs(mean - 0.5) <= 0.02
 
 
 def test_sampler_tracks_hold_state_and_metastability():
     wf, T = _waveform("alternating")
-    s = Sampler(MetastabilityModel(M.time_window_tw, HOLD))
+    s = Sampler(TW, hold=True)
     s.last = 1
     assert s.sample(wf, wf.boundary(3), Rng(1)) == 1
     assert s.last_was_metastable
@@ -126,11 +122,10 @@ def test_sampler_tracks_hold_state_and_metastability():
     assert not s.last_was_metastable
 
 
-def test_metastability_model_validation():
-    with pytest.raises(ValueError):
-        MetastabilityModel(-1, STOCHASTIC)
-    with pytest.raises(ValueError):
-        MetastabilityModel(M.time_window_tw, "maybe")
+def test_sampler_validation():
+    for hold in (False, True):
+        with pytest.raises(ValueError):
+            Sampler(-1, hold)
 
 
 def test_pd_pipeline_bookkeeping():
@@ -151,8 +146,8 @@ def test_bang_bang_sign_flips_between_early_and_late(offset_ui):
         for k in range(4, 1200):
             t_center = wf.boundary(k) + round((0.5 + phase_ui) * T)
             t_edge = t_center - T // 2
-            b = _sample(wf, t_edge, M, rng)
-            c = _sample(wf, t_center, M, rng)
+            b = _sample(wf, t_edge, rng)
+            c = _sample(wf, t_center, rng)
             up, dn, _, st = alexander_step(st, b, c)
             total += up - dn
         return total
@@ -173,9 +168,9 @@ class DefinitionalSampler(Sampler):
 
     def sample(self, waveform, t, rng):
         distance = waveform.nearest_transition_distance(t)
-        bit = phase_detector.sample_comparator(waveform, t, self.model, rng,
-                                               self.last, distance)
-        self.last_was_metastable = distance <= self.model.time_window_tw
+        bit = phase_detector.sample_comparator(waveform, t, self.tw, self.hold,
+                                               rng, self.last, distance)
+        self.last_was_metastable = distance <= self.tw
         self.last = bit
         return bit
 
@@ -192,7 +187,7 @@ _OFFSETS_UI = [-0.6, -0.05, 0.0, 0.01, 0.05, 0.099, 0.1, 0.5, 0.9, 0.95, 0.999]
     alpha=st.floats(min_value=0.0, max_value=0.99),
     transition_ui=st.sampled_from([0.0, 0.2, 0.5, 0.9]),
     tw_ui=st.sampled_from([0.0, 0.01, "past_ramp"]),
-    mode=st.sampled_from([STOCHASTIC, HOLD]),
+    hold=st.booleans(),
     jitter=st.sampled_from([JitterSpec(), JitterSpec(sin_amp_ui=0.4, sin_freq_hz=2e8),
                             JitterSpec(gauss_sigma_ui=0.03)]),
     seed=st.integers(min_value=0, max_value=2**32),
@@ -202,7 +197,7 @@ _OFFSETS_UI = [-0.6, -0.05, 0.0, 0.01, 0.05, 0.099, 0.1, 0.5, 0.9, 0.95, 0.999]
     ordered=st.booleans(),
 )
 def test_cursor_sample_equals_definitional_sample(pattern, n, alpha, transition_ui,
-                                                  tw_ui, mode, jitter, seed,
+                                                  tw_ui, hold, jitter, seed,
                                                   queries, ordered):
     # Sampler.sample reads the cursor; for every t it gives the output,
     # metastability flag and cursor bit of the definitional path, in time
@@ -212,14 +207,13 @@ def test_cursor_sample_equals_definitional_sample(pattern, n, alpha, transition_
     cfg = ChannelConfig(n=n, alpha=alpha, bit_period=T, transition_time=tt,
                         swing=0.2)
     tw = tt // 2 + 1 if tw_ui == "past_ramp" else round(tw_ui * T)
-    model = MetastabilityModel(tw, mode)
 
     def side():
         clock = ClockGen(T, jitter, Rng(seed), name="tx")
         return RxWaveform(BitSource(pattern, seed), cfg, clock), Rng(seed + 1)
 
     (wf, rng), (ref_wf, ref_rng) = side(), side()
-    got, ref = Sampler(model), DefinitionalSampler(model)
+    got, ref = Sampler(tw, hold), DefinitionalSampler(tw, hold)
     ts = [ref_wf.boundary(j) + round(u * T) for j, u in queries]
     if ordered:
         ts.sort()

@@ -44,11 +44,8 @@ from mesosync.harness import (
 )
 from mesosync.link import RxWaveform
 from mesosync.phase_detector import (
-    HOLD,
     PD_PIPELINE_CYCLES,
-    STOCHASTIC,
     AlexanderState,
-    MetastabilityModel,
     alexander_step,
 )
 from mesosync.scenario import ScenarioError, apply_settings
@@ -70,8 +67,9 @@ class ReferenceSimulation(Simulation):
     def __init__(self, scn, **kwargs):
         super().__init__(scn, **kwargs)
         self._cross_gen = 0  # the number of the one valid crossing
-        self.center_sampler = DefinitionalSampler(self.center_sampler.model)
-        self.edge_sampler = DefinitionalSampler(self.edge_sampler.model)
+        c, e = self.center_sampler, self.edge_sampler
+        self.center_sampler = DefinitionalSampler(c.tw, c.hold)
+        self.edge_sampler = DefinitionalSampler(e.tw, e.hold)
         self.alex = AlexanderState()
         self._edge_sample = 0  # set by each cycle's OPP, read by its CYCLE
 
@@ -117,10 +115,7 @@ class ReferenceSimulation(Simulation):
     def _on_cycle(self, k, n_used):
         hold = self.hold_until_fs
         if hold is not None and self.now >= hold:
-            model = self.center_sampler.model
-            if model.resolution_mode == HOLD:
-                stoch = MetastabilityModel(model.time_window_tw, STOCHASTIC)
-                self.center_sampler.model = self.edge_sampler.model = stoch
+            self.center_sampler.hold = self.edge_sampler.hold = False
         v = self._vc_at(self.now)
         t_center = self.now + vcdl_delay(v, self.curve)
         center = self.center_sampler.sample(self.waveform, t_center, self.rng_meta)
@@ -255,7 +250,7 @@ JITTER_65NM = ["sim.bit_rate_hz=4e9", "supply.v_dd=1.0", "coarse.k_divide=32",
 @example(sets=["loop.vc_init_v=1.2", "channel.alpha=0"], duration="0.2",
          stop=None, hold=None)
 @example(sets=["loop.vc_init_v=-0.0"], duration="0.5", stop=None, hold=None)
-@example(sets=["data.pattern=alternating", "pd.resolution=hold",
+@example(sets=["data.pattern=alternating",
                f"channel.alpha={experiments.false_lock_alpha(BASE)!r}"],
          duration="1.5", stop=0.2, hold=1.0)
 @example(sets=["jitter.correlated=false", "jitter.tx.sin_amp_ui=0.4",

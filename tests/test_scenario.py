@@ -78,9 +78,9 @@ def test_bool_and_type_coercion():
 
 
 def test_apply_settings_overrides():
-    scn = apply_settings(Scenario(), {"channel.alpha": "0.42", "pd.resolution": "hold"})
+    scn = apply_settings(Scenario(), {"channel.alpha": "0.42", "data.pattern": "alternating"})
     assert scn.alpha == 0.42
-    assert scn.resolution == "hold"
+    assert scn.pattern == "alternating"
 
 
 def test_validation_rejects_bad_values():
