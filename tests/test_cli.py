@@ -112,7 +112,6 @@ BAD_SETTINGS = [
     "sim.bit_rate_hz=1e20",
     "pump.i_weak_uA=0",
     "pd.tw_ps=-1",
-    "pd.resolution=maybe",
     "window.trip_delay_ns=-1",
     "loop.vc_init_v=5",
     "jitter.tx.sin_amp_ui=-1",
