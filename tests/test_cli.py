@@ -275,6 +275,28 @@ def test_run_timing_violation_exits_3(capsys):
     assert code == 3
 
 
+# Golden stdout of runs with thousands of transfer-chain violations, the
+# only goldens that pin a nonzero violation count: at alpha 0.005 the SS and
+# FNSP corners lock with their fine delay past the span the stage-1 phase
+# rule assumes, and exit 3.
+SLOW_CORNER = ["--set", "channel.alpha=0.005", "--duration", "3"]
+GOLDEN_EXIT3_SHA256 = {
+    "run": (["run", SCN, "--set", "vcdl.corner=SS", *SLOW_CORNER],
+            "22f68766e94658793047c037523bcc65aa925fc73edfe04cc7d9a2e2cd87c753"),
+    "sweep": (["sweep", SCN, "--param", "vcdl.corner", "--grid", "SS,FNSP,TT",
+               *SLOW_CORNER],
+              "7ada48c045a6bce18701f478336dc2b3d954b7df043a3ab13683848df8835a0f"),
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_EXIT3_SHA256)
+def test_violations_golden(command, capsys):
+    argv, digest = GOLDEN_EXIT3_SHA256[command]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (3, digest)
+
+
 def test_sweep_subcommand(tmp_path, capsys):
     code = main([
         "sweep", SCN, "--duration", "4", "--param", "channel.alpha",
