@@ -42,6 +42,19 @@ def test_locks_and_centers(locked_run):
     assert m.ber_errors == 0
 
 
+@pytest.mark.parametrize("k_divide, seed, cycles, reported",
+                         [(4, 2, 8, True), (3, 1, 6, False)])
+def test_sampling_phase_needs_eight_cycles(k_divide, seed, cycles, reported):
+    # Runs stopped at their lock instant: a phase history of 8 cycles gives
+    # a sampling phase, one of 6 gives none (nor an oracle comparison).
+    scn = replace(BASE, alpha=0.3, k_divide=k_divide, seed=seed, duration_us=2.0)
+    m = run(scn, stop_after_lock_us=0)
+    assert m.locked
+    assert m.pd_event_count == cycles
+    assert (m.sampling_phase_ui is not None) == reported
+    assert (m.phase_error_ui is not None) == reported
+
+
 def test_counter_walk_monotone(locked_run):
     assert locked_run.counter_monotone
     assert len(locked_run.counter_path) >= 2
