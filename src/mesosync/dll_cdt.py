@@ -5,24 +5,27 @@ optionally reproducing the reference's phase modulation through a
 first-order low-pass (slow jitter tracked, fast jitter attenuated).
 
 The transfer chain re-times the detector output at the sampling clock, then
-through one intermediate-phase stage and one receiver-clock stage.  A stage
-sampling inside ``t_setup`` of an input transition logs a timing violation;
-a stage sampling before its input has settled silently captures the
-previous value.  For a locked loop the chain delivers every bit within
-three clock cycles of its mid-eye sample.
+through two capture stages: stage 1 at an intermediate DLL phase and
+stage 2 at the receiver clock.  A capture edge logs ``SETUP`` for an input
+transition within ``t_setup`` before it, ``HOLD`` for one within ``t_hold``
+from it on, and ``MISSED`` when the next one has already overwritten the
+input, which loses the bit.  For a locked loop the chain delivers every
+bit within three clock cycles of its mid-eye sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from typing import NamedTuple
 
 from .timebase import ClockGen, NonMonotonicEdgeError, SimTime
 
 IDEAL = "ideal"
 TRACKING = "tracking"
+# The kinds of a transfer-chain violation, logged as (stage, kind).
+SETUP, HOLD, MISSED = "setup", "hold", "missed"
 
 
 class _TrackedClock(ClockGen):
@@ -153,37 +156,57 @@ class CdtChain:
 
 class Delivery(NamedTuple):
     """One event through the chain; its retiming edge is the next event's
-    ``t_center``, and its latency ``t_deliver - t_center``."""
+    ``t_center``, and its latency ``t_deliver - t_center``.  Each violation
+    is a code ``(stage, kind)``, with stage 1 or 2."""
 
     bit_id: int
     value: int
     t_center: SimTime       # mid-eye sample instant of this bit
-    t_deliver: SimTime      # receiver-clock capture edge
-    violations: tuple[str, ...] = ()
+    t_deliver: SimTime      # receiver-clock capture edge, -1 for a miss
+    violations: tuple[tuple[int, str], ...] = ()
 
 
-def _capture(
-    u: SimTime,
-    transition: SimTime,
-    next_transition: SimTime | None,
-    chain: CdtChain,
-) -> tuple[SimTime | None, tuple[str, ...]]:
-    """Check capture edge ``u``, the first after ``transition``.
+def _capture(stage: int, u: SimTime, transition: SimTime,
+             next_transition: SimTime | None, chain: CdtChain) -> tuple:
+    """Check ``stage``'s capture edge ``u``, the first after ``transition``.
 
-    Returns (u, violations), or (None, ...) when the next transition has
-    already overwritten the input by then.
+    Returns (u, violations), or (None, ((stage, MISSED),)) when the next
+    transition has already overwritten the input by then.
     """
     if next_transition is not None and u > next_transition:
-        return None, (f"missed capture window ending {next_transition}",)
+        return None, ((stage, MISSED),)
     viol = ()
     for tr in (transition, next_transition):
         if tr is None:
             continue
         if u - chain.t_setup < tr < u:
-            viol += (f"setup violation: edge {u} vs transition {tr}",)
-        elif chain.t_hold > 0 and u <= tr < u + chain.t_hold:
-            viol += (f"hold violation: edge {u} vs transition {tr}",)
+            viol += ((stage, SETUP),)
+        elif u <= tr < u + chain.t_hold:
+            viol += ((stage, HOLD),)
     return u, viol
+
+
+def _stage(stage: int, edges: list, transitions: list, chain: CdtChain,
+           violations: list) -> None:
+    """Check each capture of ``stage``: edge ``edges[j]``, the first after
+    ``transitions[j]``, takes the input that ``transitions[j + 1]`` (None
+    for none) overwrites; a missing input (None) has no edge (None).  Adds
+    the codes to ``violations[j]``, and sets a missed capture's edge to None.
+
+    Only a capture whose opening transition lies within ``t_setup`` before
+    its edge u (it cannot break hold: u is the first edge after it), or
+    whose closing one comes at or before u + ``t_hold`` (or is a miss),
+    goes to ``_capture``.
+    """
+    setup, hold = chain.t_setup, max(chain.t_hold, 0)
+    flagged = [j for j, u, tr, nxt in zip(count(), edges, transitions,
+                                         islice(transitions, 1, None))
+               if u is not None and (u - tr < setup
+                                     or (nxt is not None and nxt - u <= hold))]
+    for j in flagged:
+        edges[j], viol = _capture(stage, edges[j], transitions[j],
+                                  transitions[j + 1], chain)
+        violations[j] += viol
 
 
 def cdt_transfer(
@@ -207,58 +230,34 @@ def cdt_transfer(
     over the whole stream would make, and a long stream can run in blocks
     that overlap by three events.
 
-    Each stage runs over the whole block with one walk of its clock's edge
-    cursor: stage 1 captures every event at its intermediate DLL phase,
-    then stage 2 captures each event at the receiver clock, which needs
-    the next event's stage-1 output as its closing transition.  Only a
-    capture that can carry a violation or a miss goes to ``_capture``,
-    which decides and words it: one whose opening transition lies within
-    ``t_setup`` before its edge u, or whose closing transition comes at or
-    before u + ``t_hold``.  Every other capture is ``(u, ())``.
+    The chain is two ``_stage`` calls, each over the whole block with one
+    walk of its clock's edge cursor: stage 1 captures every event at its
+    intermediate DLL phase, then stage 2 captures each stage-1 output at
+    the receiver clock, with the next event's stage-1 output as its
+    closing transition.  A stage-1 miss has no output: it gets no stage-2
+    edge, and closes no stage-2 capture.
     """
-    out: list[Delivery] = []
-    new = tuple.__new__  # a Delivery per bit, without its Python-level __new__
-    resolve_retime = chain.resolve_retime
-    resolve_stage = chain.resolve_stage
-    # The guard's reach.  An edge is the first strictly after its opening
-    # transition, so that transition can only break setup; a closing one
-    # before the edge is a miss however small t_hold is.
-    setup = chain.t_setup
-    hold = max(chain.t_hold, 0)
     # Stage 1: data transitions at the retiming stage output, one per event
     # but the last, captured at the intermediate phase of each event's
-    # selected phase.
-    taus = [ev[2] + resolve_retime for ev in islice(events, 1, None)]
+    # selected phase.  A sentinel closes the last event.
+    taus = [ev[2] + chain.resolve_retime for ev in islice(events, 1, None)]
     n_out = len(taus) - lookahead
     sels = [ev[3] for ev in islice(events, len(taus))]
     stage_phase = {sel: intermediate_phase(sel, phases.n) for sel in set(sels)}
     edges = phases.first_edges_after([stage_phase[sel] for sel in sels], taus)
     taus.append(None)
-    stage1 = [_capture(u, tau, nxt, chain)
-              if u - tau < setup or (nxt is not None and nxt - u <= hold)
-              else (u, ())
-              for u, tau, nxt in zip(edges, taus, islice(taus, 1, None))]
-    # A sentinel closes the last event.  Only the captures stay alive for
-    # stage 2, as two flat tuples.
-    stage1.append((None, ()))
-    u1s, viol1s = zip(*stage1)
-    del taus, edges, stage1
+    violations = [()] * len(edges)
+    _stage(1, edges, taus, chain, violations)
     # Stage 2: stage-1 outputs, captured at the receiver clock.
-    rx_edges = iter(rx_clock.first_edges_at_or_after(
-        u + resolve_stage + 1 for u in islice(u1s, n_out) if u is not None))
-    for (bit_id, value, t_center, _), u1, next_u1, viol1 in zip(
-            islice(events, n_out), u1s, islice(u1s, 1, None), viol1s):
-        if u1 is None:
-            out.append(new(Delivery, (bit_id, value, t_center, -1, viol1)))
-            continue
-        sigma = u1 + resolve_stage
-        nxt = None if next_u1 is None else next_u1 + resolve_stage
-        u2 = next(rx_edges)
-        viols = viol1
-        # Stage 1's guard.
-        if u2 - sigma < setup or (nxt is not None and nxt - u2 <= hold):
-            u2, viol2 = _capture(u2, sigma, nxt, chain)
-            viols += viol2
-        out.append(new(Delivery, (bit_id, value, t_center,
-                                  -1 if u2 is None else u2, viols)))
-    return out
+    resolve_stage = chain.resolve_stage
+    sigmas = [u if u is None else u + resolve_stage for u in edges] + [None]
+    edges = rx_clock.first_edges_at_or_after(
+        s + 1 for s in islice(sigmas, n_out) if s is not None)
+    if len(edges) < n_out:  # a stage-1 miss gets no stage-2 edge
+        found = iter(edges)
+        edges = [None if s is None else next(found) for s in islice(sigmas, n_out)]
+    _stage(2, edges, sigmas, chain, violations)
+    new = tuple.__new__  # a Delivery per bit, without its Python-level __new__
+    return [new(Delivery, (bit_id, value, t_center, -1 if u is None else u, viol))
+            for (bit_id, value, t_center, _), u, viol in zip(events, edges,
+                                                             violations)]

@@ -229,7 +229,7 @@ def test_cdt_stage_one_setup_violation_is_reported():
     deliveries = _run_chain(4, round(0.21 * T), n_bits=10)
     flagged = [d for d in deliveries if d.violations]
     assert flagged
-    assert all("setup violation" in v for d in flagged for v in d.violations)
+    assert all(v == (1, "setup") for d in flagged for v in d.violations)
     assert all(d.t_deliver > 0 for d in flagged)
 
 
@@ -244,6 +244,39 @@ def test_cdt_capture_miss_is_reported():
     events = [(k, 1, t, 0) for k, t in enumerate(times)]
     deliveries = cdt_transfer(events, phases, clk, chain)
     assert any(d.violations or d.t_deliver <= 0 for d in deliveries)
+
+
+# For each (stage, kind): t_setup and t_hold in UI, the selected phase of
+# each of six events, the first event's offset from the grid in UI, and a
+# step in UI between the third and fourth events, on 8 DLL phases.  Each
+# input gives that code and no other.
+_CODE_INPUTS = {
+    (1, "setup"): (0.1, 0.0, [0] * 6, 0.55, 0.0),
+    (1, "hold"): (0.0, 0.1, [3] * 6, 0.65, 0.0),
+    (1, "missed"): (0.0, 0.0, [0] * 6, 0.0, -0.6),
+    (2, "setup"): (0.2, 0.0, [7] * 6, 0.0, 0.0),
+    (2, "hold"): (0.0, 0.1, [0] * 6, 0.0, 0.0),
+    # A coarse step 0 -> 3 moves the stage-1 phase from 0 to 1.
+    (2, "missed"): (0.0, 0.0, [0, 0, 0, 3, 3, 3], 0.0, -0.4),
+}
+
+
+@pytest.mark.parametrize("code", _CODE_INPUTS, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_cdt_every_code_fires(code):
+    setup_ui, hold_ui, sels, start_ui, step_ui = _CODE_INPUTS[code]
+    clk = ClockGen(T)
+    phases = DllPhases(clk, 8, IDEAL, 20e6)
+    chain = CdtChain(period=T, t_setup=round(setup_ui * T), t_hold=round(hold_ui * T))
+    t = 2 * T + round(start_ui * T)
+    events = []
+    for k, sel in enumerate(sels):
+        events.append((k, k & 1, t, sel))
+        t += T + (round(step_ui * T) if k == 2 else 0)
+    deliveries = cdt_transfer(events, phases, clk, chain)
+    assert {v for d in deliveries for v in d.violations} == {code}
+    # A miss loses its bit; a setup or hold violation still delivers it.
+    for d in deliveries:
+        assert (d.t_deliver == -1) == (d.violations == (code,) and code[1] == "missed")
 
 
 def _ref_first_edge_after(phases, i, t):
@@ -302,17 +335,17 @@ def test_first_edges_after_block_walk_matches_reference(mode, amp_ui, freq_hz, b
         assert p.first_edge_after(9, t) == _ref_first_edge_after(p, 9, t)
 
 
-def _ref_capture(u, transition, next_transition, chain):
+def _ref_capture(stage, u, transition, next_transition, chain):
     viol = []
     if next_transition is not None and u > next_transition:
-        return None, [f"missed capture window ending {next_transition}"]
+        return None, [(stage, "missed")]
     for tr in (transition, next_transition):
         if tr is None:
             continue
         if u - chain.t_setup < tr < u:
-            viol.append(f"setup violation: edge {u} vs transition {tr}")
-        elif chain.t_hold > 0 and u <= tr < u + chain.t_hold:
-            viol.append(f"hold violation: edge {u} vs transition {tr}")
+            viol.append((stage, "setup"))
+        elif u <= tr < u + chain.t_hold:
+            viol.append((stage, "hold"))
     return u, viol
 
 
@@ -332,7 +365,7 @@ def _ref_cdt_transfer(events, phases, rx_clock, chain):
         m = intermediate_phase(n_sel, phases.n)
         nxt = taus[j + 1] if j + 1 < n_ev else None
         u1, viol1 = _ref_capture(
-            _ref_first_edge_after(phases, m, taus[j]), taus[j], nxt, chain
+            1, _ref_first_edge_after(phases, m, taus[j]), taus[j], nxt, chain
         )
         viol1s[j] = viol1
         if u1 is not None:
@@ -345,7 +378,7 @@ def _ref_cdt_transfer(events, phases, rx_clock, chain):
         bit_id, value, t_center, _ = events[j]
         nxt = sigmas[j + 1] if j + 1 < n_ev else None
         _, rx_edge = _ref_first_edge_at_or_after(rx_clock, sigmas[j] + 1)
-        u2, viol2 = _ref_capture(rx_edge, sigmas[j], nxt, chain)
+        u2, viol2 = _ref_capture(2, rx_edge, sigmas[j], nxt, chain)
         viols = tuple(viol1s[j] + viol2)
         if u2 is None:
             out.append(Delivery(bit_id, value, t_center, -1, viols))
