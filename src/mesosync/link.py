@@ -36,7 +36,6 @@ class BitSource:
     """
 
     def __init__(self, pattern: str, seed: int):
-        self.pattern = pattern
         if pattern == "prbs15":
             self._bits = bytearray()
             self._period = PRBS15_PERIOD

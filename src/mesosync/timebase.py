@@ -182,8 +182,6 @@ class ClockGen:
         each j in k..k+n-1."""
         T = self.period
         ts = range(k * T, (k + n) * T, T)
-        if self.jitter.is_quiet:
-            return list(ts)
         return [t + round(off * T)
                 for t, off in zip(ts, jitter_offsets(self.jitter, ts, self.rng))]
 
