@@ -28,22 +28,25 @@ discharge input, while DN (early) drives the charge input.  The control
 voltage rises when more delay is needed; leaving the comparator window
 upward selects the next-later DLL phase with a strong discharge pulse.
 
-Each Vc segment carries one pump current and its slope, looked up when it
-starts (``_set_levels``) in a table that ``__init__`` fills from
-``pump_current`` for every reachable set of levels; ``pump_integrate``
-defines Vc along it.  Four exact shortcuts spare work whose result is
-known.  On a zero-current (flat) segment Vc is its origin's value, which
-lies on or between the rails and is never -0.0, so reading or advancing Vc
-there skips the integration and the clamp.  A pump event that keeps the
-weak levels on a flat segment only records its trace point: no new segment
-starts and no crossing is pending.  OPP and CYCLE reuse the last VCDL delay
-while Vc equals the value it was computed for.  Each detector sample is one
-``Sampler.sample`` call on the waveform's cursor, and the cycle takes its
-bit index from that cursor and its next edge from the DLL's reference
-clock, without ``bit_at`` or ``DllPhases.edge``.  The reference loop in
-``tests/test_reference_loop.py`` owns the definitional OPP and CYCLE
-handlers and runs the same model with every shortcut and both scheduler
-slots turned off.
+Each Vc segment carries one pump current and its slope; ``pump_integrate``
+defines Vc along it.  Eight exact shortcuts spare work whose result is
+known; ``ReferenceSimulation`` (``tests/test_reference_loop.py``) turns
+them and both scheduler slots off, and must report the same figures:
+
+* flat reads: on a zero-current (flat) segment Vc is its origin's value,
+  on or between the rails and never -0.0, so reading or advancing it
+  skips the integration and the clamp;
+* flat pump events: one that keeps the weak levels on a flat segment only
+  records its trace point; no segment starts and no crossing is pending;
+* the pump table: a new segment (``_set_levels``) looks its current and
+  slope up in a table that ``__init__`` fills from ``pump_current``;
+* the delay memo: OPP and CYCLE reuse the last VCDL delay while Vc stays;
+* cursor samples: each detector sample is one ``Sampler.sample`` call on
+  the waveform's cursor, which also gives the bit index; the next edge
+  comes from the DLL's reference clock, not from ``DllPhases.edge``;
+* clock blocks: a quiet clock is a ``GridClock``, and a jittered one
+  generates its edges in blocks;
+* transfer blocks and eye plateaus, both described below.
 
 The coarse loop's state is the published comparator region
 (``published``): the ring direction at a divided edge (``fsm_step``) and

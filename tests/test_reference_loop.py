@@ -1,24 +1,29 @@
 """A plain reference loop against which every scheduling shortcut is exact.
 
-``ReferenceSimulation`` runs the model of ``harness.Simulation`` with each
-shortcut of the harness turned off.  It owns the definitional OPP and
-CYCLE handlers, which ``Simulation.run`` runs inline, so the two loops are
+``ReferenceSimulation`` runs the model of ``harness.Simulation`` with both
+scheduler slots and each of the eight shortcuts that the ``harness``
+docstring lists turned off.  It owns the definitional OPP and CYCLE
+handlers, which ``Simulation.run`` runs inline, so the two loops are
 independent implementations of the detector cycle:
 
-* one plain heap: window crossings at priority 0 (a new prediction voids
-  the older ones), OPP and CYCLE at priorities 5 and 6, no slots;
-* no flat-segment skip: every pump event starts a new Vc segment, and every
-  segment calls ``pump_current``;
-* every Vc read evaluates the segment's linear expression and computes a
-  fresh VCDL delay (no memo); the read may lie before the segment origin
-  at a phase wrap, so it cannot go through ``pump_integrate``;
-* one transfer-chain call at the end of the run (``_finalize``'s);
-* a ``ClockGen`` for every clock, quiet ones too, generating one edge at a
-  time;
-* an eye histogram that reads every bin with ``value_at``;
-* samplers that go through ``nearest_transition_distance``,
-  ``sample_comparator`` and ``value_at`` (``DefinitionalSampler``), a bit
-  index from ``bit_at`` and each next sampling edge from ``DllPhases.edge``.
+* no slots: one plain heap, with window crossings at priority 0 (a new
+  prediction voids the older ones) and OPP and CYCLE at priorities 5 and 6;
+* no flat reads: every Vc read evaluates the segment's linear expression;
+  the read may lie before the segment origin at a phase wrap, so it cannot
+  go through ``pump_integrate``;
+* no flat pump events: every pump event starts a new Vc segment;
+* no pump table: every segment calls ``pump_current``;
+* no delay memo: every Vc read computes a fresh VCDL delay;
+* no cursor samples: samplers that go through
+  ``nearest_transition_distance``, ``sample_comparator`` and ``value_at``
+  (``DefinitionalSampler``), a bit index from ``bit_at`` and each next
+  sampling edge from ``DllPhases.edge``;
+* no clock blocks: a ``ClockGen`` for every clock, quiet ones too,
+  generating one edge at a time;
+* no transfer blocks: one transfer-chain call at the end of the run
+  (``_finalize``'s);
+* no eye plateaus: an eye histogram that reads every bin with
+  ``value_at``.
 
 The property below checks that both loops report the same ``RunMetrics``.
 """
