@@ -23,8 +23,9 @@ medians exceeds the base's interquartile range.  It is written to
 per-pair values and copy paths, and both commit ids.  After the timed
 pairs, each side
 runs each workload once more with ``--trace 1 --seconds 1``; the report
-keeps that run's per-layer counts and each layer's share of the traced
-wall time.  Both copies are removed at the end.
+keeps every per-layer figure of that run (``layer_profile``) and each
+layer's share of the traced wall time.  Both copies are removed at the
+end.
 """
 
 from __future__ import annotations
@@ -166,12 +167,15 @@ def compare(place, workloads: list[str], pairs: int, seed: int,
 
 
 def layer_profile(metrics: dict) -> dict:
-    """The per-layer counts of one traced run, and each layer's self time
-    as a share of the run's traced wall time."""
+    """Every per-layer figure of one traced run: its counts, its other
+    figures (times, per-cycle figures, shares, bytes) with their units, and
+    each layer's self time as a share of the run's traced wall time."""
     wall = metrics["trace.wall_s"]["value"]
     return {
         "counts": {k: m["value"] for k, m in metrics.items()
                    if m["unit"] == "count"},
+        "figures": {k: {"value": m["value"], "unit": m["unit"]}
+                    for k, m in metrics.items() if m["unit"] != "count"},
         "wall_share": {k.split(".")[0]: m["value"] / wall
                        for k, m in metrics.items() if k.endswith(".self_s")},
     }

@@ -104,9 +104,10 @@ class DllPhases:
         each j, in one walk of the reference's cursor."""
         for i in set(idx):
             self.phase_offset(i)  # range check
-        offs = [self._offsets[i] for i in idx]
+        offsets = self._offsets
+        offs = [offsets[i] for i in idx]
         edges = self.ref.first_edges_at_or_after(
-            t - off + 1 for t, off in zip(ts, offs))
+            [t - off + 1 for t, off in zip(ts, offs)])
         return [e + off for e, off in zip(edges, offs)]
 
 
@@ -237,12 +238,16 @@ def cdt_transfer(
     closing transition.  A stage-1 miss has no output: it gets no stage-2
     edge, and closes no stage-2 capture.
     """
+    if not events:
+        return []
     # Stage 1: data transitions at the retiming stage output, one per event
     # but the last, captured at the intermediate phase of each event's
     # selected phase.  A sentinel closes the last event.
-    taus = [ev[2] + chain.resolve_retime for ev in islice(events, 1, None)]
+    bit_ids, values, t_centers, sels = zip(*events)
+    resolve_retime = chain.resolve_retime
+    taus = [t + resolve_retime for t in islice(t_centers, 1, None)]
     n_out = len(taus) - lookahead
-    sels = [ev[3] for ev in islice(events, len(taus))]
+    sels = sels[:len(taus)]
     stage_phase = {sel: intermediate_phase(sel, phases.n) for sel in set(sels)}
     edges = phases.first_edges_after([stage_phase[sel] for sel in sels], taus)
     taus.append(None)
@@ -252,12 +257,12 @@ def cdt_transfer(
     resolve_stage = chain.resolve_stage
     sigmas = [u if u is None else u + resolve_stage for u in edges] + [None]
     edges = rx_clock.first_edges_at_or_after(
-        s + 1 for s in islice(sigmas, n_out) if s is not None)
+        [s + 1 for s in islice(sigmas, n_out) if s is not None])
     if len(edges) < n_out:  # a stage-1 miss gets no stage-2 edge
         found = iter(edges)
         edges = [None if s is None else next(found) for s in islice(sigmas, n_out)]
     _stage(2, edges, sigmas, chain, violations)
     new = tuple.__new__  # a Delivery per bit, without its Python-level __new__
     return [new(Delivery, (bit_id, value, t_center, -1 if u is None else u, viol))
-            for (bit_id, value, t_center, _), u, viol in zip(events, edges,
-                                                             violations)]
+            for bit_id, value, t_center, u, viol in zip(bit_ids, values, t_centers,
+                                                        edges, violations)]

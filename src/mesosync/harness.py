@@ -29,7 +29,7 @@ voltage rises when more delay is needed; leaving the comparator window
 upward selects the next-later DLL phase with a strong discharge pulse.
 
 Each Vc segment carries one pump current and its slope; ``pump_integrate``
-defines Vc along it.  Eight exact shortcuts spare work whose result is
+defines Vc along it.  Nine exact shortcuts spare work whose result is
 known; ``ReferenceSimulation`` (``tests/test_reference_loop.py``) turns
 them and both scheduler slots off, and must report the same figures:
 
@@ -44,6 +44,9 @@ them and both scheduler slots off, and must report the same figures:
 * cursor samples: each detector sample is one ``Sampler.sample`` call on
   the waveform's cursor, which also gives the bit index; the next edge
   comes from the DLL's reference clock, not from ``DllPhases.edge``;
+* the decision table: each cycle looks its Alexander decision up in
+  ``_DECISIONS``, which ``alexander_step`` fills at import for its 8
+  states and 4 sample pairs (the reference's cycle calls ``alexander_step``);
 * clock blocks: a quiet clock is a ``GridClock``, and a jittered one
   generates its edges in blocks;
 * transfer blocks and eye plateaus, both described below.
@@ -95,7 +98,8 @@ from array import array
 from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
+from operator import itemgetter
 
 from . import oracle as _oracle
 from .coarse_loop import (
@@ -146,6 +150,30 @@ _CDT_BLOCK = 1024    # detector events delivered per transfer-chain call
 # every edge within a period of its nominal instant; this covers both with
 # margin, wherever in the block the edges are dropped.
 _EDGE_LOOKBACK = 2048
+_time = itemgetter(0)  # a Vc point's instant
+
+
+def _decision_table() -> tuple:
+    """``alexander_step`` for each of its 8 states and 4 sample pairs.
+
+    State ``AlexanderState(center, primed)`` has the base ``16 * center +
+    4 * primed``; entry ``base + 2 * edge_sample + center_sample`` holds the
+    step's (up, dn, retimed) and the base of its next state.
+    """
+    table = []
+    for center in (0, 1):
+        for primed in range(4):
+            for edge_sample in (0, 1):
+                for center_sample in (0, 1):
+                    up, dn, retimed, st = alexander_step(
+                        AlexanderState(center, primed), edge_sample,
+                        center_sample)
+                    table.append((up, dn, retimed, 16 * st.center + 4 * st.primed))
+    return tuple(table)
+
+
+# The detector's decisions, looked up once per cycle in Simulation.run.
+_DECISIONS = _decision_table()
 
 
 @dataclass
@@ -499,7 +527,7 @@ class Simulation:
         for clock in self._clocks:
             clock.forget_before(forget)
         # A lock declared at this instant still folds the points set at it.
-        self._move_vc(bisect_left(self.vc_trace, self.now, key=lambda p: p[0]))
+        self._move_vc(bisect_left(self.vc_trace, self.now, key=_time))
         # The block's tallies run in locals and go into the record once.
         # Every delivered bit lies in the stored period: the waveform read
         # two bits past it when the detector sampled it.
@@ -548,14 +576,17 @@ class Simulation:
         moved = block[:j]
         del block[:j]
         start = self._measure_start()
-        if start is not None:
+        i = len(moved) if start is None else bisect_left(moved, start, key=_time)
+        if i < len(moved):
             hi, lo = self._vc_hi, self._vc_lo
-            for t, v in moved:
-                if t >= start:
-                    if hi is None or v > hi:
-                        hi = v
-                    if lo is None or v < lo:
-                        lo = v
+            if hi is None:
+                hi = lo = moved[i][1]
+            # Strict comparisons keep the earliest of equal values.
+            for _, v in islice(moved, i, None):
+                if v > hi:
+                    hi = v
+                elif v < lo:
+                    lo = v
             self._vc_hi, self._vc_lo = hi, lo
         if self.keep_traces:
             # fromlist sizes the column once; extend grows it point by point.
@@ -595,7 +626,8 @@ class Simulation:
         lock = self.lock
         ref_edge, offsets = self._ref_edge, self._phase_offsets
         hold_until, stop_after = self.hold_until_fs, self.stop_after_lock_fs
-        alex = AlexanderState()
+        decisions = _DECISIONS
+        alex = 0  # the base of AlexanderState() in _DECISIONS
         first_clean = None
         excursions = self.totals.excursions
         es, k, n_used = self.next_cycle
@@ -655,7 +687,7 @@ class Simulation:
             metastable = center.last_was_metastable
             if first_clean is None and not metastable and hold_until is None:
                 first_clean = t_sample
-            up, dn, retimed, alex = alexander_step(alex, edge_val, center_val)
+            up, dn, retimed, alex = decisions[alex + 2 * edge_val + center_val]
             # The centre sample left the waveform's cursor on its bit.
             pending.append((waveform.bit_index, retimed, t_sample, n_used))
             if len(pending) == _CDT_BLOCK + 3:

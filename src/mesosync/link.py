@@ -14,8 +14,16 @@ from .timebase import SEEK_PERIODS, ClockGen, SimTime
 PRBS15_MASK = 0x7FFF
 PRBS15_PERIOD = 32767
 # PRBS bits generated ahead per extension, so that a reader moving one bit
-# at a time extends the sequence once every this many bits.
-_PRBS_CHUNK = 64
+# at a time extends the sequence once every this many bits: five groups of
+# _PRBS_GROUP (see BitSource).
+_PRBS_CHUNK = 65
+# Register steps taken at once: the feedback taps bits 14 and 13, and a bit
+# shifted in reaches bit 13 only after 13 steps.
+_PRBS_GROUP = 13
+# The bits of a 7-bit and a 6-bit value, most significant first: the high
+# and low parts of a 13-bit group.
+_BITS7 = [bytes((v >> s) & 1 for s in range(6, -1, -1)) for v in range(128)]
+_BITS6 = [bytes((v >> s) & 1 for s in range(5, -1, -1)) for v in range(64)]
 # One period of each fixed pattern.
 _FIXED_PATTERNS = {"alternating": b"\x00\x01", "ones": b"\x01", "zeros": b"\x00"}
 
@@ -33,6 +41,13 @@ class BitSource:
     register, is stored lazily: nothing is generated ahead at construction,
     and a read past the stored bits extends them by at least
     ``_PRBS_CHUNK`` register steps, up to one period.
+
+    The register takes 13 steps at once: they output bits 14..2 in that
+    order and shift in b14^b13, b13^b12, ..., b2^b1, since no bit shifted
+    in reaches the taps within 13 steps.  So bits 1..0 move up to 14..13,
+    and bits 12..0 become the low 13 bits of (reg >> 2) ^ (reg >> 1).
+    Single steps make up the remainder of a count, such as the 31-step
+    flush at construction and the period's last bits.
     """
 
     def __init__(self, pattern: str, seed: int):
@@ -55,7 +70,13 @@ class BitSource:
         """Append the next ``count`` register outputs."""
         bits = self._bits
         reg = self._reg
-        for _ in range(count):
+        hi, lo = _BITS7, _BITS6
+        for _ in range(count // _PRBS_GROUP):
+            out = reg >> 2
+            bits += hi[out >> 6]
+            bits += lo[out & 63]
+            reg = ((reg & 3) << 13) | (out ^ ((reg >> 1) & 0x1FFF))
+        for _ in range(count % _PRBS_GROUP):
             bits.append(reg >> 14)
             reg = ((reg << 1) | (((reg >> 14) ^ (reg >> 13)) & 1)) & PRBS15_MASK
         self._reg = reg

@@ -197,8 +197,10 @@ def _layer_metrics(edge_calls, harness_s):
     values = {
         "timebase.edge_calls": (edge_calls, "count"),
         "timebase.self_s": (0.5, "s"),
+        "dll_cdt.cdt_transfer_s": (0.25, "s"),
         "dll_cdt.edge_calls": (2 * edge_calls, "count"),
         "dll_cdt.missed_share": (0.0, "share"),
+        "harness.init_s": (0.125, "s"),
         "harness.self_s": (harness_s, "s"),
         "harness.self_s_per_cycle": (harness_s / 100, "s/cycle"),
         "trace.wall_s": (2.0, "s"),
@@ -208,10 +210,21 @@ def _layer_metrics(edge_calls, harness_s):
 
 
 def test_layer_profile_counts_and_shares():
+    # Every figure of the traced run is kept: counts apart, the rest
+    # (absolute times, spans, per-cycle figures and shares) with its unit.
     profile = compare.layer_profile(_layer_metrics(7, 1.0))
     assert profile == {
         "counts": {"timebase.edge_calls": 7, "dll_cdt.edge_calls": 14,
                    "trace.cycles": 100},
+        "figures": {
+            "timebase.self_s": {"value": 0.5, "unit": "s"},
+            "dll_cdt.cdt_transfer_s": {"value": 0.25, "unit": "s"},
+            "dll_cdt.missed_share": {"value": 0.0, "unit": "share"},
+            "harness.init_s": {"value": 0.125, "unit": "s"},
+            "harness.self_s": {"value": 1.0, "unit": "s"},
+            "harness.self_s_per_cycle": {"value": 0.01, "unit": "s/cycle"},
+            "trace.wall_s": {"value": 2.0, "unit": "s"},
+        },
         "wall_share": {"timebase": 0.25, "harness": 0.5},
     }
 

@@ -170,31 +170,49 @@ def test_transfer_blocks_match_default(monkeypatch, default_block_runs, block):
     # number of cycles run.
     t_centers = []
     cycles = 0
-    step = harness.alexander_step
+    sim = None
+    sample = phase_detector.Sampler.sample
 
     def recording_transfer(events, phases, rx_clock, chain, lookahead=0):
         out = cdt_transfer(events, phases, rx_clock, chain, lookahead=lookahead)
         t_centers.extend(ev[2] for ev in events[:len(out)])
         return out
 
-    def counted_step(*args):
-        # One detector decision per cycle.
+    def counted_sample(sampler, *args):
+        # One mid-eye sample per cycle.
         nonlocal cycles
-        cycles += 1
-        return step(*args)
+        cycles += sampler is sim.center_sampler
+        return sample(sampler, *args)
 
     monkeypatch.setattr(harness, "_CDT_BLOCK", block)
     monkeypatch.setattr(harness, "cdt_transfer", recording_transfer)
-    monkeypatch.setattr(harness, "alexander_step", counted_step)
+    monkeypatch.setattr(phase_detector.Sampler, "sample", counted_sample)
     for (scn, kw, code), ref in zip(BLOCK_RUNS, default_block_runs):
         t_centers.clear()
         cycles = 0
-        m = run(scn, **kw)
+        sim = Simulation(scn, **kw)
+        m = sim.run()
         assert ref.exit_code == code
         assert _run_fields(m) == _run_fields(ref)
         assert m.pd_event_count == cycles > 0
         assert len(t_centers) == m.pd_event_count - 1
         assert all(a < b for a, b in zip(t_centers, t_centers[1:]))
+
+
+@pytest.mark.parametrize("center", [0, 1])
+@pytest.mark.parametrize("primed", range(4))
+def test_decision_table_is_alexander_step(center, primed):
+    # The run's decision table holds alexander_step's answer for every
+    # state and sample pair, and the base of the state it steps to.
+    state = phase_detector.AlexanderState(center, primed)
+    base = 16 * center + 4 * primed
+    for edge_sample in (0, 1):
+        for center_sample in (0, 1):
+            up, dn, retimed, nxt = phase_detector.alexander_step(
+                state, edge_sample, center_sample)
+            assert harness._DECISIONS[base + 2 * edge_sample + center_sample] == (
+                up, dn, retimed, 16 * nxt.center + 4 * nxt.primed)
+    assert len(harness._DECISIONS) == 32
 
 
 # The block runs, a measurement start before lock and jittered 65 nm edges.

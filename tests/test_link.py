@@ -39,6 +39,37 @@ def test_prbs15_conformance_vectors(seed):
     assert hashlib.sha256(data).hexdigest() == PRBS15_SHA256[seed]
 
 
+def _one_step_prbs15(seed, count):
+    """The stored bits and register of ``BitSource("prbs15", seed)`` after
+    ``count`` more outputs, from the LFSR taken one step at a time."""
+    reg = (seed % PRBS15_MASK) + 1
+    out = bytearray()
+    for _ in range(31 + count):
+        out.append(reg >> 14)
+        reg = ((reg << 1) | (((reg >> 14) ^ (reg >> 13)) & 1)) & PRBS15_MASK
+    return bytes(out[31:]), reg
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, derive_seed(1, 3)])
+def test_prbs15_group_steps_match_single_steps(seed):
+    # Groups of 13 register steps plus single steps for the remainder give
+    # the bits and register of one step at a time, for every remainder, a
+    # whole extension chunk and the chunk before it.
+    for count in [*range(1, 41), 64, 65]:
+        bits = BitSource("prbs15", seed)
+        bits._extend(count)
+        assert (bytes(bits._bits), bits._reg) == _one_step_prbs15(seed, count)
+    # One full period, read a bit at a time as the waveform does, then a
+    # wrap into the next.
+    bits = BitSource("prbs15", seed)
+    for i in range(PRBS15_PERIOD):
+        bits.bit(i)
+    period, reg = _one_step_prbs15(seed, PRBS15_PERIOD)
+    assert (bytes(bits._bits), bits._reg) == (period, reg)
+    assert [bits.bit(PRBS15_PERIOD + i) for i in range(100)] == list(period[:100])
+    assert (bytes(bits._bits), bits._reg) == (period, reg)
+
+
 def test_prbs15_full_cycle_returns_to_seed():
     # After one period the register is back where it started, so the
     # stream repeats with period 2^15 - 1, from any seed.

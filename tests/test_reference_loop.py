@@ -1,7 +1,7 @@
 """A plain reference loop against which every scheduling shortcut is exact.
 
 ``ReferenceSimulation`` runs the model of ``harness.Simulation`` with both
-scheduler slots and each of the eight shortcuts that the ``harness``
+scheduler slots and each of the nine shortcuts that the ``harness``
 docstring lists turned off.  It owns the definitional OPP and CYCLE
 handlers, which ``Simulation.run`` runs inline, so the two loops are
 independent implementations of the detector cycle:
@@ -18,6 +18,7 @@ independent implementations of the detector cycle:
   ``nearest_transition_distance``, ``sample_comparator`` and ``value_at``
   (``DefinitionalSampler``), a bit index from ``bit_at`` and each next
   sampling edge from ``DllPhases.edge``;
+* no decision table: each cycle calls ``alexander_step``;
 * no clock blocks: a ``ClockGen`` for every clock, quiet ones too,
   generating one edge at a time;
 * no transfer blocks: one transfer-chain call at the end of the run
