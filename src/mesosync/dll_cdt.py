@@ -238,16 +238,13 @@ def cdt_transfer(
     closing transition.  A stage-1 miss has no output: it gets no stage-2
     edge, and closes no stage-2 capture.
     """
-    if not events:
-        return []
     # Stage 1: data transitions at the retiming stage output, one per event
     # but the last, captured at the intermediate phase of each event's
     # selected phase.  A sentinel closes the last event.
-    bit_ids, values, t_centers, sels = zip(*events)
     resolve_retime = chain.resolve_retime
-    taus = [t + resolve_retime for t in islice(t_centers, 1, None)]
+    taus = [ev[2] + resolve_retime for ev in islice(events, 1, None)]
     n_out = len(taus) - lookahead
-    sels = sels[:len(taus)]
+    sels = [ev[3] for ev in islice(events, len(taus))]
     stage_phase = {sel: intermediate_phase(sel, phases.n) for sel in set(sels)}
     edges = phases.first_edges_after([stage_phase[sel] for sel in sels], taus)
     taus.append(None)
@@ -264,5 +261,5 @@ def cdt_transfer(
     _stage(2, edges, sigmas, chain, violations)
     new = tuple.__new__  # a Delivery per bit, without its Python-level __new__
     return [new(Delivery, (bit_id, value, t_center, -1 if u is None else u, viol))
-            for bit_id, value, t_center, u, viol in zip(bit_ids, values, t_centers,
-                                                        edges, violations)]
+            for (bit_id, value, t_center, _), u, viol in zip(events, edges,
+                                                             violations)]
