@@ -101,7 +101,7 @@ class DllPhases:
 
     def first_edges_after(self, idx, ts) -> list[SimTime]:
         """Earliest edge of phase ``idx[j]`` strictly after ``ts[j]``, for
-        each j, in one walk of the reference's cursor."""
+        each j, in one block lookup of the reference's edges."""
         for i in set(idx):
             self.phase_offset(i)  # range check
         offsets = self._offsets
@@ -232,7 +232,7 @@ def cdt_transfer(
     that overlap by three events.
 
     The chain is two ``_stage`` calls, each over the whole block with one
-    walk of its clock's edge cursor: stage 1 captures every event at its
+    block lookup of its clock's edges: stage 1 captures every event at its
     intermediate DLL phase, then stage 2 captures each stage-1 output at
     the receiver clock, with the next event's stage-1 output as its
     closing transition.  A stage-1 miss has no output: it gets no stage-2

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .timebase import SEEK_PERIODS, ClockGen, SimTime
+from .timebase import ClockGen, SimTime
 
 PRBS15_MASK = 0x7FFF
 PRBS15_PERIOD = 32767
@@ -131,15 +131,16 @@ class RxWaveform:
 
     Queries are answered from a cursor: the bit index k of the previous
     answer, a five-bit window k-2..k+2 of data around it, the boundaries
-    k-1, k and k+1, and the nearest data transitions around the bit.  A new
-    query walks from there, or from the nominal grid when it lands more than
-    a few periods away, so every answer is exact for any time and any query
-    order.  Samplers move forward about one bit per cycle: a walk of exactly
-    one bit shifts the window by one, reads only bit k+2 (from the stored
-    period) and finds the nearest transitions; any other move reads the
-    window one bit back and takes that same step.  ``Sampler.sample`` reads
-    the cursor directly (``_seek``, then the bit and its nearest
-    transitions), and the harness takes the bit's index from ``bit_index``.
+    k-1, k and k+1, and the nearest data transitions around the bit.
+    Samplers move forward about one bit per cycle: a query in bit k+1
+    shifts the window by one, reads only bit k+2 (from the stored period)
+    and finds the nearest transitions.  Any other move asks the transmit
+    clock for the first edge whose boundary lies after the query
+    (``first_edge_at_or_after``), reads the window one bit back and takes
+    that same step, so every answer is exact for any time and any query
+    order.  ``Sampler.sample`` reads the cursor directly (``_seek``, then
+    the bit and its nearest transitions), and the harness takes the bit's
+    index from ``bit_index``.
     """
 
     def __init__(self, bits: BitSource, cfg: ChannelConfig, tx_clock: ClockGen):
@@ -147,15 +148,15 @@ class RxWaveform:
         self.cfg = cfg
         self._tx = tx_clock
         self._delay = cfg.delay_fs
-        self._reach = SEEK_PERIODS * cfg.bit_period
         self._half = cfg.transition_time // 2
         # The line's level for bit 0 and bit 1.
         self._levels = (-cfg.swing / 2.0, cfg.swing / 2.0)
         # The pattern's stored period, which a one-bit step reads directly.
         self._stored, self._pattern_period = bits._bits, bits._period
-        # No bit yet: the first query reads the whole window (see _seek).
+        # No bit yet: every query lies before _lo, so the first one reads
+        # the whole window (see _seek).
         self.bit_index = -2
-        self._lo = self._hi = -(1 << 62)
+        self._lo = self._hi = 1 << 62
 
     def boundary(self, k: int) -> SimTime:
         """Receiver-side start instant of bit k."""
@@ -163,24 +164,17 @@ class RxWaveform:
 
     def _seek(self, t: SimTime) -> None:
         """Move the cursor to the bit containing t (bit 0 before it)."""
-        k, lo, hi = self.bit_index, self._lo, self._hi
         edge = self._tx.edge
         delay = self._delay
-        reach = self._reach
-        if not -reach < t - lo < reach:
-            k = max(0, int((t - delay) // self.cfg.bit_period) - 2)
-            lo = edge(k) + delay
-            hi = edge(k + 1) + delay
-        while hi <= t:
-            k += 1
-            lo = hi
-            hi = edge(k + 1) + delay
-        while k > 0 and lo > t:
-            k -= 1
-            hi = lo
-            lo = edge(k) + delay
-        if k != self.bit_index + 1:
-            if k == self.bit_index:
+        k, lo = self.bit_index + 1, self._hi
+        if not (lo <= t and t < (hi := edge(k + 1) + delay)):
+            # The first boundary after t ends t's bit.
+            j, e = self._tx.first_edge_at_or_after(t - delay + 1)
+            if j:
+                k, lo, hi = j - 1, edge(j - 1) + delay, e + delay
+            elif self.bit_index:  # t lies before bit 0
+                k, lo, hi = 0, e + delay, edge(1) + delay
+            else:
                 return
             self._place(k)
         # One bit forward: shift the window and read only the new bit k+2,

@@ -110,12 +110,8 @@ def alexander_step(
     c = center_sample & 1
     if primed < 2:
         # Fewer than three samples seen, this one included: no decision yet.
-        return 0, 0, c, _STATES[c][primed + 1]
-    return a ^ b, b ^ c, c, _STATES[c][3]
-
-
-# _STATES[center][primed], built once so a cycle picks a state, not builds one.
-_STATES = tuple(tuple(AlexanderState(c, p) for p in range(4)) for c in (0, 1))
+        return 0, 0, c, AlexanderState(c, primed + 1)
+    return a ^ b, b ^ c, c, AlexanderState(c, 3)
 
 
 # Latency of the detector's retimed outputs, in clock cycles: one cycle for

@@ -4,7 +4,7 @@ All simulation time is carried as integer femtoseconds so that event
 ordering and phase arithmetic are exact.  Clock phases and jitter are
 expressed in unit intervals (UI, fractions of the clock period) and only
 converted to ticks at the final rounding step.  ``ClockGen`` generates,
-caches and walks jittered edges; ``GridClock`` answers the edges of a
+caches and searches jittered edges; ``GridClock`` answers the edges of a
 clock without jitter in closed form; ``make_clock`` picks one of the two
 from a clock's jitter.
 """
@@ -12,7 +12,9 @@ from a clock's jitter.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 
 # One femtosecond per tick.  SimTime values are plain ints.
 SimTime = int
@@ -20,10 +22,6 @@ SimTime = int
 FS_PER_SECOND = 10**15
 FS_PER_NS = 10**6
 FS_PER_PS = 10**3
-
-# A cursor query more than this many periods from the cursor restarts the
-# walk from the nominal grid.
-SEEK_PERIODS = 4
 
 # Edges a ClockGen generates at a time when it runs out of cached ones.
 _EDGE_BLOCK = 256
@@ -142,8 +140,8 @@ def jitter_offsets(spec: JitterSpec, ts, rng: Rng | None = None) -> list[float]:
 class ClockGen:
     """Sequential edge generator for one clock with monotonicity checking.
 
-    The one place that generates, caches, evicts and walks jittered clock
-    edges (a quiet clock gives the edges of :class:`GridClock`).
+    The one place that generates, caches, evicts and searches jittered
+    clock edges (a quiet clock gives the edges of :class:`GridClock`).
     ``_generate(k, n)`` makes edges k..k+n-1, in index order and once per
     edge, which fixes the gaussian draw order; a clock derived from another
     overrides it.  ``edge`` extends the cache by at least ``_EDGE_BLOCK``
@@ -152,8 +150,12 @@ class ClockGen:
     Edges are cached from a base index on, so ``edge(k)`` takes any k at or
     above the base in any order.  ``forget_before(k)`` raises the base to k
     (never past the newest edge); below it ``edge`` raises
-    :class:`EvictedEdgeError`.  ``first_edges_at_or_after`` walks from a
-    cursor: the index of the previous answer and the edges either side.
+    :class:`EvictedEdgeError`.  ``first_edge_at_or_after(t)`` extends the
+    cache up to the first edge at or after t and bisects it (the cached
+    edges rise strictly), so every answer is exact for any query order.
+    It raises :class:`EvictedEdgeError` only when the first cached edge
+    lies after t and the base is above 0: the answer may then be an
+    evicted edge.
     """
 
     def __init__(
@@ -174,8 +176,6 @@ class ClockGen:
         self._base = 0
         # The error of the first non-monotone edge, past the cached ones.
         self._error: NonMonotonicEdgeError | None = None
-        # (k, edge(k - 1), edge(k)) of the previous answer, or None.
-        self._cursor: tuple | None = None
 
     def _generate(self, k: int, n: int) -> list[SimTime]:
         """``j*T`` plus the jitter at that nominal instant, in ticks, for
@@ -225,34 +225,34 @@ class ClockGen:
             del self._edges[:drop]
             self._base += drop
 
+    def _find(self, t: SimTime) -> int:
+        """Cache position of the earliest edge with time >= t."""
+        edges = self._edges
+        while not edges or edges[-1] < t:
+            if self._error is not None:
+                raise self._error
+            self._extend(t // self.period - self._base - len(edges) + 2)
+        i = bisect_left(edges, t)
+        if not i and self._base and edges[0] != t:
+            raise EvictedEdgeError(f"{self.name}: the first edge at or after "
+                                   f"{t} fs may lie below the cache base "
+                                   f"{self._base}")
+        return i
+
     def first_edge_at_or_after(self, t: SimTime) -> tuple[int, SimTime]:
         """(index, time) of the earliest edge with time >= t."""
-        (e,) = self.first_edges_at_or_after((t,))
-        return self._cursor[0], e
+        i = self._find(t)
+        return self._base + i, self._edges[i]
 
     def first_edges_at_or_after(self, ts) -> list[SimTime]:
-        """Time of the earliest edge at or after each of ``ts``, in one
-        walk: from the cursor the query before left, or from the nominal
-        grid when more than ``SEEK_PERIODS`` periods away, so every answer
-        is exact for any query order."""
-        edge = self.edge
-        reach = SEEK_PERIODS * self.period
-        out: list[SimTime] = []
-        k, lo, hi = self._cursor or (None, None, None)
-        for t in ts:
-            if hi is None or not -reach < t - hi < reach:
-                k = max(int(t // self.period) - 2, 0)
-                lo, hi = (edge(k - 1) if k else None), edge(k)
-            while hi < t:
-                k += 1
-                lo, hi = hi, edge(k)
-            while k > 0 and lo >= t:
-                k -= 1
-                lo, hi = (edge(k - 1) if k else None), lo
-            out.append(hi)
-        if out:
-            self._cursor = (k, lo, hi)
-        return out
+        """Time of the earliest edge at or after each instant of the
+        sequence ``ts``: the latest and the earliest are searched first,
+        which extends the cache and checks eviction for all of them."""
+        if ts:
+            self._find(max(ts))
+            self._find(min(ts))
+        edges = self._edges
+        return [edges[i] for i in map(bisect_left, repeat(edges), ts)]
 
 
 class GridClock(ClockGen):

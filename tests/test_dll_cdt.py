@@ -92,6 +92,25 @@ def test_tracking_forget_before_drops_only_older_edges():
     assert [p.edge(3, k) for k in range(120, 400)] == [ref.edge(3, k) for k in range(120, 400)]
 
 
+def test_tracking_search_reads_only_cached_edges():
+    # The tracked reference searches its cache like any ClockGen: after a
+    # drop it answers from the cached edges, and raises only for a query
+    # before the first of them.
+    jitter = JitterSpec(sin_amp_ui=0.3, sin_freq_hz=5e6)
+    ref = _phases(mode="tracking", jitter=jitter)
+    p = _phases(mode="tracking", jitter=jitter)
+    p.ref.edge(300)
+    p.ref.forget_before(100)
+    e100, e101, e102 = (ref.edge(0, k) for k in (100, 101, 102))
+    assert p.ref.first_edge_at_or_after(e101 + 1) == (102, e102)
+    assert p.first_edges_after((0, 0, 3), (e101, e100 - 1, e101)) == [
+        e102, e100, ref.edge(3, 101)]
+    with pytest.raises(EvictedEdgeError):
+        p.ref.first_edge_at_or_after(e100 - 1)
+    with pytest.raises(EvictedEdgeError):
+        p.first_edges_after((0,), (e100 - 2,))
+
+
 def test_tracking_waits_for_the_reference_edge_error():
     # The reference turns non-monotone inside the tracked clock's first
     # block: the tracked edges before it answer as one at a time, and the
@@ -323,7 +342,7 @@ def test_first_edge_after_cursor_matches_reference(mode, amp_ui, freq_hz, querie
 )
 def test_first_edges_after_block_walk_matches_reference(mode, amp_ui, freq_hz, blocks):
     # Blocks of (phase, instant) queries in any order, each followed by a
-    # single query on the shared cursor: every answer is the nominal-grid
+    # single query on the same reference: every answer is the nominal-grid
     # search's, on a quiet or jittered reference, ideal or tracking.
     p = _phases(mode=mode, jitter=JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
     for block in blocks:

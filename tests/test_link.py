@@ -13,7 +13,17 @@ from mesosync.link import (
     RxWaveform,
 )
 from mesosync.oracle import eye_center_phase, wrap_ui
-from mesosync.timebase import ClockGen, JitterSpec, derive_seed, make_clock, period_fs
+from mesosync.phase_detector import Sampler
+from mesosync.timebase import (
+    ClockGen,
+    GridClock,
+    JitterSpec,
+    NO_JITTER,
+    Rng,
+    derive_seed,
+    make_clock,
+    period_fs,
+)
 
 
 # sha256 of bits 0-69,999 (one byte per bit) of the PRBS-15 source, recorded
@@ -343,6 +353,42 @@ def test_cursor_steps_match_reference(pattern, seed, n, alpha, amp_ui, freq_hz,
             t = lo + min(int(frac * (hi - lo)), hi - lo - 1)
             for method, ref in _REFERENCE.items():
                 assert getattr(wf, method)(t) == ref(wf, t), (method, k, t)
+
+
+@pytest.mark.parametrize("jitter", [NO_JITTER, JitterSpec(sin_amp_ui=0.45,
+                                                           sin_freq_hz=3e8)])
+def test_one_bit_steps_do_not_ask_the_clock(jitter):
+    # Samples one bit apart move the cursor one bit forward on its own: the
+    # transmit clock's search runs once, for the first sample, and once for
+    # each other move.  Mid-bit nominal instants lie in their own bit, as
+    # jitter stays below half a period.
+    T = period_fs(2.5e9)
+    cfg = ChannelConfig(n=1, alpha=0.3, bit_period=T,
+                        transition_time=round(0.2 * T), swing=0.2)
+    tx = make_clock(T, jitter)
+    assert type(tx) is (GridClock if jitter.is_quiet else ClockGen)
+    search = tx.first_edge_at_or_after
+    searches = []
+    tx.first_edge_at_or_after = lambda t: searches.append(t) or search(t)
+    wf = RxWaveform(BitSource("prbs15", 1), cfg, tx)
+    sampler, rng = Sampler(0), Rng(0)
+
+    def check(k):
+        t = cfg.delay_fs + k * T + T // 2
+        out = sampler.sample(wf, t, rng)
+        assert wf.bit_index == _ref_bit_at(wf, t) == k
+        assert out == wf.bits.bit(k)
+        assert wf.nearest_transition_distance(t) == _ref_distance(wf, t)
+
+    for k in range(1000):
+        check(k)
+    assert len(searches) == 1
+    check(996)  # a backward move
+    assert len(searches) == 2
+    check(998)  # a two-bit jump
+    assert len(searches) == 3
+    check(999)
+    assert len(searches) == 3
 
 
 @pytest.mark.parametrize("tt_ui", [0.0, 0.2, 0.5, 0.9])

@@ -221,6 +221,24 @@ def test_clockgen_first_edge_at_or_after():
     assert (k, t) == (3, 3 * T)
 
 
+def test_first_edge_search_reads_only_cached_edges():
+    # After a drop the search answers from the cached edges alone: it
+    # raises only for a query before the first cached edge, whose answer
+    # may be an evicted edge.
+    T = period_fs(1.3e9)
+    gen = ClockGen(T)
+    gen.edge(300)
+    gen.forget_before(100)
+    assert gen.first_edge_at_or_after(101 * T + 1) == (102, 102 * T)
+    assert gen.first_edge_at_or_after(100 * T) == (100, 100 * T)
+    assert gen.first_edges_at_or_after([101 * T + 1, 100 * T, 400 * T - 1]) == [
+        102 * T, 100 * T, 400 * T]
+    with pytest.raises(EvictedEdgeError):
+        gen.first_edge_at_or_after(100 * T - 1)
+    with pytest.raises(EvictedEdgeError):
+        gen.first_edges_at_or_after([101 * T, 100 * T - 1])
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     amp=st.floats(min_value=0.0, max_value=0.45),
@@ -280,7 +298,7 @@ def test_first_edge_cursor_matches_reference(amp_ui, freq_hz, queries):
 )
 def test_block_walk_matches_reference(amp_ui, freq_hz, blocks):
     # Blocks of queries in any order, each followed by a single query, on
-    # one cursor: every answer is the nominal-grid search's.
+    # one clock: every answer is the nominal-grid search's.
     T = period_fs(1.3e9)
     gen = ClockGen(T, JitterSpec(sin_amp_ui=amp_ui, sin_freq_hz=freq_hz))
     for block in blocks:
@@ -299,7 +317,7 @@ def test_block_walk_matches_reference(amp_ui, freq_hz, blocks):
     queries=st.lists(_QUERIES, max_size=40),
 )
 def test_grid_clock_matches_clockgen(period, ks, queries):
-    # The closed form against the generated, cached and walked edges of a
+    # The closed form against the generated, cached and searched edges of a
     # quiet ClockGen: edges in any order, then unsorted query blocks and
     # single queries on each, instants at or before edge 0 included.
     grid, ref = GridClock(period), ClockGen(period)
