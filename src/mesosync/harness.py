@@ -146,9 +146,9 @@ _EYE_BINS = 100      # phase bins across one bit of the eye histogram
 _CDT_BLOCK = 1024    # detector events delivered per transfer-chain call
 # Clock edges kept behind the current period.  The transfer chain reaches
 # back no further than the oldest pending detector event (at most 1,027 of
-# them, one per cycle), a lookup a period or two before that, and jitter
-# keeps every edge within a period of its nominal instant; this covers all
-# three with margin, wherever in the block the edges are dropped.
+# them, one per cycle), and jitter keeps every edge within a period of its
+# nominal instant; this covers both with margin, wherever in the block the
+# edges are dropped.
 _EDGE_LOOKBACK = 2048
 _time = itemgetter(0)  # a Vc point's instant
 
