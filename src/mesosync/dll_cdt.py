@@ -61,8 +61,8 @@ class _TrackedClock(ClockGen):
 
 class DllPhases:
     """Edge times for the N DLL output phases: phase i is the clock ``ref``
-    delayed by i/N of a period.  ``ref`` answers every edge query (its
-    owner drops its old edges through ``ref.forget_before``); it is the
+    delayed by i/N of a period.  ``ref`` answers every edge query (and
+    drops its own old edges, as every ``ClockGen`` does); it is the
     receiver clock in ideal mode and its low-passed copy
     (``_TrackedClock``) in tracking mode."""
 

@@ -71,8 +71,7 @@ detector events pass through ``cdt_transfer`` together with the three
 events after them that their deliveries depend on; each of its stages
 looks its clock's edges up in one block call.  BER, violation and
 latency figures are folded into running totals, so memory does not hold
-one record per simulated bit.  Each block also lets the clocks drop the
-edges more than ``_EDGE_LOOKBACK`` periods old, and takes the block's
+one record per simulated bit.  Each block also takes the block's
 control-voltage points (``vc_trace``, one ``(t, v)`` tuple per point) but
 those set at ``now``: it folds the post-lock ones into the Vc extremes and
 then, if the run keeps its traces (``keep_traces``, which ``--out`` sets),
@@ -144,12 +143,6 @@ _PHASE_HISTORY = 64  # cycles averaged for the final sampling-phase estimate
 _EYE_BITS = 512      # bits folded into the eye histogram after lock
 _EYE_BINS = 100      # phase bins across one bit of the eye histogram
 _CDT_BLOCK = 1024    # detector events delivered per transfer-chain call
-# Clock edges kept behind the current period.  The transfer chain reaches
-# back no further than the oldest pending detector event (at most 1,027 of
-# them, one per cycle), and jitter keeps every edge within a period of its
-# nominal instant; this covers both with margin, wherever in the block the
-# edges are dropped.
-_EDGE_LOOKBACK = 2048
 _time = itemgetter(0)  # a Vc point's instant
 
 
@@ -267,10 +260,13 @@ class Simulation:
         self.bits = BitSource(scn.pattern, derive_seed(scn.seed, 3))
 
         self.jitter = (scn.jitter("tx"), scn.jitter("rx"))
+        # The waveform reads the transmit clock one channel delay behind the
+        # loop and the other readers read near now, so each reach has a
+        # clock of its own (see timebase.ClockGen): a correlated receiver
+        # reference is a second clock drawing the transmitter's edges.
         self.tx_clock = self._new_tx_clock()
         if scn.correlated:
-            # Receiver reference shares the transmitter's edge offsets.
-            self.rx_clock = self.tx_clock
+            self.rx_clock = self._new_tx_clock()
         else:
             self.rx_clock = make_clock(self.T, self.jitter[1],
                                        Rng(derive_seed(scn.seed, 2)), name="rx")
@@ -283,10 +279,6 @@ class Simulation:
         # DllPhases.edge for run, whose hot index needs no range check.
         self._ref_edge = self.dll.ref.edge
         self._phase_offsets = [self.dll.phase_offset(i) for i in range(self.N)]
-        # Each clock object once: correlated clocks are one object, and in
-        # ideal mode the DLL's reference is the receiver clock itself.
-        self._clocks = list({id(c): c for c in
-                             (self.tx_clock, self.rx_clock, self.dll.ref)}.values())
 
         preset = scn.snapshot_hot if scn.snapshot_hot >= 0 else 0
         self.ring = RingCounter(self.N, 1 << preset)
@@ -523,9 +515,6 @@ class Simulation:
                                   lookahead=lookahead)
         del pending[:len(deliveries)]
         start = self._measure_start()
-        forget = self.now // self.T - _EDGE_LOOKBACK
-        for clock in self._clocks:
-            clock.forget_before(forget)
         # A lock declared at this instant still folds the points set at it.
         self._move_vc(bisect_left(self.vc_trace, self.now, key=_time))
         # The block's tallies run in locals and go into the record once.

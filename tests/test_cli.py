@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mesosync import cli
+from mesosync import cli, timebase
 from mesosync.cli import main
 from mesosync.scenario import _FIELD_TYPES, _KEYMAP
 
@@ -184,8 +184,8 @@ def test_jitter_error_names_only_its_clock(capsys):
 @pytest.mark.parametrize("key, value", [("jitter.rx.sin_amp_ui", "0.45"),
                                         ("jitter.rx.gauss_sigma_ui", "0.02")])
 def test_rx_jitter_on_correlated_clocks_is_refused(key, value, capsys):
-    # With jitter.correlated = true the receive clock is the transmit
-    # clock, so receive-clock jitter would go unused: it is refused.
+    # With jitter.correlated = true the receive clock draws the transmit
+    # clock's edges, so receive-clock jitter would go unused: it is refused.
     code = main(["run", SCN, "--duration", "0.1", "--set", f"{key}={value}",
                  "--set", "jitter.rx.sin_freq_hz=200e6"])
     out = capsys.readouterr()
@@ -527,3 +527,49 @@ def test_run_any_setting_ends_cleanly(sets, duration):
     assert code in (0, 2, 3), argv
     if err.getvalue():
         assert err.getvalue().startswith(("scenario error:", "jitter error:")), argv
+
+
+# A channel delay longer than a clock keeps: the receive waveform reads the
+# transmit clock 2,100 periods behind the loop.
+_LONG_DELAY = ["run", SCN, "--duration", "3", "--set", "channel.n=2100",
+               "--set", "jitter.tx.gauss_sigma_ui=0.01"]
+
+
+@pytest.mark.parametrize("extra", [
+    [],
+    ["--set", "jitter.tx.sin_amp_ui=0.1", "--set", "jitter.tx.sin_freq_hz=5e6"],
+], ids=["gauss", "gauss-and-sine"])
+def test_long_channel_delay_runs(extra, capsys):
+    code = main(_LONG_DELAY + extra)
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.err == ""
+    assert "locked = true" in out.out
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=1900, max_value=4200),
+    tx_jitter=st.booleans(),
+    correlated=st.booleans(),
+    mode=st.sampled_from(["ideal", "tracking"]),
+)
+def test_long_channel_delay_ends_cleanly(n, tx_jitter, correlated, mode):
+    # Each run lasts past the edge its transmit clock drops first while
+    # the delay is in flight; it ends with a defined exit code.
+    periods = n + timebase._EDGE_KEEP + timebase._EDGE_BLOCK + 100
+    duration = f"{periods / 1.3e9 * 1e6:.3f}"  # at the scenario's 1.3 Gb/s
+    argv = ["run", SCN, "--duration", duration, "--set", f"channel.n={n}",
+            "--set", f"jitter.correlated={str(correlated).lower()}",
+            "--set", f"dll.mode={mode}"]
+    if tx_jitter:
+        argv += ["--set", "jitter.tx.gauss_sigma_ui=0.01",
+                 "--set", "jitter.tx.sin_amp_ui=0.1",
+                 "--set", "jitter.tx.sin_freq_hz=5e6"]
+    if not correlated:
+        argv += ["--set", "jitter.rx.gauss_sigma_ui=0.01"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), argv
+    assert err.getvalue() == "", argv

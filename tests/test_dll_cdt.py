@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -82,33 +83,41 @@ def test_tracking_attenuates_fast_jitter():
 
 
 def test_tracking_forget_before_drops_only_older_edges():
+    # Kept to one block, the tracked reference drops the block before each
+    # new one; a dropped edge raises and the kept ones are exact.
     jitter = JitterSpec(sin_amp_ui=0.3, sin_freq_hz=5e6)
     ref = _phases(mode="tracking", jitter=jitter)
-    p = _phases(mode="tracking", jitter=jitter)
-    p.edge(3, 199)
-    p.ref.forget_before(120)
-    with pytest.raises(EvictedEdgeError):
-        p.edge(3, 119)
-    assert [p.edge(3, k) for k in range(120, 400)] == [ref.edge(3, k) for k in range(120, 400)]
+    block = timebase._EDGE_BLOCK
+    with mock.patch.object(timebase, "_EDGE_KEEP", block):
+        p = _phases(mode="tracking", jitter=jitter)
+        p.edge(3, 199)
+        p.edge(3, block + 44)
+        assert p.ref._base == block
+        with pytest.raises(EvictedEdgeError):
+            p.edge(3, block - 1)
+        assert [p.edge(3, k) for k in range(block, 4 * block)] == [
+            ref.edge(3, k) for k in range(block, 4 * block)]
 
 
 def test_tracking_search_reads_only_cached_edges():
-    # The tracked reference searches its cache like any ClockGen: after a
-    # drop it answers from the cached edges, and raises only for a query
-    # before the first of them.
+    # The tracked reference searches its cache like any ClockGen: once
+    # edges are dropped it answers from the cached edges, and raises only
+    # for a query before the first of them.
     jitter = JitterSpec(sin_amp_ui=0.3, sin_freq_hz=5e6)
     ref = _phases(mode="tracking", jitter=jitter)
-    p = _phases(mode="tracking", jitter=jitter)
-    p.ref.edge(300)
-    p.ref.forget_before(100)
-    e100, e101, e102 = (ref.edge(0, k) for k in (100, 101, 102))
-    assert p.ref.first_edge_at_or_after(e101 + 1) == (102, e102)
-    assert p.first_edges_after((0, 0, 3), (e101, e100 - 1, e101)) == [
-        e102, e100, ref.edge(3, 101)]
-    with pytest.raises(EvictedEdgeError):
-        p.ref.first_edge_at_or_after(e100 - 1)
-    with pytest.raises(EvictedEdgeError):
-        p.first_edges_after((0,), (e100 - 2,))
+    block = timebase._EDGE_BLOCK
+    with mock.patch.object(timebase, "_EDGE_KEEP", block):
+        p = _phases(mode="tracking", jitter=jitter)
+        p.ref.edge(block + 99)
+        assert p.ref._base == 100
+        e100, e101, e102 = (ref.edge(0, k) for k in (100, 101, 102))
+        assert p.ref.first_edge_at_or_after(e101 + 1) == (102, e102)
+        assert p.first_edges_after((0, 0, 3), (e101, e100 - 1, e101)) == [
+            e102, e100, ref.edge(3, 101)]
+        with pytest.raises(EvictedEdgeError):
+            p.ref.first_edge_at_or_after(e100 - 1)
+        with pytest.raises(EvictedEdgeError):
+            p.first_edges_after((0,), (e100 - 2,))
 
 
 def test_tracking_waits_for_the_reference_edge_error():
@@ -144,14 +153,16 @@ def test_tracking_edges_follow_one_pole_recurrence():
     for k in range(2000):
         y += alpha * ((rx.edge(k) - k * T) - y)
         expect.append(k * T + round(y))
-    assert [p.edge(0, k) for k in range(1200)] == expect[:1200]
     assert expect != [k * T for k in range(2000)]
-    p.ref.forget_before(1000)
-    with pytest.raises(EvictedEdgeError):
-        p.edge(0, 999)
-    assert [p.edge(0, k) for k in range(1000, 2000)] == expect[1000:]
-    assert [p.edge(7, k) for k in range(1000, 2000)] == [
-        e + round(7 * T / 10) for e in expect[1000:]]
+    # Kept to one block, the tracked reference has dropped edges 0..1023
+    # by the time it has made edge 1199.
+    with mock.patch.object(timebase, "_EDGE_KEEP", timebase._EDGE_BLOCK):
+        assert [p.edge(0, k) for k in range(1200)] == expect[:1200]
+        assert p.ref._base == 1024
+        with pytest.raises(EvictedEdgeError):
+            p.edge(0, 1023)
+        assert [(p.edge(0, k), p.edge(7, k)) for k in range(1024, 2000)] == [
+            (e, e + round(7 * T / 10)) for e in expect[1024:]]
 
 
 def test_intermediate_phase_formula():

@@ -5,11 +5,12 @@ import math
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from mesosync import (defaults_130nm, defaults_65nm, experiments, harness,
-                      phase_detector, run, sweep)
+                      phase_detector, run, sweep, timebase)
 from mesosync.dll_cdt import cdt_transfer
 from mesosync.fine_loop import pump_current, pump_integrate, vcdl_delay
 from mesosync.harness import Simulation
@@ -613,12 +614,17 @@ def test_cold_start_shows_strong_pump_resets(locked_run):
 
 
 def test_correlated_clocks_share_edges():
+    # Correlated clocks are two objects, one per reach, that draw the same
+    # edges; uncorrelated ones differ.
     scn = replace(BASE, correlated=True, tx_sin_amp_ui=0.2, tx_sin_freq_hz=5e6)
     sim = Simulation(scn)
-    assert sim.rx_clock is sim.tx_clock
+    assert sim.rx_clock is not sim.tx_clock
+    tx = [sim.tx_clock.edge(k) for k in range(5000)]
+    assert [sim.rx_clock.edge(k) for k in range(5000)] == tx
+    assert tx != [k * BASE.period for k in range(5000)]
     scn2 = replace(scn, correlated=False)
     sim2 = Simulation(scn2)
-    assert sim2.rx_clock is not sim2.tx_clock
+    assert [sim2.rx_clock.edge(k) for k in range(5000)] != tx
 
 
 def test_quiet_clocks_are_grid_clocks():
@@ -638,33 +644,47 @@ def test_quiet_clocks_are_grid_clocks():
     assert type(sim.rx_clock) is GridClock
 
 
-@pytest.mark.parametrize("correlated", [True, False])
-def test_transfer_evicts_each_clock_once(correlated):
-    # Correlated clocks are one object, and in ideal mode the DLL's
-    # reference is the receiver clock: each object is evicted once a block.
-    scn = replace(BASE, alpha=0.3, duration_us=3.0, correlated=correlated,
-                  tx_sin_amp_ui=0.2, tx_sin_freq_hz=5e6)
-    sim = Simulation(scn)
-    clocks = {id(c): c for c in (sim.tx_clock, sim.rx_clock, sim.dll.ref)}
-    assert len(clocks) == (1 if correlated else 2)
-    calls = dict.fromkeys(clocks, 0)
-    for key, clock in clocks.items():
-        def counted(index, key=key, forget=clock.forget_before):
-            calls[key] += 1
-            forget(index)
-        clock.forget_before = counted
-    blocks = 0
-    transfer = sim._transfer
+def _jittered_tracking(correlated):
+    """A 20 us tracking-DLL run whose clocks are all jittered ClockGens, the
+    receive clock drawing the transmit clock's edges when ``correlated``,
+    with a channel delay longer than a clock keeps."""
+    rx = {} if correlated else dict(rx_sin_amp_ui=0.05, rx_sin_freq_hz=3e6,
+                                    rx_gauss_sigma_ui=0.01)
+    return replace(BASE, alpha=0.3, n=2100, duration_us=20.0,
+                   dll_mode="tracking", correlated=correlated,
+                   tx_sin_amp_ui=0.1, tx_sin_freq_hz=5e6,
+                   tx_gauss_sigma_ui=0.01, **rx)
 
-    def counted_transfer(lookahead):
-        nonlocal blocks
-        blocks += 1
-        transfer(lookahead)
 
-    sim._transfer = counted_transfer
-    sim.run()
-    assert blocks >= 2
-    assert list(calls.values()) == [blocks] * len(clocks)
+@pytest.fixture(scope="module", params=[True, False], ids=["correlated", "own"])
+def tracking_run(request):
+    sim = Simulation(_jittered_tracking(request.param))
+    return sim, sim.run()
+
+
+def test_clocks_keep_a_bounded_cache(tracking_run):
+    # Every clock drops its own old edges: none holds more than _EDGE_KEEP.
+    sim, m = tracking_run
+    assert m.locked
+    clocks = (sim.tx_clock, sim.rx_clock, sim.dll.ref)
+    assert all(type(c) is not GridClock for c in clocks)
+    assert len({id(c) for c in clocks}) == 3
+    for clock in clocks:
+        assert clock._base > 0
+        assert len(clock._edges) <= timebase._EDGE_KEEP
+
+
+def test_edge_keep_covers_the_readers_reach(tracking_run):
+    # The farthest reader is the transfer chain, back to the oldest pending
+    # detector event from a newest edge up to a block ahead.  A keep of that
+    # reach plus a block gives the same run; a larger block or a smaller
+    # keep fails here before it fails a user's run.
+    sim, m = tracking_run
+    keep = harness._CDT_BLOCK + 3 + 2 * timebase._EDGE_BLOCK
+    assert keep < timebase._EDGE_KEEP
+    with mock.patch.object(timebase, "_EDGE_KEEP", keep):
+        short = Simulation(sim.scn).run()
+    assert short == m
 
 
 def test_snapshot_restore_locks_adjacent(locked_run):

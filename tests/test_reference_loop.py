@@ -1,10 +1,10 @@
 """A plain reference loop against which every scheduling shortcut is exact.
 
 ``ReferenceSimulation`` runs the model of ``harness.Simulation`` with both
-scheduler slots and each of the nine shortcuts that the ``harness``
-docstring lists turned off.  It owns the definitional OPP and CYCLE
-handlers, which ``Simulation.run`` runs inline, so the two loops are
-independent implementations of the detector cycle:
+scheduler slots, each of the nine shortcuts that the ``harness`` docstring
+lists and the clocks' edge eviction turned off.  It owns the definitional
+OPP and CYCLE handlers, which ``Simulation.run`` runs inline, so the two
+loops are independent implementations of the detector cycle:
 
 * no slots: one plain heap, with window crossings at priority 0 (a new
   prediction voids the older ones) and OPP and CYCLE at priorities 5 and 6;
@@ -21,6 +21,8 @@ independent implementations of the detector cycle:
 * no decision table: each cycle calls ``alexander_step``;
 * no clock blocks: a ``ClockGen`` for every clock, quiet ones too,
   generating one edge at a time;
+* no edge eviction: every clock keeps every edge it made, since the one
+  transfer-chain call reads from edge 0;
 * no transfer blocks: one transfer-chain call at the end of the run
   (``_finalize``'s);
 * no eye plateaus: an eye histogram that reads every bin with
@@ -199,9 +201,10 @@ def _clock_gen(period, jitter, rng=None, name="clk"):
 
 def reference_run(scn, **kwargs):
     """``ReferenceSimulation(scn, **kwargs).run()`` with every clock a
-    ``ClockGen`` that generates one edge at a time."""
+    ``ClockGen`` that generates one edge at a time and keeps them all."""
     with mock.patch.object(harness, "make_clock", _clock_gen), \
-            mock.patch.object(timebase, "_EDGE_BLOCK", 1):
+            mock.patch.object(timebase, "_EDGE_BLOCK", 1), \
+            mock.patch.object(timebase, "_EDGE_KEEP", 1 << 62):
         sim = ReferenceSimulation(scn, **kwargs)
         assert all(type(c) is not GridClock
                    for c in (sim.tx_clock, sim.rx_clock))

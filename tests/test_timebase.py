@@ -189,27 +189,53 @@ def test_clockgen_generates_edges_in_blocks():
 
 
 def test_clockgen_forget_before_drops_only_older_edges():
-    # Dropped edges raise, never answer; the kept ones and the edges
-    # generated after the drop are those of a clock that dropped nothing.
+    # Each extension keeps the newest _EDGE_KEEP edges.  Dropped edges
+    # raise, never answer; the kept ones and the edges generated after the
+    # drop are those of a clock that dropped nothing.
     T = period_fs(1.3e9)
     spec = JitterSpec(sin_amp_ui=0.2, sin_freq_hz=50e6, gauss_sigma_ui=0.05)
     ref = ClockGen(T, jitter=spec, rng=Rng(5))
-    gen = ClockGen(T, jitter=spec, rng=Rng(5))
-    gen.edge(99)
-    gen.forget_before(40)
-    for k in (0, 39):
+    with mock.patch.object(timebase, "_EDGE_KEEP", 300):
+        gen = ClockGen(T, jitter=spec, rng=Rng(5))
+        gen.edge(99)
+        assert gen._base == 0
+        # The second block makes edges 256..511; 512 - 300 are dropped.
+        gen.edge(400)
+        assert gen._base == 212
+        for k in (0, 211):
+            with pytest.raises(EvictedEdgeError):
+                gen.edge(k)
+        assert issubclass(EvictedEdgeError, IndexError)
+        assert [gen.edge(k) for k in range(212, 700)] == [
+            ref.edge(k) for k in range(212, 700)]
+        # The newest edge is always kept, so no draw is skipped.
+        newest = gen._base + len(gen._edges) - 1
+        assert len(gen._edges) == 300 and newest >= 699
         with pytest.raises(EvictedEdgeError):
-            gen.edge(k)
-    assert issubclass(EvictedEdgeError, IndexError)
-    assert [gen.edge(k) for k in range(40, 300)] == [ref.edge(k) for k in range(40, 300)]
-    # The base never passes the newest generated edge, so no draw is skipped.
-    newest = gen._base + len(gen._edges) - 1
-    assert newest >= 299
-    gen.forget_before(10_000)
-    with pytest.raises(EvictedEdgeError):
-        gen.edge(newest - 1)
-    assert gen.edge(newest) == ref.edge(newest)
-    assert gen.edge(newest + 201) == ref.edge(newest + 201)
+            gen.edge(newest - 300)
+        assert gen.edge(newest - 299) == ref.edge(newest - 299)
+        assert gen.edge(newest) == ref.edge(newest)
+        assert gen.edge(newest + 201) == ref.edge(newest + 201)
+
+
+def test_edge_far_past_the_keep_is_the_edge_asked_for():
+    # An extension that drops edges raises the base, and edge() reads the
+    # asked index at its new place: each answer is that of a clock that
+    # keeps every edge, after a short step, a long one and from a fresh
+    # clock.
+    T = period_fs(1.3e9)
+    spec = JitterSpec(sin_amp_ui=0.2, sin_freq_hz=50e6, gauss_sigma_ui=0.05)
+    keep = timebase._EDGE_KEEP
+    asks = [keep - 49, keep - 38, 3 * keep + 17, 3 * keep + 18, 10 * keep]
+    with mock.patch.object(timebase, "_EDGE_KEEP", 1 << 62):
+        whole = ClockGen(T, spec, Rng(5))
+        want = [whole.edge(k) for k in asks]
+        assert whole._base == 0
+    gen = ClockGen(T, spec, Rng(5))
+    for k, t in zip(asks, want):
+        assert gen.edge(k) == t, k
+    assert gen._base == 9 * keep + 1
+    assert ClockGen(T, spec, Rng(5)).edge(3 * keep + 17) == want[2]
 
 
 def test_clockgen_first_edge_at_or_after():
@@ -222,21 +248,22 @@ def test_clockgen_first_edge_at_or_after():
 
 
 def test_first_edge_search_reads_only_cached_edges():
-    # After a drop the search answers from the cached edges alone: it
-    # raises only for a query before the first cached edge, whose answer
-    # may be an evicted edge.
+    # Once edges are dropped the search answers from the cached edges
+    # alone: it raises only for a query before the first cached edge,
+    # whose answer may be an evicted edge.
     T = period_fs(1.3e9)
-    gen = ClockGen(T)
-    gen.edge(300)
-    gen.forget_before(100)
-    assert gen.first_edge_at_or_after(101 * T + 1) == (102, 102 * T)
-    assert gen.first_edge_at_or_after(100 * T) == (100, 100 * T)
-    assert gen.first_edges_at_or_after([101 * T + 1, 100 * T, 400 * T - 1]) == [
-        102 * T, 100 * T, 400 * T]
-    with pytest.raises(EvictedEdgeError):
-        gen.first_edge_at_or_after(100 * T - 1)
-    with pytest.raises(EvictedEdgeError):
-        gen.first_edges_at_or_after([101 * T, 100 * T - 1])
+    with mock.patch.object(timebase, "_EDGE_KEEP", 301):
+        gen = ClockGen(T)
+        gen.edge(400)
+        assert gen._base == 100
+        assert gen.first_edge_at_or_after(101 * T + 1) == (102, 102 * T)
+        assert gen.first_edge_at_or_after(100 * T) == (100, 100 * T)
+        assert gen.first_edges_at_or_after([101 * T + 1, 100 * T, 400 * T - 1]) == [
+            102 * T, 100 * T, 400 * T]
+        with pytest.raises(EvictedEdgeError):
+            gen.first_edge_at_or_after(100 * T - 1)
+        with pytest.raises(EvictedEdgeError):
+            gen.first_edges_at_or_after([101 * T, 100 * T - 1])
 
 
 @settings(max_examples=50, deadline=None)
